@@ -3,7 +3,8 @@
 One subcommand per analysis; every numeric report names the calibration
 profile it was produced with and, where a published benchmark exists, the
 reference value next to the computed one. Exit status is 0 on success and
-2 on any input error (unknown flag, bad scenario file, unresolved name).
+2 on any input error (unknown flag, bad scenario file, unresolved name,
+or values too large to compute with).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import sys
+from pathlib import Path
 
 import click
 
@@ -60,8 +62,27 @@ def guarded(fn):
             return fn(*args, **kwargs)
         except (ValueError, OSError) as exc:
             raise click.UsageError(str(exc)) from None
+        except ArithmeticError as exc:
+            raise click.UsageError(
+                f"{_failed_step(exc)}: cannot compute with these inputs "
+                f"({type(exc).__name__}: {exc})"
+            ) from None
 
     return wrapper
+
+
+def _failed_step(exc: BaseException) -> str:
+    """``module.function`` of the innermost gridecon frame the error passed through."""
+    package = Path(__file__).parent
+    step = "cli"
+    tb = exc.__traceback__
+    while tb is not None:
+        code = tb.tb_frame.f_code
+        path = Path(code.co_filename)
+        if path.parent == package:
+            step = f"{path.stem}.{code.co_name}"
+        tb = tb.tb_next
+    return step
 
 
 @click.group()

@@ -34,10 +34,12 @@ _EPS_IMPROVE = 1e-7  # label must improve by this much to relax
 
 @dataclass(frozen=True)
 class Region:
+    """A demand node; one left without demand or generators only passes power on."""
+
     name: str
-    tz_offset_hours: int
-    demand_profile_mw: tuple[float, ...]
-    generators: tuple[tuple[float, float], ...]  # (capacity MW, marginal cost EUR/MWh)
+    tz_offset_hours: int = 0
+    demand_profile_mw: tuple[float, ...] = (0.0,) * 24
+    generators: tuple[tuple[float, float], ...] = ()  # (capacity MW, marginal cost EUR/MWh)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "demand_profile_mw", tuple(self.demand_profile_mw))
@@ -88,10 +90,12 @@ class DispatchNetwork:
         names = [r.name for r in self.regions]
         if len(set(names)) != len(names):
             raise ValueError("region names must be unique")
-        for ic in self.interconnectors:
+        for i, ic in enumerate(self.interconnectors):
             for endpoint in (ic.region_a, ic.region_b):
                 if endpoint not in names:
-                    raise ValueError(f"interconnector references unknown region {endpoint!r}")
+                    raise ValueError(
+                        f"interconnectors[{i}] references unknown region {endpoint!r}"
+                    )
         if self.unserved_penalty_eur_per_mwh <= 0:
             raise ValueError("unserved penalty must be > 0")
 
@@ -245,7 +249,9 @@ def min_cost_flow(snapshot: HourSnapshot) -> HourlyDispatch:
         method="highs",
     )
     if solution.status != 0:
-        raise RuntimeError(f"dispatch LP failed: {solution.message}")
+        # The LP is feasible by construction, so a failure means inputs too
+        # large (or too far apart in scale) for the solver: an input error.
+        raise ValueError(f"dispatch LP failed: {solution.message}")
     x = np.clip(solution.x, 0.0, None)
 
     generation: list[tuple[float, ...]] = []

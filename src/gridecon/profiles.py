@@ -65,8 +65,6 @@ PROFILES: dict[str, CalibrationProfile] = {
     ),
 }
 
-PROFILE_NAMES = tuple(PROFILES) + ("custom",)
-
 
 def get_profile(name: str) -> CalibrationProfile:
     try:

@@ -4,11 +4,18 @@ A file may carry any subset of the sections ``finance``, ``links``,
 ``generation``, ``prices``, ``scenario``, and ``network``; each subcommand
 checks that the sections it needs are present. Unknown keys are rejected
 everywhere so a typo cannot silently fall back to a default.
+
+Every value goes through one typed reader (finite number, whole number,
+boolean, string, enum choice, list, object). A key the file omits is not
+passed on, so its default is the one the dataclass declares. Range checks
+stay with the dataclasses; their messages are prefixed with the path of
+the object that failed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,312 +67,266 @@ def load_scenario_file(path: str | Path) -> ScenarioFileContents:
 
 
 def parse_scenario_data(raw: dict) -> ScenarioFileContents:
-    if not isinstance(raw, dict):
-        raise ScenarioFileError("top level must be an object")
-    _check_keys(raw, {"finance", "links", "generation", "prices", "scenario", "network"}, "")
-
-    finance = _parse_finance(raw["finance"]) if "finance" in raw else None
-    links = _parse_links(raw.get("links", {}))
-    generation = _parse_generation(raw["generation"]) if "generation" in raw else None
-    prices = _parse_prices(raw["prices"]) if "prices" in raw else None
-    scenario = None
-    if "scenario" in raw:
-        if generation is None:
-            raise ScenarioFileError("scenario: requires a generation section")
-        scenario = _parse_scenario(raw["scenario"], links, generation)
-    network = _parse_network(raw["network"]) if "network" in raw else None
+    try:
+        sections = _fields(raw, _SECTIONS)
+        links = sections.get("links", {})
+        generation = sections.get("generation")
+        scenario = sections.get("scenario")
+        if scenario is not None:
+            if generation is None:
+                raise _Invalid("requires a generation section", "scenario")
+            try:
+                scenario = _scenario(scenario, links, generation)
+            except _REJECTIONS as exc:
+                raise _Invalid.at("scenario", exc) from None
+    except _Invalid as exc:
+        raise ScenarioFileError(str(exc)) from None
     return ScenarioFileContents(
-        finance=finance,
+        finance=sections.get("finance"),
         links=links,
         generation=generation,
-        prices=prices,
+        prices=sections.get("prices"),
         scenario=scenario,
-        network=network,
+        network=sections.get("network"),
     )
 
 
-def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
-    if not isinstance(obj, dict):
-        raise ScenarioFileError(f"{context or 'top level'}: expected an object")
-    for key in obj:
-        if key not in allowed:
-            where = f"{context}: " if context else ""
-            raise ScenarioFileError(f"{where}unknown key {key!r}")
+class _Invalid(Exception):
+    """A schema violation; each level it leaves prepends its key or index.
+
+    The key path is only assembled into text when the error is reported,
+    so reading a valid file builds no path strings.
+    """
+
+    def __init__(self, message: str, *path: str | int):
+        super().__init__(message)
+        self.path = list(path)
+
+    @staticmethod
+    def at(key: str | int, exc: Exception) -> _Invalid:
+        """``exc`` with ``key`` prepended to its path, as an ``_Invalid``."""
+        if isinstance(exc, ArithmeticError):
+            return _Invalid(f"cannot compute with these values ({exc!r})", key)
+        if not isinstance(exc, _Invalid):
+            return _Invalid(str(exc), key)
+        exc.path.insert(0, key)
+        return exc
+
+    def __str__(self) -> str:
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in self.path)
+        return f"{where[1:]}: {self.args[0]}" if where else self.args[0]
 
 
-def _get(obj: dict, key: str, context: str):
-    if key not in obj:
-        raise ScenarioFileError(f"{context}: missing key {key!r}")
-    return obj[key]
+# What reading one key or list item may raise: a schema violation below it,
+# or a dataclass rejecting (or overflowing on) the object read there.
+_REJECTIONS = (_Invalid, ValueError, ArithmeticError)
 
 
-def _number(obj: dict, key: str, context: str) -> float:
-    value = _get(obj, key, context)
+def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFileError(f"{context}.{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _wrap(context: str, builder):
+        raise _Invalid(f"expected a number, got {value!r}")
     try:
-        return builder()
-    except ScenarioFileError:
-        raise
-    except ValueError as exc:
-        raise ScenarioFileError(f"{context}: {exc}") from None
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise _Invalid(f"expected a finite number, got {value!r}")
+    return number
 
 
-def _parse_finance(obj: dict) -> FinancialAssumptions:
-    _check_keys(obj, {"discount_rate", "lifetime_years", "om_rate"}, "finance")
-    return _wrap(
-        "finance",
-        lambda: FinancialAssumptions(
-            discount_rate=_number(obj, "discount_rate", "finance"),
-            lifetime_years=int(_number(obj, "lifetime_years", "finance")),
-            om_rate=_number(obj, "om_rate", "finance") if "om_rate" in obj else 0.0,
-        ),
-    )
+def _integer(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _Invalid(f"expected a whole number, got {value!r}")
+    return value
 
 
-def _parse_links(obj: dict) -> dict[str, TransmissionLink]:
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise _Invalid(f"expected true or false, got {value!r}")
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise _Invalid(f"expected a string, got {value!r}")
+    return value
+
+
+def _choice(enum):
+    members = {member.value: member for member in enum}
+
+    def read(value):
+        member = members.get(value) if isinstance(value, str) else None
+        if member is None:
+            raise _Invalid(f"{value!r} is not one of {', '.join(members)}")
+        return member
+
+    return read
+
+
+def _list(read_item, nonempty: bool = False):
+    def read(value) -> tuple:
+        if not isinstance(value, list) or (nonempty and not value):
+            raise _Invalid(f"expected a {'non-empty ' if nonempty else ''}list, got {value!r}")
+        items = []
+        for index, item in enumerate(value):
+            try:
+                items.append(read_item(item))
+            except _REJECTIONS as exc:
+                raise _Invalid.at(index, exc) from None
+        return tuple(items)
+
+    return read
+
+
+def _fields(obj, readers: dict, required: tuple[str, ...] = ()) -> dict:
+    """Read each key of ``obj`` with its reader; omitted optional keys stay out."""
     if not isinstance(obj, dict):
-        raise ScenarioFileError("links: expected an object of named links")
-    return {name: _parse_link(spec, f"links.{name}") for name, spec in obj.items()}
+        raise _Invalid(f"expected an object, got {obj!r}")
+    for key in required:
+        if key not in obj:
+            raise _Invalid("missing", key)
+    values = {}
+    for key, value in obj.items():
+        read = readers.get(key)
+        if read is None:
+            raise _Invalid(f"unknown key {key!r}")
+        try:
+            values[key] = read(value)
+        except _REJECTIONS as exc:
+            raise _Invalid.at(key, exc) from None
+    return values
 
 
-def _parse_link(obj: dict, context: str) -> TransmissionLink:
-    _check_keys(
-        obj,
-        {"segments", "terminals", "capacity_mw", "availability", "loss_model", "utilization"},
-        context,
-    )
-    segments_raw = _get(obj, "segments", context)
-    if not isinstance(segments_raw, list) or not segments_raw:
-        raise ScenarioFileError(f"{context}.segments: expected a non-empty list")
-    segments = tuple(
-        _parse_segment(seg, f"{context}.segments[{i}]") for i, seg in enumerate(segments_raw)
-    )
-    terminals = _get(obj, "terminals", context)
-    _check_keys(terminals, {"count", "unit_cost_meur"}, f"{context}.terminals")
-    loss = _parse_loss(obj.get("loss_model", {}), f"{context}.loss_model")
-    util = _parse_utilization(obj.get("utilization", {}), f"{context}.utilization")
-    return _wrap(
-        context,
-        lambda: TransmissionLink(
-            segments=segments,
-            terminal_count=int(_number(terminals, "count", f"{context}.terminals")),
-            terminal_unit_cost_meur=_number(
-                terminals, "unit_cost_meur", f"{context}.terminals"
-            ),
-            capacity_mw=_number(obj, "capacity_mw", context),
-            availability=_number(obj, "availability", context)
-            if "availability" in obj
-            else 0.99,
-            loss_model=loss,
-            utilization=util,
+def _record(cls, readers: dict, required: tuple[str, ...] = ()):
+    return lambda value: cls(**_fields(value, readers, required))
+
+
+def _terminals(value) -> dict:
+    readers = {"count": _integer, "unit_cost_meur": _number}
+    terminals = _fields(value, readers, tuple(readers))
+    return {
+        "terminal_count": terminals["count"],
+        "terminal_unit_cost_meur": terminals["unit_cost_meur"],
+    }
+
+
+_LINK = {
+    "segments": _list(
+        _record(
+            Segment,
+            {"kind": _choice(SegmentKind), "length_km": _number, "unit_cost_meur_per_km": _number},
+            ("kind", "length_km", "unit_cost_meur_per_km"),
         ),
-    )
+        nonempty=True,
+    ),
+    "terminals": _terminals,
+    "capacity_mw": _number,
+    "availability": _number,
+    "loss_model": _record(
+        LossModel,
+        {
+            "line_loss_per_1000km": _number,
+            "terminal_loss": _number,
+            "composition": _choice(LossComposition),
+        },
+    ),
+    "utilization": _record(
+        UtilizationModel, {"reduced_hours": _number, "reduced_fraction": _number}
+    ),
+}
 
 
-def _parse_segment(obj: dict, context: str) -> Segment:
-    _check_keys(obj, {"kind", "length_km", "unit_cost_meur_per_km"}, context)
-    kind_raw = _get(obj, "kind", context)
-    try:
-        kind = SegmentKind(kind_raw)
-    except ValueError:
-        raise ScenarioFileError(
-            f"{context}.kind: {kind_raw!r} is not one of "
-            f"{', '.join(k.value for k in SegmentKind)}"
-        ) from None
-    return _wrap(
-        context,
-        lambda: Segment(
-            kind=kind,
-            length_km=_number(obj, "length_km", context),
-            unit_cost_meur_per_km=_number(obj, "unit_cost_meur_per_km", context),
-        ),
-    )
+def _link(value) -> TransmissionLink:
+    link = _fields(value, _LINK, ("segments", "terminals", "capacity_mw"))
+    link.update(link.pop("terminals"))
+    return TransmissionLink(**link)
 
 
-def _parse_loss(obj: dict, context: str) -> LossModel:
-    _check_keys(obj, {"line_loss_per_1000km", "terminal_loss", "composition"}, context)
-    composition_raw = obj.get("composition", "linear")
-    try:
-        composition = LossComposition(composition_raw)
-    except ValueError:
-        raise ScenarioFileError(
-            f"{context}.composition: {composition_raw!r} is not one of "
-            f"{', '.join(c.value for c in LossComposition)}"
-        ) from None
-    return _wrap(
-        context,
-        lambda: LossModel(
-            line_loss_per_1000km=obj.get("line_loss_per_1000km", 0.03),
-            terminal_loss=obj.get("terminal_loss", 0.006),
-            composition=composition,
-        ),
-    )
+def _links(value) -> dict[str, TransmissionLink]:
+    # Every key of the section names a link, so every key is read as one.
+    names = value if isinstance(value, dict) else {}
+    return _fields(value, dict.fromkeys(names, _link))
 
 
-def _parse_utilization(obj: dict, context: str) -> UtilizationModel:
-    _check_keys(obj, {"reduced_hours", "reduced_fraction"}, context)
-    return _wrap(
-        context,
-        lambda: UtilizationModel(
-            reduced_hours=obj.get("reduced_hours", 0.0),
-            reduced_fraction=obj.get("reduced_fraction", 1.0),
-        ),
-    )
-
-
-def _parse_generation(obj: dict) -> GenerationSource:
-    _check_keys(obj, {"capacity_mw", "capacity_factor", "lcoe_eur_per_kwh"}, "generation")
-    return _wrap(
-        "generation",
-        lambda: GenerationSource(
-            capacity_mw=_number(obj, "capacity_mw", "generation"),
-            capacity_factor=_number(obj, "capacity_factor", "generation"),
-            lcoe_eur_per_kwh=_number(obj, "lcoe_eur_per_kwh", "generation")
-            if "lcoe_eur_per_kwh" in obj
-            else 0.0,
-        ),
-    )
-
-
-def _parse_prices(obj: dict) -> PriceModel:
-    _check_keys(obj, {"peak_eur_per_kwh", "offpeak_ratio", "peak_window_hours"}, "prices")
-    return _wrap(
-        "prices",
-        lambda: PriceModel(
-            peak_eur_per_kwh=_number(obj, "peak_eur_per_kwh", "prices"),
-            offpeak_ratio=_number(obj, "offpeak_ratio", "prices")
-            if "offpeak_ratio" in obj
-            else 0.5,
-            peak_window_hours=_number(obj, "peak_window_hours", "prices")
-            if "peak_window_hours" in obj
-            else 12.0,
-        ),
-    )
-
-
-def _parse_scenario(
-    obj: dict, links: dict[str, TransmissionLink], generation: GenerationSource
+def _scenario(
+    value, links: dict[str, TransmissionLink], generation: GenerationSource
 ) -> ConnectionScenario:
-    _check_keys(obj, {"paths", "schedule", "trade_enabled"}, "scenario")
-    paths_raw = _get(obj, "paths", "scenario")
-    if not isinstance(paths_raw, list):
-        raise ScenarioFileError("scenario.paths: expected a list")
-    if not paths_raw:
-        raise ScenarioFileError("paths: empty")
-    paths = []
-    for i, entry in enumerate(paths_raw):
-        context = f"scenario.paths[{i}]"
-        _check_keys(entry, {"link", "market", "tz_offset_hours"}, context)
-        link_name = _get(entry, "link", context)
-        if link_name not in links:
-            raise ScenarioFileError(f"{context}.link: unknown link {link_name!r}")
-        paths.append(
-            ConnectionPath(
-                link=links[link_name],
-                market=str(_get(entry, "market", context)),
-                tz_offset_hours=int(entry.get("tz_offset_hours", 0)),
-            )
-        )
-    schedule_raw = obj.get("schedule", "all_to_single")
-    try:
-        schedule = SchedulePolicy(schedule_raw)
-    except ValueError:
-        raise ScenarioFileError(
-            f"scenario.schedule: {schedule_raw!r} is not one of "
-            f"{', '.join(s.value for s in SchedulePolicy)}"
-        ) from None
-    return _wrap(
-        "scenario",
-        lambda: ConnectionScenario(
-            source=generation,
-            paths=tuple(paths),
-            schedule=schedule,
-            trade_enabled=bool(obj.get("trade_enabled", False)),
-        ),
+    def link(name) -> TransmissionLink:
+        if _text(name) not in links:
+            raise _Invalid(f"unknown link {name!r}")
+        return links[name]
+
+    path = _record(
+        ConnectionPath,
+        {"link": link, "market": _text, "tz_offset_hours": _integer},
+        ("link", "market"),
     )
+    readers = {"paths": _list(path), "schedule": _choice(SchedulePolicy), "trade_enabled": _bool}
+    return ConnectionScenario(source=generation, **_fields(value, readers, ("paths",)))
 
 
-def _parse_network(obj: dict) -> DispatchNetwork:
-    _check_keys(obj, {"regions", "interconnectors", "unserved_penalty_eur_per_mwh"}, "network")
-    regions_raw = _get(obj, "regions", "network")
-    if not isinstance(regions_raw, list) or not regions_raw:
-        raise ScenarioFileError("network.regions: expected a non-empty list")
-    regions = []
-    for i, entry in enumerate(regions_raw):
-        context = f"network.regions[{i}]"
-        _check_keys(
-            entry,
-            {"name", "tz_offset_hours", "demand_peak_mw", "demand_profile_mw", "generators"},
-            context,
-        )
-        if "demand_profile_mw" in entry:
-            profile = entry["demand_profile_mw"]
-            if not isinstance(profile, list) or len(profile) != 24:
-                raise ScenarioFileError(f"{context}.demand_profile_mw: expected 24 values")
-            profile = tuple(float(v) for v in profile)
-        elif "demand_peak_mw" in entry:
-            profile = sinusoid_profile(_number(entry, "demand_peak_mw", context))
-        else:
-            raise ScenarioFileError(
-                f"{context}: needs demand_profile_mw or demand_peak_mw"
-            )
-        generators_raw = _get(entry, "generators", context)
-        if not isinstance(generators_raw, list):
-            raise ScenarioFileError(f"{context}.generators: expected a list")
-        generators = []
-        for j, gen in enumerate(generators_raw):
-            gen_context = f"{context}.generators[{j}]"
-            _check_keys(gen, {"capacity_mw", "marginal_cost_eur_per_mwh"}, gen_context)
-            generators.append(
-                (
-                    _number(gen, "capacity_mw", gen_context),
-                    _number(gen, "marginal_cost_eur_per_mwh", gen_context),
-                )
-            )
-        regions.append(
-            _wrap(
-                context,
-                lambda entry=entry, profile=profile, generators=generators, context=context: Region(
-                    name=str(_get(entry, "name", context)),
-                    tz_offset_hours=int(entry.get("tz_offset_hours", 0)),
-                    demand_profile_mw=profile,
-                    generators=tuple(generators),
-                ),
-            )
-        )
-    names = [r.name for r in regions]
-    interconnectors = []
-    for i, entry in enumerate(obj.get("interconnectors", [])):
-        context = f"network.interconnectors[{i}]"
-        _check_keys(entry, {"from", "to", "capacity_mw", "efficiency"}, context)
-        a, b = _get(entry, "from", context), _get(entry, "to", context)
-        for endpoint in (a, b):
-            if endpoint not in names:
-                raise ScenarioFileError(f"{context}: unknown region {endpoint!r}")
-        interconnectors.append(
-            _wrap(
-                context,
-                lambda entry=entry, a=a, b=b, context=context: Interconnector(
-                    region_a=a,
-                    region_b=b,
-                    capacity_mw=_number(entry, "capacity_mw", context),
-                    efficiency=_number(entry, "efficiency", context)
-                    if "efficiency" in entry
-                    else 1.0,
-                ),
-            )
-        )
-    penalty = obj.get("unserved_penalty_eur_per_mwh", 10000.0)
-    return _wrap(
-        "network",
-        lambda: DispatchNetwork(
-            regions=tuple(regions),
-            interconnectors=tuple(interconnectors),
-            unserved_penalty_eur_per_mwh=float(penalty),
-        ),
-    )
+_GENERATOR = {"capacity_mw": _number, "marginal_cost_eur_per_mwh": _number}
+
+
+def _generator(value) -> tuple[float, float]:
+    generator = _fields(value, _GENERATOR, tuple(_GENERATOR))
+    return generator["capacity_mw"], generator["marginal_cost_eur_per_mwh"]
+
+
+_REGION = {
+    "name": _text,
+    "tz_offset_hours": _integer,
+    "demand_profile_mw": _list(_number),
+    "demand_peak_mw": _number,
+    "generators": _list(_generator),
+}
+
+
+def _region(value) -> Region:
+    region = _fields(value, _REGION, ("name", "generators"))
+    peak = region.pop("demand_peak_mw", None)
+    if "demand_profile_mw" not in region:
+        if peak is None:
+            raise _Invalid("needs demand_profile_mw or demand_peak_mw")
+        region["demand_profile_mw"] = sinusoid_profile(peak)
+    return Region(**region)
+
+
+def _interconnector(value) -> Interconnector:
+    readers = {"from": _text, "to": _text, "capacity_mw": _number, "efficiency": _number}
+    ic = _fields(value, readers, ("from", "to", "capacity_mw"))
+    return Interconnector(region_a=ic.pop("from"), region_b=ic.pop("to"), **ic)
+
+
+_SECTIONS = {
+    "finance": _record(
+        FinancialAssumptions,
+        {"discount_rate": _number, "lifetime_years": _integer, "om_rate": _number},
+        ("discount_rate", "lifetime_years"),
+    ),
+    "links": _links,
+    "generation": _record(
+        GenerationSource,
+        {"capacity_mw": _number, "capacity_factor": _number, "lcoe_eur_per_kwh": _number},
+        ("capacity_mw", "capacity_factor"),
+    ),
+    "prices": _record(
+        PriceModel,
+        {"peak_eur_per_kwh": _number, "offpeak_ratio": _number, "peak_window_hours": _number},
+        ("peak_eur_per_kwh",),
+    ),
+    # Read after the other sections: its paths name links.
+    "scenario": lambda value: value,
+    "network": _record(
+        DispatchNetwork,
+        {
+            "regions": _list(_region, nonempty=True),
+            "interconnectors": _list(_interconnector),
+            "unserved_penalty_eur_per_mwh": _number,
+        },
+        ("regions",),
+    ),
+}

@@ -1,15 +1,25 @@
+import copy
+import functools
 import json
+import math
+import operator
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridecon.datasets import load_bundled_scenario
-from gridecon.scenario import SchedulePolicy
+from gridecon.cli import main
+from gridecon.datasets import bundled_path, load_bundled_scenario
+from gridecon.dispatch import DEFAULT_UNSERVED_PENALTY
+from gridecon.finance import FinancialAssumptions
+from gridecon.scenario import PriceModel, SchedulePolicy
 from gridecon.scenario_file import (
     ScenarioFileError,
     load_scenario_file,
     parse_scenario_data,
 )
-from gridecon.transmission import LossComposition
+from gridecon.transmission import LossComposition, LossModel, UtilizationModel
 
 
 def minimal_scenario_data() -> dict:
@@ -170,3 +180,179 @@ def test_invalid_json_reported(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ScenarioFileError, match="invalid JSON"):
         load_scenario_file(path)
+
+
+def test_omitted_optional_keys_take_dataclass_defaults():
+    data = minimal_scenario_data()
+    for key in ("availability", "loss_model", "utilization"):
+        del data["links"]["main"][key]
+    del data["finance"]["om_rate"]
+    data["prices"] = {"peak_eur_per_kwh": 0.1}
+    data["scenario"] = {"paths": [{"link": "main", "market": "home"}]}
+    data["network"] = {
+        "regions": [
+            {"name": "a", "demand_peak_mw": 10, "generators": []},
+        ]
+    }
+    contents = parse_scenario_data(data)
+    link = contents.links["main"]
+    assert link.availability == 0.99
+    assert link.loss_model == LossModel()
+    assert link.utilization == UtilizationModel()
+    assert contents.finance == FinancialAssumptions(discount_rate=0.03, lifetime_years=40)
+    assert contents.prices == PriceModel(peak_eur_per_kwh=0.1)
+    assert contents.scenario.schedule is SchedulePolicy.ALL_TO_SINGLE
+    assert contents.scenario.trade_enabled is False
+    assert contents.scenario.paths[0].tz_offset_hours == 0
+    network = contents.network
+    assert network.regions[0].tz_offset_hours == 0
+    assert network.interconnectors == ()
+    assert network.unserved_penalty_eur_per_mwh == DEFAULT_UNSERVED_PENALTY
+
+
+def test_whole_float_accepted_as_integer():
+    data = minimal_scenario_data()
+    data["finance"]["lifetime_years"] = 40.0
+    assert parse_scenario_data(data).finance.lifetime_years == 40
+
+
+GREENLAND = "greenland_low.json"
+SMOOTHING = "smoothing_demo.json"
+
+
+def bundled_data(name: str):
+    return json.loads(bundled_path(name).read_text(encoding="utf-8"))
+
+
+def _get(data, key_path):
+    return functools.reduce(operator.getitem, key_path, data)
+
+
+def run_on_file(name: str, data, path):
+    """Write ``data`` to ``path`` and run the subcommand that reads ``name``'s sections."""
+    path.write_text(json.dumps(data))
+    if name == SMOOTHING:
+        args = ["simulate", "--scenario", str(path), "--hours", "2"]
+    else:
+        args = ["scenario", "--scenario", str(path), "--profile", "custom"]
+    return CliRunner().invoke(main, args)
+
+
+# One row per malformed or out-of-range input that used to be accepted, be
+# coerced, or end in a traceback: (file, key path, new value, text the error
+# message must contain).
+REGRESSIONS = [
+    (GREENLAND, ("scenario", "trade_enabled"), "false", "scenario.trade_enabled"),
+    (
+        GREENLAND,
+        ("links", "to-north-uk", "loss_model", "line_loss_per_1000km"),
+        "0.03",
+        "links.to-north-uk.loss_model.line_loss_per_1000km",
+    ),
+    (
+        GREENLAND,
+        ("links", "to-quebec", "utilization", "reduced_hours"),
+        "4",
+        "links.to-quebec.utilization.reduced_hours",
+    ),
+    (GREENLAND, ("scenario", "paths", 0, "link"), ["to-north-uk"], "scenario.paths[0].link"),
+    (
+        GREENLAND,
+        ("links", "to-north-uk", "segments", 1, "length_km"),
+        math.nan,
+        "links.to-north-uk.segments[1].length_km",
+    ),
+    (GREENLAND, ("generation", "capacity_mw"), math.inf, "generation.capacity_mw"),
+    (GREENLAND, ("finance", "lifetime_years"), 40.7, "finance.lifetime_years"),
+    (GREENLAND, ("scenario", "paths", 1, "tz_offset_hours"), -5.5, "scenario.paths[1].tz_offset_hours"),
+    (GREENLAND, ("scenario", "paths", 0, "market"), ["x"], "scenario.paths[0].market"),
+    (SMOOTHING, ("network", "regions", 1, "tz_offset_hours"), "3", "network.regions[1].tz_offset_hours"),
+    (SMOOTHING, ("network", "interconnectors"), {}, "network.interconnectors"),
+    (SMOOTHING, ("network", "regions", 0, "name"), 7, "network.regions[0].name"),
+    (
+        SMOOTHING,
+        ("network", "regions", 0, "demand_profile_mw"),
+        [1000.0] * 23 + ["high"],
+        "network.regions[0].demand_profile_mw[23]",
+    ),
+    (
+        GREENLAND,
+        ("links", "to-quebec", "terminals", "count"),
+        10**400,
+        "links.to-quebec",
+    ),
+    # Finite but too large to compute with: the message names the failing step.
+    (
+        SMOOTHING,
+        ("network", "regions", 0, "generators", 0, "capacity_mw"),
+        1e308,
+        "dispatch._fmt",
+    ),
+    (SMOOTHING, ("network", "regions", 0, "demand_peak_mw"), 1e308, "dispatch LP failed"),
+    (GREENLAND, ("finance", "lifetime_years"), 10**30, "finance.capital_recovery_factor"),
+    (GREENLAND, ("finance", "discount_rate"), 1e308, "finance.capital_recovery_factor"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, key_path, value, expected",
+    REGRESSIONS,
+    ids=[".".join(map(str, row[1])) + f"={row[2]!r}"[:40] for row in REGRESSIONS],
+)
+def test_malformed_value_exits_two_naming_its_key(tmp_path, name, key_path, value, expected):
+    data = bundled_data(name)
+    _get(data, key_path[:-1])[key_path[-1]] = value
+    result = run_on_file(name, data, tmp_path / "scenario.json")
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert expected in result.output
+
+
+# Values swapped in for existing ones: in-range edge values, non-finite and
+# huge numbers, and wrong types.
+NUMBERS = [
+    0, -1, 0.5, 40.7, 1e-300, 1e308, -1e308, 10**30, -(10**30), 10**400,
+    math.nan, math.inf, -math.inf,
+]
+MUTANTS = NUMBERS + [None, True, False, "x", "3", [], {}, [1.0], {"k": 1}]
+
+
+def _node_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _node_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_files(draw):
+    name = draw(st.sampled_from([GREENLAND, SMOOTHING]))
+    data = bundled_data(name)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        action = draw(st.sampled_from(["number", "swap", "delete", "extra"]))
+        paths = [
+            p
+            for p in list(_node_paths(data))[1:]
+            if action != "number" or type(_get(data, p)) in (int, float)
+        ]
+        if not paths:
+            continue
+        key_path = draw(st.sampled_from(paths))
+        parent = _get(data, key_path[:-1])
+        mutant = copy.deepcopy(draw(st.sampled_from(NUMBERS if action == "number" else MUTANTS)))
+        if action in ("number", "swap"):
+            parent[key_path[-1]] = mutant
+        elif action == "delete":
+            del parent[key_path[-1]]
+        elif isinstance(parent, dict):
+            parent["unexpected_key"] = mutant
+        else:
+            parent.append(copy.deepcopy(parent[key_path[-1]]))
+    return name, data
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=mutated_files())
+def test_mutated_bundled_files_exit_zero_or_two(tmp_path_factory, case):
+    name, data = case
+    result = run_on_file(name, data, tmp_path_factory.getbasetemp() / "fuzzed.json")
+    assert result.exit_code in {0, 2}, (result.output, repr(result.exception))

@@ -204,7 +204,8 @@ def test_compound_never_below_linear_at_scale(km, terminals):
     linear = make_link([cable(km)], terminals=terminals)
     compound = make_link([cable(km)], terminals=terminals, composition=LossComposition.COMPOUND)
     assert route_efficiency(compound) >= route_efficiency(linear)
-    if km > 1000.0:
+    # Just above 1000 km the two efficiencies differ by less than one ulp.
+    if km >= 1001.0:
         assert route_efficiency(compound) > route_efficiency(linear)
 
 
