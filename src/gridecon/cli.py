@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -91,6 +92,13 @@ def main() -> None:
 
 
 def _emit(report: Report, fmt: str) -> None:
+    for row in report.rows:
+        for column, value in zip(report.columns, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise click.UsageError(
+                    f"report row {row[0]!r}, column {column!r}: {value} is not a finite "
+                    "number; the inputs are too large to compute with"
+                )
     click.echo(render(report, fmt), nl=False)
 
 

@@ -24,7 +24,6 @@ from .transmission import (
 )
 
 CABLE_COST_CASES_MEUR_PER_KM = {"low": 1.15, "high": 1.8}
-OVERHEAD_LINE_COST_MEUR_PER_KM = 0.6
 TERMINAL_COST_MEUR = 300.0
 
 # Interconnector duty presets: the ramping constraint interval halves (or
@@ -135,7 +134,6 @@ REFERENCE_TRADE_DELIVERED_GWH = 10095.0
 REFERENCE_TOTAL_DELIVERED_GWH = 19554.0
 REFERENCE_TRADE_LCOE_BAND_EUR_PER_KWH = (0.014, 0.0185)
 REFERENCE_CORRIDOR_DELIVERABLE_GWH = 20000.0
-REFERENCE_NORNED_REVENUE_EUR = 50e6
 REFERENCE_NORNED_REVENUE_PER_KWH = 0.0556
 NORNED_PERIOD_DAYS = 61  # first two months of operation
 NORNED_PERIOD_DAYS_SENSITIVITY = 60
@@ -150,9 +148,5 @@ IMPORT_COMPARISON_USD_PER_KWH = {
     "link_high": 0.035,
 }
 
-# Exchange-rate and inflation anchors used by the bundled conversions.
-FX_USD_TO_EUR_1997 = 0.8587
+# Exchange rate at which the import comparison's link costs were converted.
 FX_USD_TO_EUR_2011 = 0.7119
-EUR_INFLATION_RATE = 0.0224
-REFERENCE_CABLE_COST_MUSD_1997 = 126.7  # 1000 MW, 100 km reference line
-REFERENCE_CABLE_COST_MEUR_PER_KM_2007 = 1.36

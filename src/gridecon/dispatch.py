@@ -11,9 +11,12 @@ The per-hour problem is a min-cost flow with lossy arcs (a unit sent
 arrives as ``efficiency`` units). Successive shortest augmenting paths are
 not exact once arcs have unequal gains, so the flow is solved as a small
 exact linear program instead; costs are normalized before the solve, which
-keeps the dispatched flows invariant under uniform price scaling. Marginal
-prices come from per-unit-delivered shortest-path labels on the residual
-network of the optimal flow, so price ties resolve toward the lower value.
+keeps the dispatched flows invariant under uniform price scaling. Each LP
+column is one arc of a single arc list (a generator, one direction of an
+interconnector, or a region's shedding). Marginal prices come from
+per-unit-delivered shortest-path labels that walk the same arcs, as the
+residual network of the optimal flow, so price ties resolve toward the
+lower value.
 """
 
 from __future__ import annotations
@@ -151,43 +154,31 @@ class HourlyDispatch:
         return tuple(d - u for d, u in zip(self.demand_mw, self.unserved_mw))
 
 
-class _Arc:
-    """Residual-network arc for the price labels: gain g, cost per sent unit."""
+def _delivery_price_labels(
+    arcs: list[tuple[int, int, float, float, float]], flows: list[float], n_nodes: int
+) -> list[float]:
+    """Cheapest cost of delivering one more unit at each node, from source node 0.
 
-    __slots__ = ("tail", "head", "cap", "gain", "cost", "flow")
-
-    def __init__(self, tail: int, head: int, cap: float, gain: float, cost: float):
-        self.tail = tail
-        self.head = head
-        self.cap = cap
-        self.gain = gain
-        self.cost = cost
-        self.flow = 0.0
-
-
-def _delivery_price_labels(arcs: list[_Arc], n_nodes: int, source: int) -> list[float]:
-    """Cheapest cost of delivering one more unit at each node.
-
-    Bellman-Ford on the residual network; traversing an arc forward maps a
-    label p to (p + cost) / gain, traversing it backward refunds to
-    p * gain - cost. Relaxation passes are bounded so that zero-cost
-    residual loops (degenerate all-free networks) terminate; labels are
-    clamped at zero since no cost is negative.
+    Bellman-Ford on the residual network of ``arcs`` carrying ``flows``;
+    traversing an arc forward maps a label p to (p + cost) / gain,
+    traversing it backward refunds to p * gain - cost. Relaxation passes are
+    bounded so that zero-cost residual loops (degenerate all-free networks)
+    terminate; labels are clamped at zero since no cost is negative.
     """
     dist = [math.inf] * n_nodes
-    dist[source] = 0.0
+    dist[0] = 0.0
     for _ in range(n_nodes + 40):
         improved = False
-        for arc in arcs:
-            if arc.cap - arc.flow > _EPS_FLOW and dist[arc.tail] < math.inf:
-                cand = max(0.0, (dist[arc.tail] + arc.cost) / arc.gain)
-                if cand < dist[arc.head] - _EPS_IMPROVE:
-                    dist[arc.head] = cand
+        for (tail, head, cap, gain, cost), flow in zip(arcs, flows):
+            if cap - flow > _EPS_FLOW and dist[tail] < math.inf:
+                cand = max(0.0, (dist[tail] + cost) / gain)
+                if cand < dist[head] - _EPS_IMPROVE:
+                    dist[head] = cand
                     improved = True
-            if arc.flow > _EPS_FLOW and dist[arc.head] < math.inf:
-                cand = max(0.0, dist[arc.head] * arc.gain - arc.cost)
-                if cand < dist[arc.tail] - _EPS_IMPROVE:
-                    dist[arc.tail] = cand
+            if flow > _EPS_FLOW and dist[head] < math.inf:
+                cand = max(0.0, dist[head] * gain - cost)
+                if cand < dist[tail] - _EPS_IMPROVE:
+                    dist[tail] = cand
                     improved = True
         if not improved:
             break
@@ -201,41 +192,36 @@ def min_cost_flow(snapshot: HourSnapshot) -> HourlyDispatch:
     the network's unserved penalty, so the problem is always feasible.
     """
     net = snapshot.network
+    demand = snapshot.demand_mw
     n_regions = len(net.regions)
-    n_links = len(net.interconnectors)
     penalty = net.unserved_penalty_eur_per_mwh
-    gen_index = [
-        (ri, cap, cost)
+    # One arc (tail, head, capacity, gain, cost) per LP column: generators
+    # region by region, each interconnector forward then backward, then one
+    # shedding arc per region. Node 0 is the source, region i is node i + 1.
+    arcs = [
+        (0, ri + 1, cap, 1.0, cost)
         for ri, region in enumerate(net.regions)
         for cap, cost in region.generators
     ]
-    n_gens = len(gen_index)
-    n_vars = n_gens + 2 * n_links + n_regions
+    first_link = len(arcs)
+    node = {region.name: ri + 1 for ri, region in enumerate(net.regions)}
+    for ic in net.interconnectors:
+        a, b = node[ic.region_a], node[ic.region_b]
+        arcs.append((a, b, ic.capacity_mw, ic.efficiency, 0.0))
+        arcs.append((b, a, ic.capacity_mw, ic.efficiency, 0.0))
+    first_shed = len(arcs)
+    arcs.extend((0, ri + 1, math.inf, 1.0, penalty) for ri in range(n_regions))
 
-    costs = np.zeros(n_vars)
-    balance = np.zeros((n_regions, n_vars))
-    bounds: list[tuple[float, float | None]] = []
-    for j, (ri, cap, cost) in enumerate(gen_index):
-        costs[j] = cost
-        balance[ri, j] = 1.0
-        bounds.append((0.0, cap))
-    for li, ic in enumerate(net.interconnectors):
-        a = net.region_index(ic.region_a)
-        b = net.region_index(ic.region_b)
-        jf = n_gens + 2 * li
-        balance[a, jf] -= 1.0
-        balance[b, jf] += ic.efficiency
-        balance[b, jf + 1] -= 1.0
-        balance[a, jf + 1] += ic.efficiency
-        bounds.append((0.0, ic.capacity_mw))
-        bounds.append((0.0, ic.capacity_mw))
-    for ri in range(n_regions):
-        j = n_gens + 2 * n_links + ri
-        costs[j] = penalty
-        balance[ri, j] = 1.0
-        # Capping shedding at local demand rules out degenerate optima that
-        # route penalty power over cost-tied efficiency-1 links.
-        bounds.append((0.0, snapshot.demand_mw[ri]))
+    costs = np.array([cost for *_, cost in arcs], dtype=float)
+    balance = np.zeros((n_regions, len(arcs)))
+    for j, (tail, head, _, gain, _) in enumerate(arcs):
+        if tail:
+            balance[tail - 1, j] -= 1.0
+        balance[head - 1, j] += gain
+    # Capping shedding at local demand rules out degenerate optima that
+    # route penalty power over cost-tied efficiency-1 links.
+    bounds = [(0.0, cap) for _, _, cap, _, _ in arcs[:first_shed]]
+    bounds.extend((0.0, d) for d in demand)
 
     # Normalizing the objective keeps the chosen vertex invariant when all
     # marginal costs are scaled by a constant.
@@ -244,7 +230,7 @@ def min_cost_flow(snapshot: HourSnapshot) -> HourlyDispatch:
     solution = linprog(
         objective,
         A_eq=balance,
-        b_eq=np.array(snapshot.demand_mw),
+        b_eq=np.array(demand),
         bounds=bounds,
         method="highs",
     )
@@ -253,79 +239,31 @@ def min_cost_flow(snapshot: HourSnapshot) -> HourlyDispatch:
         # large (or too far apart in scale) for the solver: an input error.
         raise ValueError(f"dispatch LP failed: {solution.message}")
     x = np.clip(solution.x, 0.0, None)
+    xs = x.tolist()
 
-    generation: list[tuple[float, ...]] = []
-    j = 0
-    for region in net.regions:
-        units = []
-        for _ in region.generators:
-            units.append(float(x[j]))
-            j += 1
-        generation.append(tuple(units))
-    flows = tuple(
-        float(x[n_gens + 2 * li] - x[n_gens + 2 * li + 1]) for li in range(n_links)
+    generation = [[] for _ in range(n_regions)]
+    curtailed = [0] * n_regions
+    for (_, head, cap, _, cost), sent in zip(arcs[:first_link], xs):
+        generation[head - 1].append(sent)
+        if cost == 0.0:
+            curtailed[head - 1] += cap - sent
+    link_pairs = range(first_link, first_shed, 2)
+    flows = tuple(xs[j] - xs[j + 1] for j in link_pairs)
+    loss = float(sum((xs[j] + xs[j + 1]) * (1.0 - arcs[j][3]) for j in link_pairs))
+    unserved = tuple(min(xs[first_shed + ri], demand[ri]) for ri in range(n_regions))
+    labels = _delivery_price_labels(
+        arcs, [min(sent, arc[2]) for sent, arc in zip(xs, arcs)], 1 + n_regions
     )
-    unserved = tuple(
-        min(float(x[n_gens + 2 * n_links + ri]), snapshot.demand_mw[ri])
-        for ri in range(n_regions)
-    )
-    curtailed = tuple(
-        sum(
-            cap - dispatched
-            for (cap, cost), dispatched in zip(region.generators, generation[ri])
-            if cost == 0.0
-        )
-        for ri, region in enumerate(net.regions)
-    )
-    loss = float(
-        sum(
-            (x[n_gens + 2 * li] + x[n_gens + 2 * li + 1]) * (1.0 - ic.efficiency)
-            for li, ic in enumerate(net.interconnectors)
-        )
-    )
-    cost_eur = float(np.dot(costs, x))
-    prices = _marginal_prices(net, snapshot.demand_mw, generation, x[n_gens:])
     return HourlyDispatch(
-        demand_mw=snapshot.demand_mw,
-        generation_mw=tuple(generation),
+        demand_mw=demand,
+        generation_mw=tuple(map(tuple, generation)),
         flows_mw=flows,
         unserved_mw=unserved,
-        curtailed_res_mw=curtailed,
-        prices_eur_per_mwh=prices,
+        curtailed_res_mw=tuple(curtailed),
+        prices_eur_per_mwh=tuple(min(labels[ri + 1], penalty) for ri in range(n_regions)),
         loss_mw=loss,
-        cost_eur=cost_eur,
+        cost_eur=float(np.dot(costs, x)),
     )
-
-
-def _marginal_prices(
-    net: DispatchNetwork,
-    demand: tuple[float, ...],
-    generation: list[tuple[float, ...]],
-    link_and_unserved: np.ndarray,
-) -> tuple[float, ...]:
-    """Cost of delivering one more MW into each region at the optimal flow."""
-    n_regions = len(net.regions)
-    source = 0
-    node_of = [1 + i for i in range(n_regions)]
-    n_nodes = 1 + n_regions
-    penalty = net.unserved_penalty_eur_per_mwh
-    arcs: list[_Arc] = []
-    for ri, region in enumerate(net.regions):
-        for (cap, cost), dispatched in zip(region.generators, generation[ri]):
-            arc = _Arc(source, node_of[ri], cap, 1.0, cost)
-            arc.flow = min(dispatched, cap)
-            arcs.append(arc)
-        arcs.append(_Arc(source, node_of[ri], math.inf, 1.0, penalty))
-    for li, ic in enumerate(net.interconnectors):
-        a = node_of[net.region_index(ic.region_a)]
-        b = node_of[net.region_index(ic.region_b)]
-        fwd = _Arc(a, b, ic.capacity_mw, ic.efficiency, 0.0)
-        bwd = _Arc(b, a, ic.capacity_mw, ic.efficiency, 0.0)
-        fwd.flow = min(float(link_and_unserved[2 * li]), ic.capacity_mw)
-        bwd.flow = min(float(link_and_unserved[2 * li + 1]), ic.capacity_mw)
-        arcs.extend((fwd, bwd))
-    labels = _delivery_price_labels(arcs, n_nodes, source)
-    return tuple(min(labels[node_of[ri]], penalty) for ri in range(n_regions))
 
 
 @dataclass(frozen=True)
@@ -467,13 +405,14 @@ def export_csv(result: DispatchResult) -> str:
         ]
     )
     for t, hour in enumerate(result.hourly):
+        served = hour.served_mw
         for ri, region in enumerate(result.network.regions):
             writer.writerow(
                 [
                     t,
                     region.name,
                     _fmt(hour.demand_mw[ri]),
-                    _fmt(hour.served_mw[ri]),
+                    _fmt(served[ri]),
                     _fmt(sum(hour.generation_mw[ri])),
                     _fmt(hour.curtailed_res_mw[ri]),
                     _fmt(hour.unserved_mw[ri]),

@@ -68,6 +68,18 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "paths: empty" in result.output
 
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (["lcoe", "--capacity-mw", "1e308"], "report row 'low', column 'delivered_gwh_per_yr'"),
+            (["norned", "--revenue-meur", "1e308"], "report row 'delivered_gwh', column 'value'"),
+        ],
+    )
+    def test_non_finite_report_value_is_two(self, args, expected):
+        result = invoke(args)
+        assert result.exit_code == 2
+        assert expected in result.output
+
     def test_missing_section_is_two(self, tmp_path):
         path = tmp_path / "no_network.json"
         path.write_text("{}")

@@ -197,6 +197,51 @@ class TestEnergyBalance:
                 assert all(c >= -1e-9 for c in hour.curtailed_res_mw)
 
 
+class TestPriceComplementarySlackness:
+    """Prices against the LP optimality conditions, not against the label code:
+    a unit, link or shedding variable strictly inside its bounds fixes a price."""
+
+    INTERIOR = 1e-6  # MW kept from either bound before a variable counts as interior
+
+    def interior(self, value, upper):
+        return self.INTERIOR < value < upper - self.INTERIOR
+
+    def test_interior_variables_fix_prices(self):
+        rng = random.Random(4242)
+        settings = [
+            {},
+            {"max_regions": 3, "integer": True, "max_links": 2},
+            {"max_regions": 6, "max_links": 10},
+        ]
+        checks = 0
+        for kwargs in settings:
+            for _ in range(400):
+                net = random_network(rng, **kwargs)
+                demands = [r.demand_profile_mw[0] for r in net.regions]
+                hour = dispatch_hour(net, demands)
+                price = dict(zip((r.name for r in net.regions), hour.prices_eur_per_mwh))
+                for reg, units, shed, demand in zip(
+                    net.regions, hour.generation_mw, hour.unserved_mw, demands
+                ):
+                    for (cap, cost), produced in zip(reg.generators, units):
+                        if self.interior(produced, cap):
+                            assert price[reg.name] == pytest.approx(cost, rel=1e-6, abs=1e-6)
+                            checks += 1
+                    if self.interior(shed, demand):
+                        assert price[reg.name] == pytest.approx(PENALTY, rel=1e-6, abs=1e-6)
+                        checks += 1
+                for ic, flow in zip(net.interconnectors, hour.flows_mw):
+                    if self.interior(abs(flow), ic.capacity_mw):
+                        sender, receiver = (
+                            (ic.region_a, ic.region_b) if flow > 0 else (ic.region_b, ic.region_a)
+                        )
+                        assert price[receiver] * ic.efficiency == pytest.approx(
+                            price[sender], rel=1e-6, abs=1e-6
+                        )
+                        checks += 1
+        assert checks > 1000
+
+
 class TestMonotonicityProperties:
     def test_adding_capacity_never_increases_cost(self):
         rng = random.Random(2024)

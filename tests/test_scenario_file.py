@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import operator
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -291,6 +292,20 @@ REGRESSIONS = [
     (SMOOTHING, ("network", "regions", 0, "demand_peak_mw"), 1e308, "dispatch LP failed"),
     (GREENLAND, ("finance", "lifetime_years"), 10**30, "finance.capital_recovery_factor"),
     (GREENLAND, ("finance", "discount_rate"), 1e308, "finance.capital_recovery_factor"),
+    # Finite, but the report would hold inf or nan: the message names the row.
+    (
+        GREENLAND,
+        ("links", "to-north-uk", "segments", 0, "unit_cost_meur_per_km"),
+        1e308,
+        "report row 'total_capex_meur'",
+    ),
+    (
+        GREENLAND,
+        ("links", "to-north-uk", "terminals", "unit_cost_meur"),
+        1e308,
+        "report row 'total_capex_meur'",
+    ),
+    (GREENLAND, ("prices", "peak_eur_per_kwh"), 1e308, "report row 'revenue_uplift_pct'"),
 ]
 
 
@@ -314,6 +329,7 @@ NUMBERS = [
     math.nan, math.inf, -math.inf,
 ]
 MUTANTS = NUMBERS + [None, True, False, "x", "3", [], {}, [1.0], {"k": 1}]
+NON_FINITE_CELL = re.compile(r"(?<![\w.])-?(?:inf|nan)(?![\w.])", re.IGNORECASE)
 
 
 def _node_paths(node, prefix=()):
@@ -356,3 +372,5 @@ def test_mutated_bundled_files_exit_zero_or_two(tmp_path_factory, case):
     name, data = case
     result = run_on_file(name, data, tmp_path_factory.getbasetemp() / "fuzzed.json")
     assert result.exit_code in {0, 2}, (result.output, repr(result.exception))
+    if result.exit_code == 0:
+        assert not NON_FINITE_CELL.search(result.output), result.output
