@@ -17,6 +17,10 @@ interconnector, or a region's shedding). Marginal prices come from
 per-unit-delivered shortest-path labels that walk the same arcs, as the
 residual network of the optimal flow, so price ties resolve toward the
 lower value.
+
+numpy and scipy are imported by the first solve, not by this module, so
+that importing gridecon and every report that does not dispatch stay clear
+of their half-second import.
 """
 
 from __future__ import annotations
@@ -26,13 +30,14 @@ import io
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import linprog
-
 DEFAULT_UNSERVED_PENALTY = 10000.0  # EUR/MWh, far above any generator
 
 _EPS_FLOW = 1e-7  # residual capacities below this count as saturated
 _EPS_IMPROVE = 1e-7  # label must improve by this much to relax
+
+# scipy.optimize.linprog, bound by the first solve. Solves call it through
+# this module global, so that it can be wrapped from outside.
+linprog = None
 
 
 @dataclass(frozen=True)
@@ -54,11 +59,13 @@ class Region:
                 f"{self.name}: demand profile needs 24 hourly values, "
                 f"got {len(self.demand_profile_mw)}"
             )
-        if any(d < 0 for d in self.demand_profile_mw):
-            raise ValueError(f"{self.name}: demand must be >= 0 every hour")
+        if not all(0 <= d < math.inf for d in self.demand_profile_mw):
+            raise ValueError(f"{self.name}: demand must be finite and >= 0 every hour")
         for cap, cost in self.generators:
-            if cap < 0 or cost < 0:
-                raise ValueError(f"{self.name}: generator capacities and costs must be >= 0")
+            if not (0 <= cap < math.inf and 0 <= cost < math.inf):
+                raise ValueError(
+                    f"{self.name}: generator capacities and costs must be finite and >= 0"
+                )
 
     def demand_at(self, hour: int) -> float:
         """Demand at global hour ``hour``; the profile is read in local time."""
@@ -75,8 +82,8 @@ class Interconnector:
     def __post_init__(self) -> None:
         if self.region_a == self.region_b:
             raise ValueError(f"interconnector endpoints must differ, got {self.region_a!r}")
-        if self.capacity_mw < 0:
-            raise ValueError(f"capacity must be >= 0, got {self.capacity_mw}")
+        if not 0 <= self.capacity_mw < math.inf:
+            raise ValueError(f"capacity must be finite and >= 0, got {self.capacity_mw}")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
 
@@ -99,8 +106,8 @@ class DispatchNetwork:
                     raise ValueError(
                         f"interconnectors[{i}] references unknown region {endpoint!r}"
                     )
-        if self.unserved_penalty_eur_per_mwh <= 0:
-            raise ValueError("unserved penalty must be > 0")
+        if not 0 < self.unserved_penalty_eur_per_mwh < math.inf:
+            raise ValueError("unserved penalty must be finite and > 0")
 
     def region_index(self, name: str) -> int:
         for i, region in enumerate(self.regions):
@@ -113,8 +120,8 @@ def sinusoid_profile(
     peak_mw: float, trough_fraction: float = 0.5, peak_hour: int = 12
 ) -> tuple[float, ...]:
     """Daily demand curve peaking at peak_hour with trough = fraction * peak."""
-    if peak_mw < 0:
-        raise ValueError(f"peak must be >= 0, got {peak_mw}")
+    if not 0 <= peak_mw < math.inf:
+        raise ValueError(f"peak must be finite and >= 0, got {peak_mw}")
     if not 0.0 <= trough_fraction <= 1.0:
         raise ValueError(f"trough fraction must be in [0, 1], got {trough_fraction}")
     mid = (1.0 + trough_fraction) / 2.0
@@ -191,6 +198,11 @@ def min_cost_flow(snapshot: HourSnapshot) -> HourlyDispatch:
     Demand that cannot be met is absorbed by a penalty variable priced at
     the network's unserved penalty, so the problem is always feasible.
     """
+    global linprog
+    if linprog is None:
+        from scipy.optimize import linprog
+    import numpy as np
+
     net = snapshot.network
     demand = snapshot.demand_mw
     n_regions = len(net.regions)
@@ -288,12 +300,10 @@ class DispatchResult:
         return sum(sum(h.unserved_mw) for h in self.hourly)
 
     @property
-    def prices(self) -> np.ndarray:
-        return np.array([h.prices_eur_per_mwh for h in self.hourly])
-
-    @property
     def mean_price_spread_eur_per_mwh(self) -> float:
-        prices = self.prices
+        import numpy as np
+
+        prices = np.array([h.prices_eur_per_mwh for h in self.hourly])
         return float(np.mean(prices.max(axis=1) - prices.min(axis=1)))
 
 

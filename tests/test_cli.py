@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import gridecon
 from gridecon.cli import main
 from gridecon.datasets import bundled_path
 
@@ -181,3 +185,40 @@ class TestDeterminismAndGoldens:
         assert result.exit_code == 0, result.output
         expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
         assert result.output == expected
+
+
+# Runs the given golden invocations in one interpreter and prints which of
+# them differ from their golden files and which of numpy and scipy it loaded.
+COLD_START_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+from gridecon.cli import main
+
+invocations, golden = json.loads(sys.argv[1]), Path(sys.argv[2])
+differ = []
+for name, args in invocations.items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(args, prog_name="gridecon", standalone_mode=False)
+    if out.getvalue().encode() != (golden / name).read_bytes():
+        differ.append(name)
+loaded = [m for m in ("numpy", "scipy") if m in sys.modules]
+print(json.dumps({"differ": differ, "loaded": loaded}))
+"""
+
+
+def test_reports_load_neither_numpy_nor_scipy():
+    """Only a dispatch solve needs numpy and scipy, so no other command imports them."""
+    reports = {name: args for name, args in GOLDEN_INVOCATIONS.items() if args[0] != "simulate"}
+    src = str(Path(gridecon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", COLD_START_SCRIPT, json.dumps(reports), str(GOLDEN_DIR)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert result == {"differ": [], "loaded": []}

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -433,3 +434,29 @@ def test_validation_errors():
         network([region("a", 1, [(1, 1)])], [Interconnector("a", "b", 1, 1.0)])
     with pytest.raises(ValueError):
         HourSnapshot(network=network([region("a", 1, [(1, 1)])]), demand_mw=(1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: Region("a", 0, (math.nan,) * 24), id="nan-demand"),
+        pytest.param(lambda: Region("a", 0, (1.0,) * 23 + (math.inf,)), id="inf-demand"),
+        pytest.param(lambda: Region("a", 0, (1.0,) * 24, ((math.nan, 1.0),)), id="nan-generator-capacity"),
+        pytest.param(lambda: Region("a", 0, (1.0,) * 24, ((math.inf, 0.0),)), id="inf-generator-capacity"),
+        pytest.param(lambda: Region("a", 0, (1.0,) * 24, ((1.0, math.nan),)), id="nan-generator-cost"),
+        pytest.param(lambda: Region("a", 0, (1.0,) * 24, ((1.0, math.inf),)), id="inf-generator-cost"),
+        pytest.param(lambda: Interconnector("a", "b", math.nan), id="nan-link-capacity"),
+        pytest.param(lambda: Interconnector("a", "b", math.inf), id="inf-link-capacity"),
+        pytest.param(
+            lambda: DispatchNetwork((Region("a"),), unserved_penalty_eur_per_mwh=math.nan), id="nan-penalty"
+        ),
+        pytest.param(
+            lambda: DispatchNetwork((Region("a"),), unserved_penalty_eur_per_mwh=math.inf), id="inf-penalty"
+        ),
+        pytest.param(lambda: sinusoid_profile(math.nan), id="nan-peak"),
+        pytest.param(lambda: sinusoid_profile(math.inf), id="inf-peak"),
+    ],
+)
+def test_non_finite_values_are_rejected(build):
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
