@@ -5,71 +5,9 @@ lines, benchmarking against real project budgets, peak-chasing arbitrage
 and residual-trade evaluation for dual-connected remote generation, and an
 hourly multi-region dispatch simulator for the smoothing and
 reserve-sharing effects of interconnection.
-"""
 
-from .finance import (
-    ConversionContext,
-    Currency,
-    FinancialAssumptions,
-    MoneyAmount,
-    annualized_cost,
-    capital_recovery_factor,
-    normalize_currency,
-)
-from .transmission import (
-    HOURS_PER_YEAR,
-    LossComposition,
-    LossModel,
-    Segment,
-    SegmentKind,
-    TransmissionLink,
-    UtilizationModel,
-    deliverable_energy,
-    delivered_from_injection,
-    link_capex,
-    route_efficiency,
-    transmission_lcoe,
-    utilization_factor,
-)
-from .projects import (
-    CostBand,
-    ProjectRecord,
-    implied_cable_cost_per_km,
-    load_project_records,
-    serialize_project_records,
-)
-from .scenario import (
-    ConnectionPath,
-    ConnectionScenario,
-    GenerationSource,
-    PriceModel,
-    RevenueResult,
-    ScenarioResult,
-    SchedulePolicy,
-    TradeResult,
-    annual_production,
-    delivered_cost_increase,
-    evaluate_connection,
-    import_competitiveness,
-    revenue,
-    revenue_per_delivered_kwh,
-    trade_potential,
-)
-from .dispatch import (
-    CurtailmentMetrics,
-    DispatchNetwork,
-    DispatchResult,
-    HourSnapshot,
-    HourlyDispatch,
-    Interconnector,
-    Region,
-    ReserveRequirements,
-    curtailment_metrics,
-    min_cost_flow,
-    reserve_requirements,
-    simulate,
-    sinusoid_profile,
-)
-from .profiles import PROFILES, CalibrationProfile, get_profile
+The package exports no names itself; import them from its modules, e.g.
+``from gridecon.scenario import evaluate_connection``.
+"""
 
 __version__ = "0.1.0"

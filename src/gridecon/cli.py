@@ -43,8 +43,10 @@ from .scenario import (
 from .transmission import deliverable_energy, link_capex, transmission_lcoe
 
 FORMAT_CHOICE = click.Choice(["table", "csv", "markdown"])
-PROFILE_CHOICE = click.Choice(list(PROFILES) + ["custom"])
-CASE_CHOICE = click.Choice(["low", "high", "all"])
+PROFILE_CHOICE = click.Choice(list(PROFILES))
+# The scenario reports can also take finance and duty from the scenario file.
+SCENARIO_PROFILE_CHOICE = click.Choice([*PROFILES, "custom"])
+CASES = list(datasets.CABLE_COST_CASES_MEUR_PER_KM)
 
 OM_GAP_NOTE = (
     "zero-O&M profile understates the published reference costs by roughly "
@@ -91,6 +93,31 @@ def main() -> None:
     """Techno-economic analysis of long-distance HVDC interconnections."""
 
 
+def report_command(name: str):
+    """Register the decorated function, which returns a Report, as subcommand ``name``.
+
+    The subcommand takes the function's options plus ``--format``, maps input
+    errors to exit 2 and prints the report in the chosen format.
+    """
+
+    def register(fn):
+        run = guarded(fn)
+
+        # wraps copies fn's help text and click options (__click_params__);
+        # --format goes onto the finished command, so it is listed after them.
+        @functools.wraps(fn)
+        def callback(fmt: str, **options) -> None:
+            _emit(run(**options), fmt)
+
+        command = main.command(name)(callback)
+        command.params.append(
+            click.Option(["--format", "fmt"], default="table", type=FORMAT_CHOICE, show_default=True)
+        )
+        return command
+
+    return register
+
+
 def _emit(report: Report, fmt: str) -> None:
     for row in report.rows:
         for column, value in zip(report.columns, row):
@@ -100,16 +127,6 @@ def _emit(report: Report, fmt: str) -> None:
                     "number; the inputs are too large to compute with"
                 )
     click.echo(render(report, fmt), nl=False)
-
-
-def _load_scenario_contents(spec: str, case: str):
-    if spec in ("greenland", "greenland-high"):
-        if case == "high":
-            spec = "greenland-high"
-        return datasets.load_bundled_scenario(spec)
-    if case != "low":
-        raise click.UsageError("case: only applies to the bundled scenario names")
-    return datasets.resolve_scenario(spec)
 
 
 def _apply_profile(
@@ -130,20 +147,16 @@ def _scenario_notes(fin: FinancialAssumptions, profile_name: str) -> tuple[str, 
     return ()
 
 
-@main.command("lcoe")
+@report_command("lcoe")
 @click.option("--profile", default="paper-appendix-A", type=PROFILE_CHOICE, show_default=True)
-@click.option("--case", default="all", type=CASE_CHOICE, show_default=True)
+@click.option("--case", default="all", type=click.Choice([*CASES, "all"]), show_default=True)
 @click.option("--length-km", default=5500.0, show_default=True)
 @click.option("--capacity-mw", default=3000.0, show_default=True)
-@click.option("--format", "fmt", default="table", type=FORMAT_CHOICE, show_default=True)
-@guarded
-def lcoe_cmd(profile: str, case: str, length_km: float, capacity_mw: float, fmt: str) -> None:
+def lcoe_cmd(profile: str, case: str, length_km: float, capacity_mw: float) -> Report:
     """Levelized cost per delivered kWh of a long point-to-point cable."""
-    if profile == "custom":
-        raise click.UsageError("profile: custom is not available for the bundled lcoe cases")
     prof = get_profile(profile)
     fin = prof.finance()
-    cases = ["low", "high"] if case == "all" else [case]
+    cases = CASES if case == "all" else [case]
     rows = []
     for c in cases:
         link = prof.apply_to_link(
@@ -155,31 +168,26 @@ def lcoe_cmd(profile: str, case: str, length_km: float, capacity_mw: float, fmt:
         rows.append(
             (c, length_km, capacity_mw, link_capex(link), delivered, value, reference)
         )
-    _emit(
-        Report(
-            title="Levelized transmission cost, long submarine cable",
-            profile=prof.name,
-            columns=(
-                "case",
-                "length_km",
-                "capacity_mw",
-                "capex_meur",
-                "delivered_gwh_per_yr",
-                "lcoe_eur_per_kwh",
-                "reference_eur_per_kwh",
-            ),
-            rows=tuple(rows),
+    return Report(
+        title="Levelized transmission cost, long submarine cable",
+        profile=prof.name,
+        columns=(
+            "case",
+            "length_km",
+            "capacity_mw",
+            "capex_meur",
+            "delivered_gwh_per_yr",
+            "lcoe_eur_per_kwh",
+            "reference_eur_per_kwh",
         ),
-        fmt,
+        rows=tuple(rows),
     )
 
 
-@main.command("project-table")
+@report_command("project-table")
 @click.option("--converter-cost", default=150.0, show_default=True, help="Assumed cost of one converter terminal, MEUR.")
 @click.option("--projects-csv", default=None, help="Project records CSV (default: bundled dataset).")
-@click.option("--format", "fmt", default="table", type=FORMAT_CHOICE, show_default=True)
-@guarded
-def project_table_cmd(converter_cost: float, projects_csv: str | None, fmt: str) -> None:
+def project_table_cmd(converter_cost: float, projects_csv: str | None) -> Report:
     """Implied cable cost per km of the benchmark submarine projects."""
     records = (
         load_project_records(projects_csv)
@@ -205,37 +213,30 @@ def project_table_cmd(converter_cost: float, projects_csv: str | None, fmt: str)
                 cost_per_km,
             )
         )
-    _emit(
-        Report(
-            title="Submarine HVDC projects, implied cable cost",
-            profile=f"converter-cost-{format_sig(converter_cost)}-meur",
-            columns=(
-                "name",
-                "voltage_kv",
-                "capacity_mw",
-                "length_km",
-                "max_depth_m",
-                "total_cost_meur",
-                "cable_cost_meur_per_km",
-            ),
-            rows=tuple(rows),
+    return Report(
+        title="Submarine HVDC projects, implied cable cost",
+        profile=f"converter-cost-{format_sig(converter_cost)}-meur",
+        columns=(
+            "name",
+            "voltage_kv",
+            "capacity_mw",
+            "length_km",
+            "max_depth_m",
+            "total_cost_meur",
+            "cable_cost_meur_per_km",
         ),
-        fmt,
+        rows=tuple(rows),
     )
 
 
-@main.command("scenario")
+@report_command("scenario")
 @click.option("--scenario", "scenario_spec", default="greenland", show_default=True, help="Bundled scenario name or path to a scenario file.")
-@click.option("--profile", default="appendix-B-reconciled", type=PROFILE_CHOICE, show_default=True)
-@click.option("--case", default="low", type=CASE_CHOICE, show_default=True)
+@click.option("--profile", default="appendix-B-reconciled", type=SCENARIO_PROFILE_CHOICE, show_default=True)
+@click.option("--case", default="low", type=click.Choice(CASES), show_default=True)
 @click.option("--connection", default="dual", type=click.Choice(["single", "dual"]), show_default=True)
-@click.option("--format", "fmt", default="table", type=FORMAT_CHOICE, show_default=True)
-@guarded
-def scenario_cmd(scenario_spec: str, profile: str, case: str, connection: str, fmt: str) -> None:
+def scenario_cmd(scenario_spec: str, profile: str, case: str, connection: str) -> Report:
     """Deliveries, transmission LCOE, and revenue uplift of a connection scenario."""
-    if case == "all":
-        raise click.UsageError("case: pick low or high for the scenario report")
-    contents = _load_scenario_contents(scenario_spec, case)
+    contents = datasets.resolve_scenario(scenario_spec, case)
     scenario, fin, profile_name = _apply_profile(contents, profile)
     prices = contents.require("prices")
     gen_lcoe = scenario.source.lcoe_eur_per_kwh
@@ -281,29 +282,22 @@ def scenario_cmd(scenario_spec: str, profile: str, case: str, connection: str, f
         increase = delivered_cost_increase(gen_lcoe, single_result, result)
         lo, hi = datasets.REFERENCE_COST_INCREASE_BAND
         rows.append(("cost_increase_vs_single_pct", increase * 100.0, f"{lo * 100:.0f}-{hi * 100:.0f}"))
-    _emit(
-        Report(
-            title=f"Connection scenario ({connection}, {case}-cost case)",
-            profile=profile_name,
-            columns=("metric", "value", "reference"),
-            rows=tuple(rows),
-            notes=_scenario_notes(fin, profile_name),
-        ),
-        fmt,
+    return Report(
+        title=f"Connection scenario ({connection}, {case}-cost case)",
+        profile=profile_name,
+        columns=("metric", "value", "reference"),
+        rows=tuple(rows),
+        notes=_scenario_notes(fin, profile_name),
     )
 
 
-@main.command("trade")
+@report_command("trade")
 @click.option("--scenario", "scenario_spec", default="greenland", show_default=True)
-@click.option("--profile", default="appendix-B-reconciled", type=PROFILE_CHOICE, show_default=True)
-@click.option("--case", default="low", type=CASE_CHOICE, show_default=True)
-@click.option("--format", "fmt", default="table", type=FORMAT_CHOICE, show_default=True)
-@guarded
-def trade_cmd(scenario_spec: str, profile: str, case: str, fmt: str) -> None:
+@click.option("--profile", default="appendix-B-reconciled", type=SCENARIO_PROFILE_CHOICE, show_default=True)
+@click.option("--case", default="low", type=click.Choice(CASES), show_default=True)
+def trade_cmd(scenario_spec: str, profile: str, case: str) -> Report:
     """Residual trade capacity of a dual connection and the trade-inclusive LCOE."""
-    if case == "all":
-        raise click.UsageError("case: pick low or high for the trade report")
-    contents = _load_scenario_contents(scenario_spec, case)
+    contents = datasets.resolve_scenario(scenario_spec, case)
     scenario, fin, profile_name = _apply_profile(contents, profile)
     if not scenario.trade_enabled:
         raise click.UsageError("scenario: trade_enabled is false in this scenario")
@@ -322,28 +316,21 @@ def trade_cmd(scenario_spec: str, profile: str, case: str, fmt: str) -> None:
             datasets.REFERENCE_CORRIDOR_DELIVERABLE_GWH,
         ),
     )
-    _emit(
-        Report(
-            title=f"Inter-market trade over the dual connection ({case}-cost case)",
-            profile=profile_name,
-            columns=("metric", "value", "reference"),
-            rows=rows,
-            notes=_scenario_notes(fin, profile_name),
-        ),
-        fmt,
+    return Report(
+        title=f"Inter-market trade over the dual connection ({case}-cost case)",
+        profile=profile_name,
+        columns=("metric", "value", "reference"),
+        rows=rows,
+        notes=_scenario_notes(fin, profile_name),
     )
 
 
-@main.command("norned")
+@report_command("norned")
 @click.option("--revenue-meur", default=50.0, show_default=True, help="Observed revenue over the period.")
 @click.option("--days", default=datasets.NORNED_PERIOD_DAYS, show_default=True)
 @click.option("--profile", default="norned", type=PROFILE_CHOICE, show_default=True)
-@click.option("--format", "fmt", default="table", type=FORMAT_CHOICE, show_default=True)
-@guarded
-def norned_cmd(revenue_meur: float, days: int, profile: str, fmt: str) -> None:
+def norned_cmd(revenue_meur: float, days: int, profile: str) -> Report:
     """Revenue per delivered kWh of the NorNed interconnector's first months."""
-    if profile == "custom":
-        raise click.UsageError("profile: custom is not available for the norned case")
     prof = get_profile(profile)
     link = prof.apply_to_link(datasets.norned_link())
     hours = days * 24.0
@@ -363,21 +350,16 @@ def norned_cmd(revenue_meur: float, days: int, profile: str, fmt: str) -> None:
         ("revenue_per_delivered_kwh_eur", value, reference),
         (f"revenue_per_delivered_kwh_eur_{datasets.NORNED_PERIOD_DAYS_SENSITIVITY}day", sensitivity, None),
     )
-    _emit(
-        Report(
-            title="Interconnector revenue per delivered kWh",
-            profile=prof.name,
-            columns=("metric", "value", "reference"),
-            rows=rows,
-        ),
-        fmt,
+    return Report(
+        title="Interconnector revenue per delivered kWh",
+        profile=prof.name,
+        columns=("metric", "value", "reference"),
+        rows=rows,
     )
 
 
-@main.command("compare-import")
-@click.option("--format", "fmt", default="table", type=FORMAT_CHOICE, show_default=True)
-@guarded
-def compare_import_cmd(fmt: str) -> None:
+@report_command("compare-import")
+def compare_import_cmd() -> Report:
     """Point comparison of importing remote renewable power vs local fossil cost."""
     c = datasets.IMPORT_COMPARISON_USD_PER_KWH
     cases = (
@@ -390,26 +372,23 @@ def compare_import_cmd(fmt: str) -> None:
         rows.append(
             (name, remote, link_cost, remote + link_cost, local, margin * 100.0, margin > 0)
         )
-    _emit(
-        Report(
-            title="Import competitiveness, USD per kWh",
-            profile="paper-appendix-A",
-            columns=(
-                "case",
-                "remote_gen",
-                "link_cost",
-                "delivered_cost",
-                "local_cost",
-                "margin_pct",
-                "import_cheaper",
-            ),
-            rows=tuple(rows),
-            notes=(
-                "link costs are the low/high long-cable values converted at "
-                f"1 USD = {datasets.FX_USD_TO_EUR_2011} EUR (2011)",
-            ),
+    return Report(
+        title="Import competitiveness, USD per kWh",
+        profile="paper-appendix-A",
+        columns=(
+            "case",
+            "remote_gen",
+            "link_cost",
+            "delivered_cost",
+            "local_cost",
+            "margin_pct",
+            "import_cheaper",
         ),
-        fmt,
+        rows=tuple(rows),
+        notes=(
+            "link costs are the low/high long-cable values converted at "
+            f"1 USD = {datasets.FX_USD_TO_EUR_2011} EUR (2011)",
+        ),
     )
 
 
@@ -425,7 +404,7 @@ def simulate_cmd(scenario_spec: str, hours: int) -> None:
     click.echo(export_csv(result), nl=False)
 
 
-@main.command("normalize")
+@report_command("normalize")
 @click.option("--value", required=True, type=float)
 @click.option("--currency", required=True, type=click.Choice([c.value for c in Currency]))
 @click.option("--price-year", required=True, type=int)
@@ -433,8 +412,6 @@ def simulate_cmd(scenario_spec: str, hours: int) -> None:
 @click.option("--target-year", required=True, type=int)
 @click.option("--fx", required=True, type=float, help="Target-currency units per source unit.")
 @click.option("--inflation", default=0.0, show_default=True, help="Fraction per year in the target currency.")
-@click.option("--format", "fmt", default="table", type=FORMAT_CHOICE, show_default=True)
-@guarded
 def normalize_cmd(
     value: float,
     currency: str,
@@ -443,8 +420,7 @@ def normalize_cmd(
     target_year: int,
     fx: float,
     inflation: float,
-    fmt: str,
-) -> None:
+) -> Report:
     """Convert a monetary amount across currencies and price years."""
     amount = MoneyAmount(value=value, currency=Currency(currency), price_year=price_year)
     ctx = ConversionContext(
@@ -454,21 +430,18 @@ def normalize_cmd(
     rows = (
         (format(value, "g"), currency, price_year, result.value, target_currency, target_year),
     )
-    _emit(
-        Report(
-            title="Currency normalization",
-            profile=f"fx-{fx:g}-inflation-{inflation:g}",
-            columns=(
-                "value",
-                "currency",
-                "price_year",
-                "normalized_value",
-                "target_currency",
-                "target_year",
-            ),
-            rows=rows,
+    return Report(
+        title="Currency normalization",
+        profile=f"fx-{fx:g}-inflation-{inflation:g}",
+        columns=(
+            "value",
+            "currency",
+            "price_year",
+            "normalized_value",
+            "target_currency",
+            "target_year",
         ),
-        fmt,
+        rows=rows,
     )
 
 

@@ -1,20 +1,22 @@
 """Bundled case-study data.
 
 Ships everything needed to rerun the reference calculations without user
-input: the benchmark project table, the two cost cases for a long
-point-to-point submarine cable, the dual-path wind-connection scenario
-(Greenland to North UK and to Quebec City), the NorNed-style
-interconnector, and a two-region dispatch demo. Published reference
-values are collected here so reports can print them next to computed ones.
+input: the benchmark project table, the two cost cases for submarine
+cable (for a long point-to-point link and for the cable segments of the
+bundled scenarios), the dual-path wind-connection scenario (Greenland to
+North UK and to Quebec City), the NorNed-style interconnector, and a
+two-region dispatch demo. Published reference values are collected here so
+reports can print them next to computed ones.
 """
 
 from __future__ import annotations
 
+import json
 from importlib import resources
 from pathlib import Path
 
 from .projects import ProjectRecord, load_project_records
-from .scenario_file import ScenarioFileContents, load_scenario_file
+from .scenario_file import ScenarioFileContents, load_scenario_file, parse_scenario_data
 from .transmission import (
     LossModel,
     Segment,
@@ -32,6 +34,17 @@ UTILIZATION_REDUCED_TO_ZERO = UtilizationModel(reduced_hours=4, reduced_fraction
 UTILIZATION_REDUCED_TO_HALF = UtilizationModel(reduced_hours=4, reduced_fraction=0.5)
 
 
+def _cable_unit_cost(case: str) -> float:
+    """Submarine cable cost per km, MEUR, of a cost case."""
+    try:
+        return CABLE_COST_CASES_MEUR_PER_KM[case]
+    except KeyError:
+        raise ValueError(
+            f"unknown cost case {case!r}; expected one of "
+            f"{', '.join(CABLE_COST_CASES_MEUR_PER_KM)}"
+        ) from None
+
+
 def long_submarine_link(
     length_km: float = 5500.0,
     case: str = "low",
@@ -39,19 +52,12 @@ def long_submarine_link(
     utilization: UtilizationModel = UTILIZATION_REDUCED_TO_ZERO,
 ) -> TransmissionLink:
     """Point-to-point submarine cable with two converter terminals."""
-    try:
-        unit_cost = CABLE_COST_CASES_MEUR_PER_KM[case]
-    except KeyError:
-        raise ValueError(
-            f"unknown cost case {case!r}; expected one of "
-            f"{', '.join(CABLE_COST_CASES_MEUR_PER_KM)}"
-        ) from None
     return TransmissionLink(
         segments=(
             Segment(
                 kind=SegmentKind.SUBMARINE_CABLE,
                 length_km=length_km,
-                unit_cost_meur_per_km=unit_cost,
+                unit_cost_meur_per_km=_cable_unit_cost(case),
             ),
         ),
         terminal_count=2,
@@ -92,12 +98,12 @@ def load_bundled_projects() -> list[ProjectRecord]:
 
 BUNDLED_SCENARIOS = {
     "greenland": "greenland_low.json",
-    "greenland-high": "greenland_high.json",
     "smoothing": "smoothing_demo.json",
 }
 
 
-def load_bundled_scenario(name: str) -> ScenarioFileContents:
+def load_bundled_scenario(name: str, case: str = "low") -> ScenarioFileContents:
+    """A bundled scenario, every submarine cable segment priced at the cost ``case``."""
     try:
         filename = BUNDLED_SCENARIOS[name]
     except KeyError:
@@ -105,13 +111,24 @@ def load_bundled_scenario(name: str) -> ScenarioFileContents:
             f"unknown bundled scenario {name!r}; expected one of "
             f"{', '.join(BUNDLED_SCENARIOS)}"
         ) from None
-    return load_scenario_file(bundled_path(filename))
+    unit_cost = _cable_unit_cost(case)
+    raw = json.loads(bundled_path(filename).read_text(encoding="utf-8"))
+    for link in raw.get("links", {}).values():
+        for segment in link["segments"]:
+            if segment["kind"] == "submarine_cable":
+                segment["unit_cost_meur_per_km"] = unit_cost
+    return parse_scenario_data(raw)
 
 
-def resolve_scenario(spec: str) -> ScenarioFileContents:
-    """A bundled scenario name, or a path to a scenario file."""
+def resolve_scenario(spec: str, case: str = "low") -> ScenarioFileContents:
+    """A bundled scenario name at a cost ``case``, or a path to a scenario file.
+
+    A file keeps its own cable costs, so it takes only the low case.
+    """
     if spec in BUNDLED_SCENARIOS:
-        return load_bundled_scenario(spec)
+        return load_bundled_scenario(spec, case)
+    if case != "low":
+        raise ValueError("case: only applies to the bundled scenario names")
     return load_scenario_file(spec)
 
 

@@ -6,7 +6,8 @@ Records load from CSV with the header
     cost_range_frac,known_cable_cost_meur,converter_count
 
 (one line). Empty cells mean absent, decimal point, no thousands
-separators, UTF-8. voltage_kv is informational free text ("+/-450",
+separators, UTF-8. Numbers must be finite; converter_count must be a whole
+number. voltage_kv is informational free text ("+/-450",
 "450-500"). Budgets published as a symmetric range are stored as a center
 value plus cost_range_frac; cable-only budgets, where known, go in
 known_cable_cost_meur and bypass the converter subtraction.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -61,14 +63,18 @@ class ProjectRecord:
     converter_count: int = 2
 
     def __post_init__(self) -> None:
-        if self.capacity_mw <= 0:
-            raise ValueError(f"{self.name}: capacity must be > 0")
-        if self.length_km <= 0:
-            raise ValueError(f"{self.name}: length must be > 0")
-        if self.total_cost_meur <= 0:
-            raise ValueError(f"{self.name}: total cost must be > 0")
+        if not 0 < self.capacity_mw < math.inf:
+            raise ValueError(f"{self.name}: capacity must be finite and > 0")
+        if not 0 < self.length_km < math.inf:
+            raise ValueError(f"{self.name}: length must be finite and > 0")
+        if not 0 < self.total_cost_meur < math.inf:
+            raise ValueError(f"{self.name}: total cost must be finite and > 0")
         if not 0.0 <= self.cost_range_frac < 1.0:
             raise ValueError(f"{self.name}: cost_range_frac must be in [0, 1)")
+        for field_name in ("max_depth_m", "known_cable_cost_meur"):
+            value = getattr(self, field_name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{self.name}: {field_name} must be finite, got {value}")
         if self.converter_count < 0:
             raise ValueError(f"{self.name}: converter_count must be >= 0")
 
@@ -84,9 +90,14 @@ def implied_cable_cost_per_km(
 
     (total - converters * assumption) / length, applied endpoint-wise when
     the budget is a range. A published cable-only cost overrides the
-    subtraction. Rejects records where the subtraction is non-positive,
-    which signals an inconsistent converter assumption.
+    subtraction. Rejects a non-finite assumption, and records where the
+    subtraction is non-positive, which signals an inconsistent converter
+    assumption.
     """
+    if not math.isfinite(converter_cost_assumption_meur):
+        raise ValueError(
+            f"converter cost assumption must be finite, got {converter_cost_assumption_meur}"
+        )
     if record.known_cable_cost_meur is not None:
         per_km = record.known_cable_cost_meur / record.length_km
         return CostBand(per_km, per_km)
@@ -133,13 +144,13 @@ def parse_project_records(text: str) -> list[ProjectRecord]:
                 ProjectRecord(
                     name=name,
                     voltage_kv=row["voltage_kv"].strip(),
-                    capacity_mw=_req_float(row, "capacity_mw"),
-                    length_km=_req_float(row, "length_km"),
-                    max_depth_m=_opt_float(row, "max_depth_m"),
-                    total_cost_meur=_req_float(row, "total_cost_meur"),
-                    cost_range_frac=_opt_float(row, "cost_range_frac") or 0.0,
-                    known_cable_cost_meur=_opt_float(row, "known_cable_cost_meur"),
-                    converter_count=int(_req_float(row, "converter_count")),
+                    capacity_mw=_number(row, "capacity_mw"),
+                    length_km=_number(row, "length_km"),
+                    max_depth_m=_number(row, "max_depth_m", required=False),
+                    total_cost_meur=_number(row, "total_cost_meur"),
+                    cost_range_frac=_number(row, "cost_range_frac", required=False) or 0.0,
+                    known_cable_cost_meur=_number(row, "known_cable_cost_meur", required=False),
+                    converter_count=_number(row, "converter_count", whole=True),
                 )
             )
         except ValueError as exc:
@@ -169,24 +180,22 @@ def serialize_project_records(records: list[ProjectRecord]) -> str:
     return out.getvalue()
 
 
-def _req_float(row: dict, column: str) -> float:
+def _number(row: dict, column: str, required: bool = True, whole: bool = False):
+    """The cell as a float (an int if ``whole``), or None if empty and not ``required``."""
     raw = row[column].strip()
     if not raw:
-        raise ValueError(f"missing value for {column}")
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"malformed number {raw!r} in {column}") from None
-
-
-def _opt_float(row: dict, column: str) -> float | None:
-    raw = row[column].strip()
-    if not raw:
+        if required:
+            raise ValueError(f"missing value for {column}")
         return None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValueError(f"malformed number {raw!r} in {column}") from None
+    if whole:
+        if not value.is_integer():
+            raise ValueError(f"expected a whole number in {column}, got {raw!r}")
+        return int(value)
+    return value
 
 
 def _num(value: float) -> str:

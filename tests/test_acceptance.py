@@ -83,8 +83,7 @@ def reference_lcoe(length_km: float, case: str) -> float:
 
 
 def greenland_scenario(case: str, profile) -> ConnectionScenario:
-    name = "greenland" if case == "low" else "greenland-high"
-    return profile.apply_to_scenario(load_bundled_scenario(name).scenario)
+    return profile.apply_to_scenario(load_bundled_scenario("greenland", case).scenario)
 
 
 def scenario_result(case: str, connection: str, profile):

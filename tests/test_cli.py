@@ -33,6 +33,13 @@ GOLDEN_INVOCATIONS = {
     ],
 }
 
+# The high cost case, derived from the low-case scenario file. Kept out of
+# GOLDEN_INVOCATIONS, which the benchmark's CLI workloads replay.
+HIGH_CASE_INVOCATIONS = {
+    "scenario_dual_high.txt": ["scenario", "--case", "high"],
+    "trade_high.txt": ["trade", "--case", "high"],
+}
+
 
 def invoke(args):
     return CliRunner().invoke(main, args)
@@ -54,6 +61,22 @@ class TestExitCodes:
         result = invoke(["lcoe", "--profile", "nonsense"])
         assert result.exit_code == 2
         assert "nonsense" in result.output
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["lcoe", "--profile", "custom"], "profile"),
+            (["norned", "--profile", "custom"], "profile"),
+            (["scenario", "--case", "all"], "case"),
+            (["trade", "--case", "all"], "case"),
+            (["scenario", "--scenario", "greenland-high"], "greenland-high"),
+        ],
+        ids=["lcoe-custom", "norned-custom", "scenario-all", "trade-all", "greenland-high"],
+    )
+    def test_value_the_command_cannot_use_is_two(self, args, named):
+        result = invoke(args)
+        assert result.exit_code == 2
+        assert named in result.output
 
     def test_unknown_scenario_key_is_two(self, tmp_path):
         data = {"finance": {"discount_rate": 0.03, "lifetime_years": 40, "om_rate": 0.0}, "typo_key": 1}
@@ -77,6 +100,7 @@ class TestExitCodes:
         [
             (["lcoe", "--capacity-mw", "1e308"], "report row 'low', column 'delivered_gwh_per_yr'"),
             (["norned", "--revenue-meur", "1e308"], "report row 'delivered_gwh', column 'value'"),
+            (["project-table", "--converter-cost", "nan"], "converter cost assumption must be finite"),
         ],
     )
     def test_non_finite_report_value_is_two(self, args, expected):
@@ -185,6 +209,12 @@ class TestDeterminismAndGoldens:
         assert result.exit_code == 0, result.output
         expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
         assert result.output == expected
+
+    @pytest.mark.parametrize("name", sorted(HIGH_CASE_INVOCATIONS))
+    def test_high_case_golden_outputs(self, name):
+        result = invoke(HIGH_CASE_INVOCATIONS[name])
+        assert result.exit_code == 0, result.output
+        assert result.output == (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
 
 # Runs the given golden invocations in one interpreter and prints which of

@@ -120,6 +120,58 @@ def test_record_validation():
         ProjectRecord("X", "300", 700, 100, None, 500, cost_range_frac=1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"capacity_mw": NAN}, "capacity must be finite"),
+        ({"capacity_mw": INF}, "capacity must be finite"),
+        ({"length_km": NAN}, "length must be finite"),
+        ({"length_km": INF}, "length must be finite"),
+        ({"total_cost_meur": NAN}, "total cost must be finite"),
+        ({"total_cost_meur": INF}, "total cost must be finite"),
+        ({"max_depth_m": NAN}, "max_depth_m must be finite"),
+        ({"known_cable_cost_meur": NAN}, "known_cable_cost_meur must be finite"),
+        ({"known_cable_cost_meur": INF}, "known_cable_cost_meur must be finite"),
+    ],
+)
+def test_record_rejects_non_finite_values(fields, message):
+    values = {
+        "name": "X", "voltage_kv": "300", "capacity_mw": 700.0, "length_km": 100.0,
+        "max_depth_m": None, "total_cost_meur": 500.0, **fields,
+    }
+    with pytest.raises(ValueError, match=f"X: {message}"):
+        ProjectRecord(**values)
+
+
+def test_implied_cost_rejects_non_finite_assumption():
+    record = ProjectRecord("NorNed", "±450", 700, 580, 410, 600)
+    with pytest.raises(ValueError, match="converter cost assumption must be finite"):
+        implied_cable_cost_per_km(record, NAN)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("Foo,±300,700,100,,nan,,,2", "row 2: Foo: total cost must be finite"),
+        ("Foo,±300,700,100,,500,,inf,2", "row 2: Foo: known_cable_cost_meur must be finite"),
+        ("Foo,±300,700,100,,500,,,2.7", "row 2: expected a whole number in converter_count, got '2.7'"),
+    ],
+    ids=["total-cost", "known-cable-cost", "converter-count"],
+)
+def test_csv_rejects_non_finite_values_and_fractional_counts(row, message):
+    with pytest.raises(ValueError, match=message):
+        parse_project_records(HEADER + row + "\n")
+
+
+def test_csv_reads_whole_converter_count():
+    (record,) = parse_project_records(HEADER + "Foo,±300,700,100,,500,,,2.0\n")
+    assert record.converter_count == 2
+    assert isinstance(record.converter_count, int)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     total=st.floats(min_value=100.0, max_value=5000.0),

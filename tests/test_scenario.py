@@ -37,8 +37,7 @@ PRICES = PriceModel(peak_eur_per_kwh=0.1, offpeak_ratio=0.5, peak_window_hours=1
 
 
 def greenland(case: str = "low") -> ConnectionScenario:
-    name = "greenland" if case == "low" else "greenland-high"
-    return RECONCILED.apply_to_scenario(load_bundled_scenario(name).scenario)
+    return RECONCILED.apply_to_scenario(load_bundled_scenario("greenland", case).scenario)
 
 
 def dual(case: str = "low") -> ConnectionScenario:
