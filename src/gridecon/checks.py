@@ -1,0 +1,13 @@
+"""The one range check for dataclass fields and function arguments."""
+
+from __future__ import annotations
+
+
+def require(ok: bool, name: str, rule: str, value) -> None:
+    """Raise ``ValueError("<name> must be <rule>, got <value>")`` unless ``ok``.
+
+    Callers write ``ok`` as the accepted range (``0 < x < math.inf``), so a
+    NaN, which fails every comparison, and an infinity are rejected too.
+    """
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value}")

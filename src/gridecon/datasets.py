@@ -127,6 +127,11 @@ def resolve_scenario(spec: str, case: str = "low") -> ScenarioFileContents:
     """
     if spec in BUNDLED_SCENARIOS:
         return load_bundled_scenario(spec, case)
+    if not Path(spec).is_file():
+        raise ValueError(
+            f"unknown scenario {spec!r}; expected a file path or one of "
+            f"{', '.join(BUNDLED_SCENARIOS)}"
+        )
     if case != "low":
         raise ValueError("case: only applies to the bundled scenario names")
     return load_scenario_file(spec)

@@ -30,6 +30,8 @@ import io
 import math
 from dataclasses import dataclass
 
+from .checks import require
+
 DEFAULT_UNSERVED_PENALTY = 10000.0  # EUR/MWh, far above any generator
 
 _EPS_FLOW = 1e-7  # residual capacities below this count as saturated
@@ -54,18 +56,15 @@ class Region:
         object.__setattr__(
             self, "generators", tuple((float(c), float(m)) for c, m in self.generators)
         )
-        if len(self.demand_profile_mw) != 24:
-            raise ValueError(
-                f"{self.name}: demand profile needs 24 hourly values, "
-                f"got {len(self.demand_profile_mw)}"
-            )
-        if not all(0 <= d < math.inf for d in self.demand_profile_mw):
-            raise ValueError(f"{self.name}: demand must be finite and >= 0 every hour")
+        hours = len(self.demand_profile_mw)
+        require(hours == 24, f"{self.name}: len(demand_profile_mw)", "24", hours)
+        label = f"{self.name}: demand_profile_mw"
+        for demand in self.demand_profile_mw:
+            require(0 <= demand < math.inf, label, "finite and >= 0", demand)
+        label = f"{self.name}: generators"
         for cap, cost in self.generators:
-            if not (0 <= cap < math.inf and 0 <= cost < math.inf):
-                raise ValueError(
-                    f"{self.name}: generator capacities and costs must be finite and >= 0"
-                )
+            ok = 0 <= cap < math.inf and 0 <= cost < math.inf
+            require(ok, label, "finite and >= 0 in capacity and cost", (cap, cost))
 
     def demand_at(self, hour: int) -> float:
         """Demand at global hour ``hour``; the profile is read in local time."""
@@ -82,10 +81,9 @@ class Interconnector:
     def __post_init__(self) -> None:
         if self.region_a == self.region_b:
             raise ValueError(f"interconnector endpoints must differ, got {self.region_a!r}")
-        if not 0 <= self.capacity_mw < math.inf:
-            raise ValueError(f"capacity must be finite and >= 0, got {self.capacity_mw}")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
+        capacity, efficiency = self.capacity_mw, self.efficiency
+        require(0 <= capacity < math.inf, "capacity_mw", "finite and >= 0", capacity)
+        require(0.0 < efficiency <= 1.0, "efficiency", "in (0, 1]", efficiency)
 
 
 @dataclass(frozen=True)
@@ -106,43 +104,22 @@ class DispatchNetwork:
                     raise ValueError(
                         f"interconnectors[{i}] references unknown region {endpoint!r}"
                     )
-        if not 0 < self.unserved_penalty_eur_per_mwh < math.inf:
-            raise ValueError("unserved penalty must be finite and > 0")
-
-    def region_index(self, name: str) -> int:
-        for i, region in enumerate(self.regions):
-            if region.name == name:
-                return i
-        raise KeyError(name)
+        penalty = self.unserved_penalty_eur_per_mwh
+        require(0 < penalty < math.inf, "unserved_penalty_eur_per_mwh", "finite and > 0", penalty)
 
 
 def sinusoid_profile(
     peak_mw: float, trough_fraction: float = 0.5, peak_hour: int = 12
 ) -> tuple[float, ...]:
     """Daily demand curve peaking at peak_hour with trough = fraction * peak."""
-    if not 0 <= peak_mw < math.inf:
-        raise ValueError(f"peak must be finite and >= 0, got {peak_mw}")
-    if not 0.0 <= trough_fraction <= 1.0:
-        raise ValueError(f"trough fraction must be in [0, 1], got {trough_fraction}")
+    require(0 <= peak_mw < math.inf, "peak_mw", "finite and >= 0", peak_mw)
+    require(0.0 <= trough_fraction <= 1.0, "trough_fraction", "in [0, 1]", trough_fraction)
     mid = (1.0 + trough_fraction) / 2.0
     amp = (1.0 - trough_fraction) / 2.0
     return tuple(
         peak_mw * (mid + amp * math.cos(2.0 * math.pi * (h - peak_hour) / 24.0))
         for h in range(24)
     )
-
-
-@dataclass(frozen=True)
-class HourSnapshot:
-    network: DispatchNetwork
-    demand_mw: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "demand_mw", tuple(self.demand_mw))
-        if len(self.demand_mw) != len(self.network.regions):
-            raise ValueError("one demand value per region required")
-        if any(d < 0 or not math.isfinite(d) for d in self.demand_mw):
-            raise ValueError("demands must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -192,32 +169,35 @@ def _delivery_price_labels(
     return dist
 
 
-def min_cost_flow(snapshot: HourSnapshot) -> HourlyDispatch:
-    """Cost-minimal generation and flows for one hour.
+def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
+    """Cost-minimal generation and flows for one hour, given each region's demand.
 
     Demand that cannot be met is absorbed by a penalty variable priced at
     the network's unserved penalty, so the problem is always feasible.
     """
+    demand = tuple(demand_mw)
+    n_regions = len(network.regions)
+    rule = f"{n_regions}, one value per region"
+    require(len(demand) == n_regions, "len(demand_mw)", rule, len(demand))
+    ok = all(0 <= d < math.inf for d in demand)
+    require(ok, "demand_mw", "finite and >= 0 in every region", demand)
     global linprog
     if linprog is None:
         from scipy.optimize import linprog
     import numpy as np
 
-    net = snapshot.network
-    demand = snapshot.demand_mw
-    n_regions = len(net.regions)
-    penalty = net.unserved_penalty_eur_per_mwh
+    penalty = network.unserved_penalty_eur_per_mwh
     # One arc (tail, head, capacity, gain, cost) per LP column: generators
     # region by region, each interconnector forward then backward, then one
     # shedding arc per region. Node 0 is the source, region i is node i + 1.
     arcs = [
         (0, ri + 1, cap, 1.0, cost)
-        for ri, region in enumerate(net.regions)
+        for ri, region in enumerate(network.regions)
         for cap, cost in region.generators
     ]
     first_link = len(arcs)
-    node = {region.name: ri + 1 for ri, region in enumerate(net.regions)}
-    for ic in net.interconnectors:
+    node = {region.name: ri + 1 for ri, region in enumerate(network.regions)}
+    for ic in network.interconnectors:
         a, b = node[ic.region_a], node[ic.region_b]
         arcs.append((a, b, ic.capacity_mw, ic.efficiency, 0.0))
         arcs.append((b, a, ic.capacity_mw, ic.efficiency, 0.0))
@@ -309,12 +289,11 @@ class DispatchResult:
 
 def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
     """Dispatch ``hours`` consecutive hours; hours are independent (no storage)."""
-    if hours < 1:
-        raise ValueError(f"hours must be >= 1, got {hours}")
+    require(1 <= hours < math.inf, "hours", "finite and >= 1", hours)
     hourly = []
     for t in range(hours):
         demand = tuple(region.demand_at(t) for region in network.regions)
-        hourly.append(min_cost_flow(HourSnapshot(network=network, demand_mw=demand)))
+        hourly.append(min_cost_flow(network, demand))
     return DispatchResult(network=network, hourly=tuple(hourly))
 
 
@@ -380,10 +359,8 @@ def reserve_requirements(
     headroom credit the system holds alpha times the coincident system
     peak, which is never more than the sum of the individual requirements.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if hours < 1:
-        raise ValueError(f"hours must be >= 1, got {hours}")
+    require(0.0 < alpha <= 1.0, "alpha", "in (0, 1]", alpha)
+    require(1 <= hours < math.inf, "hours", "finite and >= 1", hours)
     isolated = {
         region.name: alpha * max(region.demand_at(t) for t in range(hours))
         for region in network.regions

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .checks import require
+
 
 class Currency(Enum):
     EUR = "EUR"
@@ -32,12 +34,10 @@ class FinancialAssumptions:
     om_rate: float = 0.0  # fraction of capex per year
 
     def __post_init__(self) -> None:
-        if self.discount_rate < 0:
-            raise ValueError(f"discount_rate must be >= 0, got {self.discount_rate}")
-        if self.lifetime_years < 1:
-            raise ValueError(f"lifetime_years must be >= 1, got {self.lifetime_years}")
-        if not 0.0 <= self.om_rate < 1.0:
-            raise ValueError(f"om_rate must be in [0, 1), got {self.om_rate}")
+        rate, years = self.discount_rate, self.lifetime_years
+        require(0 <= rate < math.inf, "discount_rate", "finite and >= 0", rate)
+        require(1 <= years < math.inf, "lifetime_years", "finite and >= 1", years)
+        require(0.0 <= self.om_rate < 1.0, "om_rate", "in [0, 1)", self.om_rate)
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,9 @@ class MoneyAmount:
     price_year: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"value must be finite, got {self.value}")
-        if not 1900 <= self.price_year <= 2100:
-            raise ValueError(f"price_year must be in [1900, 2100], got {self.price_year}")
+        require(math.isfinite(self.value), "value", "finite", self.value)
+        year = self.price_year
+        require(1900 <= year <= 2100, "price_year", "in [1900, 2100]", year)
 
 
 @dataclass(frozen=True)
@@ -66,10 +65,9 @@ class ConversionContext:
     target_currency: Currency
 
     def __post_init__(self) -> None:
-        if self.fx_rate <= 0:
-            raise ValueError(f"fx_rate must be > 0, got {self.fx_rate}")
-        if self.inflation_rate <= -1:
-            raise ValueError(f"inflation_rate must be > -1, got {self.inflation_rate}")
+        require(0 < self.fx_rate < math.inf, "fx_rate", "finite and > 0", self.fx_rate)
+        inflation = self.inflation_rate
+        require(-1 < inflation < math.inf, "inflation_rate", "finite and > -1", inflation)
 
 
 def capital_recovery_factor(rate: float, years: int) -> float:
@@ -78,10 +76,8 @@ def capital_recovery_factor(rate: float, years: int) -> float:
     Standard end-of-period formula r(1+r)^N / ((1+r)^N - 1); the zero-rate
     limit is straight-line 1/N so sensitivity sweeps can pass rate 0.
     """
-    if years < 1:
-        raise ValueError(f"years must be >= 1, got {years}")
-    if rate <= -1:
-        raise ValueError(f"rate must be > -1, got {rate}")
+    require(1 <= years < math.inf, "years", "finite and >= 1", years)
+    require(-1 < rate < math.inf, "rate", "finite and > -1", rate)
     if rate == 0.0:
         return 1.0 / years
     growth = (1.0 + rate) ** years
@@ -90,8 +86,7 @@ def capital_recovery_factor(rate: float, years: int) -> float:
 
 def annualized_cost(capex: float, fin: FinancialAssumptions) -> float:
     """Annual payment for a capex: capex * (CRF + om_rate), same unit as capex."""
-    if capex < 0:
-        raise ValueError(f"capex must be >= 0, got {capex}")
+    require(0 <= capex, "capex", ">= 0", capex)
     crf = capital_recovery_factor(fin.discount_rate, fin.lifetime_years)
     return capex * (crf + fin.om_rate)
 
@@ -104,10 +99,8 @@ def normalize_currency(
     value * fx_rate * (1 + inflation_rate)^(target_year - price_year).
     Deflating to an earlier year is not modeled and is rejected.
     """
-    if target_year < amount.price_year:
-        raise ValueError(
-            f"target_year {target_year} precedes price_year {amount.price_year}"
-        )
+    start = amount.price_year
+    require(start <= target_year <= 2100, "target_year", f"in [{start}, 2100]", target_year)
     years = target_year - amount.price_year
     value = amount.value * ctx.fx_rate * (1.0 + ctx.inflation_rate) ** years
     return MoneyAmount(value=value, currency=ctx.target_currency, price_year=target_year)

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
+from .checks import require
+
 CSV_COLUMNS = (
     "name",
     "voltage_kv",
@@ -63,20 +65,21 @@ class ProjectRecord:
     converter_count: int = 2
 
     def __post_init__(self) -> None:
-        if not 0 < self.capacity_mw < math.inf:
-            raise ValueError(f"{self.name}: capacity must be finite and > 0")
-        if not 0 < self.length_km < math.inf:
-            raise ValueError(f"{self.name}: length must be finite and > 0")
-        if not 0 < self.total_cost_meur < math.inf:
-            raise ValueError(f"{self.name}: total cost must be finite and > 0")
-        if not 0.0 <= self.cost_range_frac < 1.0:
-            raise ValueError(f"{self.name}: cost_range_frac must be in [0, 1)")
-        for field_name in ("max_depth_m", "known_cable_cost_meur"):
-            value = getattr(self, field_name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{self.name}: {field_name} must be finite, got {value}")
-        if self.converter_count < 0:
-            raise ValueError(f"{self.name}: converter_count must be >= 0")
+        name = self.name
+        for label, value in (
+            ("capacity", self.capacity_mw),
+            ("length", self.length_km),
+            ("total cost", self.total_cost_meur),
+        ):
+            require(0 < value < math.inf, f"{name}: {label}", "finite and > 0", value)
+        frac = self.cost_range_frac
+        require(0.0 <= frac < 1.0, f"{name}: cost_range_frac", "in [0, 1)", frac)
+        for label in ("max_depth_m", "known_cable_cost_meur"):
+            value = getattr(self, label)
+            if value is not None:
+                require(0 <= value < math.inf, f"{name}: {label}", "finite and >= 0", value)
+        count = self.converter_count
+        require(0 <= count < math.inf, f"{name}: converter_count", "finite and >= 0", count)
 
     def total_cost_band(self) -> CostBand:
         spread = self.total_cost_meur * self.cost_range_frac
@@ -90,22 +93,22 @@ def implied_cable_cost_per_km(
 
     (total - converters * assumption) / length, applied endpoint-wise when
     the budget is a range. A published cable-only cost overrides the
-    subtraction. Rejects a non-finite assumption, and records where the
-    subtraction is non-positive, which signals an inconsistent converter
-    assumption.
+    subtraction. Rejects a negative or non-finite assumption, and records
+    where the subtraction is non-positive, which signals an inconsistent
+    converter assumption.
     """
-    if not math.isfinite(converter_cost_assumption_meur):
-        raise ValueError(
-            f"converter cost assumption must be finite, got {converter_cost_assumption_meur}"
-        )
+    assumption = converter_cost_assumption_meur
+    require(
+        0 <= assumption < math.inf, "converter cost assumption", "finite and >= 0", assumption
+    )
     if record.known_cable_cost_meur is not None:
         per_km = record.known_cable_cost_meur / record.length_km
         return CostBand(per_km, per_km)
-    converters = record.converter_count * converter_cost_assumption_meur
+    converters = record.converter_count * assumption
     band = record.total_cost_band()
     if band.low - converters <= 0:
         raise ValueError(
-            f"{record.name}: converter assumption {converter_cost_assumption_meur} MEUR "
+            f"{record.name}: converter assumption {assumption} MEUR "
             f"x {record.converter_count} leaves no cable cost"
         )
     return CostBand(
@@ -158,28 +161,6 @@ def parse_project_records(text: str) -> list[ProjectRecord]:
     return records
 
 
-def serialize_project_records(records: list[ProjectRecord]) -> str:
-    """Inverse of parse_project_records, emitting canonical number forms."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.name,
-                r.voltage_kv,
-                _num(r.capacity_mw),
-                _num(r.length_km),
-                _num(r.max_depth_m) if r.max_depth_m is not None else "",
-                _num(r.total_cost_meur),
-                _num(r.cost_range_frac) if r.cost_range_frac else "",
-                _num(r.known_cable_cost_meur) if r.known_cable_cost_meur is not None else "",
-                str(r.converter_count),
-            ]
-        )
-    return out.getvalue()
-
-
 def _number(row: dict, column: str, required: bool = True, whole: bool = False):
     """The cell as a float (an int if ``whole``), or None if empty and not ``required``."""
     raw = row[column].strip()
@@ -196,10 +177,6 @@ def _number(row: dict, column: str, required: bool = True, whole: bool = False):
             raise ValueError(f"expected a whole number in {column}, got {raw!r}")
         return int(value)
     return value
-
-
-def _num(value: float) -> str:
-    return format(value, "g")
 
 
 def _round_half_up(value: float, decimals: int) -> float:

@@ -9,9 +9,11 @@ corridor can carry inter-market trade.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .checks import require
 from .finance import FinancialAssumptions, annualized_cost
 from .transmission import (
     HOURS_PER_YEAR,
@@ -35,12 +37,11 @@ class GenerationSource:
     lcoe_eur_per_kwh: float = 0.0  # generation-only cost
 
     def __post_init__(self) -> None:
-        if self.capacity_mw <= 0:
-            raise ValueError(f"capacity must be > 0, got {self.capacity_mw}")
-        if not 0.0 < self.capacity_factor <= 1.0:
-            raise ValueError(f"capacity factor must be in (0, 1], got {self.capacity_factor}")
-        if self.lcoe_eur_per_kwh < 0:
-            raise ValueError(f"generation lcoe must be >= 0, got {self.lcoe_eur_per_kwh}")
+        capacity, factor = self.capacity_mw, self.capacity_factor
+        require(0 < capacity < math.inf, "capacity_mw", "finite and > 0", capacity)
+        require(0.0 < factor <= 1.0, "capacity_factor", "in (0, 1]", factor)
+        lcoe = self.lcoe_eur_per_kwh
+        require(0 <= lcoe < math.inf, "lcoe_eur_per_kwh", "finite and >= 0", lcoe)
 
 
 @dataclass(frozen=True)
@@ -52,14 +53,10 @@ class PriceModel:
     peak_window_hours: float = 12.0
 
     def __post_init__(self) -> None:
-        if self.peak_eur_per_kwh <= 0:
-            raise ValueError(f"peak price must be > 0, got {self.peak_eur_per_kwh}")
-        if not 0.0 <= self.offpeak_ratio <= 1.0:
-            raise ValueError(f"offpeak ratio must be in [0, 1], got {self.offpeak_ratio}")
-        if not 0.0 < self.peak_window_hours <= 24.0:
-            raise ValueError(
-                f"peak window must be in (0, 24] hours, got {self.peak_window_hours}"
-            )
+        peak, ratio, window = self.peak_eur_per_kwh, self.offpeak_ratio, self.peak_window_hours
+        require(0 < peak < math.inf, "peak_eur_per_kwh", "finite and > 0", peak)
+        require(0.0 <= ratio <= 1.0, "offpeak_ratio", "in [0, 1]", ratio)
+        require(0.0 < window <= 24.0, "peak_window_hours", "in (0, 24]", window)
 
 
 @dataclass(frozen=True)
@@ -78,10 +75,8 @@ class ConnectionScenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "paths", tuple(self.paths))
-        if not self.paths:
-            raise ValueError("paths: empty")
-        if len(self.paths) > 2:
-            raise ValueError(f"at most two paths supported, got {len(self.paths)}")
+        count = len(self.paths)
+        require(1 <= count <= 2, "len(paths)", "1 or 2", count)
         if self.schedule is SchedulePolicy.PEAK_CHASING:
             if len(self.paths) != 2:
                 raise ValueError("peak_chasing requires exactly two paths")
@@ -257,8 +252,7 @@ def revenue_per_delivered_kwh(
     revenue_eur: float, link: TransmissionLink, period_hours: float
 ) -> float:
     """Revenue divided by the energy the link delivers over the period."""
-    if period_hours <= 0:
-        raise ValueError(f"period_hours must be > 0, got {period_hours}")
+    require(0 < period_hours < math.inf, "period_hours", "finite and > 0", period_hours)
     delivered_kwh = (
         link.capacity_mw
         * period_hours
@@ -280,6 +274,5 @@ def import_competitiveness(
     (local - (remote + link)) / local; positive means importing is cheaper.
     All three inputs must be in the same currency unit.
     """
-    if local_cost <= 0:
-        raise ValueError(f"local cost must be > 0, got {local_cost}")
+    require(0 < local_cost < math.inf, "local_cost", "finite and > 0", local_cost)
     return (local_cost - (remote_gen_cost + link_lcoe)) / local_cost

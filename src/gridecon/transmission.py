@@ -11,9 +11,11 @@ M EUR per GWh equals EUR per kWh, so LCOE values come out in EUR/kWh.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .checks import require
 from .finance import FinancialAssumptions, annualized_cost
 
 HOURS_PER_YEAR = 8760
@@ -36,10 +38,9 @@ class Segment:
     unit_cost_meur_per_km: float
 
     def __post_init__(self) -> None:
-        if self.length_km <= 0:
-            raise ValueError(f"segment length must be > 0, got {self.length_km}")
-        if self.unit_cost_meur_per_km < 0:
-            raise ValueError(f"unit cost must be >= 0, got {self.unit_cost_meur_per_km}")
+        length, cost = self.length_km, self.unit_cost_meur_per_km
+        require(0 < length < math.inf, "length_km", "finite and > 0", length)
+        require(0 <= cost < math.inf, "unit_cost_meur_per_km", "finite and >= 0", cost)
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,9 @@ class LossModel:
     composition: LossComposition = LossComposition.LINEAR
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.line_loss_per_1000km < 1.0:
-            raise ValueError(f"line loss must be in [0, 1), got {self.line_loss_per_1000km}")
-        if not 0.0 <= self.terminal_loss < 1.0:
-            raise ValueError(f"terminal loss must be in [0, 1), got {self.terminal_loss}")
+        line, terminal = self.line_loss_per_1000km, self.terminal_loss
+        require(0.0 <= line < 1.0, "line_loss_per_1000km", "in [0, 1)", line)
+        require(0.0 <= terminal < 1.0, "terminal_loss", "in [0, 1)", terminal)
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,9 @@ class UtilizationModel:
     reduced_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.reduced_hours <= 24.0:
-            raise ValueError(f"reduced_hours must be in [0, 24], got {self.reduced_hours}")
-        if not 0.0 <= self.reduced_fraction <= 1.0:
-            raise ValueError(
-                f"reduced_fraction must be in [0, 1], got {self.reduced_fraction}"
-            )
+        hours, fraction = self.reduced_hours, self.reduced_fraction
+        require(0.0 <= hours <= 24.0, "reduced_hours", "in [0, 24]", hours)
+        require(0.0 <= fraction <= 1.0, "reduced_fraction", "in [0, 1]", fraction)
 
 
 @dataclass(frozen=True)
@@ -90,16 +87,12 @@ class TransmissionLink:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
-        if self.terminal_count < 0:
-            raise ValueError(f"terminal_count must be >= 0, got {self.terminal_count}")
-        if self.terminal_unit_cost_meur < 0:
-            raise ValueError(
-                f"terminal cost must be >= 0, got {self.terminal_unit_cost_meur}"
-            )
-        if self.capacity_mw < 0:
-            raise ValueError(f"capacity must be >= 0, got {self.capacity_mw}")
-        if not 0.0 < self.availability <= 1.0:
-            raise ValueError(f"availability must be in (0, 1], got {self.availability}")
+        count, cost = self.terminal_count, self.terminal_unit_cost_meur
+        require(0 <= count < math.inf, "terminal_count", "finite and >= 0", count)
+        require(0 <= cost < math.inf, "terminal_unit_cost_meur", "finite and >= 0", cost)
+        capacity, availability = self.capacity_mw, self.availability
+        require(0 <= capacity < math.inf, "capacity_mw", "finite and >= 0", capacity)
+        require(0.0 < availability <= 1.0, "availability", "in (0, 1]", availability)
         route_efficiency(self)  # force the positive-efficiency invariant eagerly
 
     @property
@@ -161,8 +154,7 @@ def deliverable_energy(link: TransmissionLink) -> float:
 
 def delivered_from_injection(link: TransmissionLink, injected_gwh: float) -> float:
     """Energy arriving at the far end for a given annual injection, GWh/yr."""
-    if injected_gwh < 0:
-        raise ValueError(f"injected energy must be >= 0, got {injected_gwh}")
+    require(0 <= injected_gwh, "injected_gwh", ">= 0", injected_gwh)
     physical_max = link.capacity_mw * HOURS_PER_YEAR * link.availability / 1000.0
     if injected_gwh > physical_max * (1.0 + 1e-12):
         raise ValueError(
@@ -176,6 +168,5 @@ def transmission_lcoe(
     link: TransmissionLink, fin: FinancialAssumptions, delivered_gwh: float
 ) -> float:
     """Levelized transmission cost in EUR per delivered kWh."""
-    if delivered_gwh <= 0:
-        raise ValueError(f"delivered energy must be > 0, got {delivered_gwh}")
+    require(0 < delivered_gwh, "delivered_gwh", "> 0", delivered_gwh)
     return annualized_cost(link_capex(link), fin) / delivered_gwh

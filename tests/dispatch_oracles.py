@@ -6,13 +6,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from gridecon.dispatch import (
-    DispatchNetwork,
-    HourSnapshot,
-    Interconnector,
-    Region,
-    min_cost_flow,
-)
+from gridecon.dispatch import DispatchNetwork, Interconnector, Region
 
 PENALTY = 10000.0
 
@@ -32,8 +26,11 @@ def network(regions, ics=(), penalty=PENALTY):
     )
 
 
-def dispatch_hour(net, demands):
-    return min_cost_flow(HourSnapshot(network=net, demand_mw=tuple(demands)))
+def region_index(net, name):
+    for i, r in enumerate(net.regions):
+        if r.name == name:
+            return i
+    raise KeyError(name)
 
 
 def merit_order_cost(gens, need, penalty):
@@ -56,8 +53,8 @@ def enumeration_oracle(net, demands):
     for flows in itertools.product(*ranges):
         need = list(demands)
         for flow, ic in zip(flows, net.interconnectors):
-            need[net.region_index(ic.region_a)] += flow
-            need[net.region_index(ic.region_b)] -= flow
+            need[region_index(net, ic.region_a)] += flow
+            need[region_index(net, ic.region_b)] -= flow
         if any(n < 0 for n in need):
             continue
         cost = sum(
@@ -78,7 +75,7 @@ def lp_oracle(net, demands):
     for j, (ri, cap, cost) in enumerate(gens):
         eq[ri, j] = 1.0
     for li, ic in enumerate(net.interconnectors):
-        a, b = net.region_index(ic.region_a), net.region_index(ic.region_b)
+        a, b = region_index(net, ic.region_a), region_index(net, ic.region_b)
         jf = len(gens) + 2 * li
         eq[a, jf] -= 1.0
         eq[b, jf] += ic.efficiency

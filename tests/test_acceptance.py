@@ -14,7 +14,6 @@ import pytest
 from click.testing import CliRunner
 
 from dispatch_oracles import (
-    dispatch_hour,
     energy_balance_residual,
     enumeration_oracle,
     network,
@@ -32,6 +31,7 @@ from gridecon.dispatch import (
     DispatchNetwork,
     Interconnector,
     Region,
+    min_cost_flow,
     reserve_requirements,
 )
 from gridecon.finance import (
@@ -260,7 +260,7 @@ def test_criterion_9c_dispatch_oracle_equivalence():
                 [region("a", d1, [(cap1, 1.0)]), region("b", d2, [(4, float(cost2))])],
                 [Interconnector("a", "b", link_cap, 1.0)],
             )
-            assert dispatch_hour(net, [d1, d2]).cost_eur == pytest.approx(
+            assert min_cost_flow(net, [d1, d2]).cost_eur == pytest.approx(
                 enumeration_oracle(net, [d1, d2]), abs=1e-9
             )
         # randomized three-region integer fixtures
@@ -268,7 +268,7 @@ def test_criterion_9c_dispatch_oracle_equivalence():
         for _ in range(200):
             net = random_network(rng, max_regions=3, integer=True, max_links=2)
             demands = [r.demand_profile_mw[0] for r in net.regions]
-            assert dispatch_hour(net, demands).cost_eur == pytest.approx(
+            assert min_cost_flow(net, demands).cost_eur == pytest.approx(
                 enumeration_oracle(net, demands), abs=1e-9
             )
 
@@ -279,7 +279,7 @@ def test_criterion_9d_energy_balance():
         for _ in range(200):
             net = random_network(rng)
             demands = [r.demand_profile_mw[0] for r in net.regions]
-            assert abs(energy_balance_residual(dispatch_hour(net, demands))) < 1e-6
+            assert abs(energy_balance_residual(min_cost_flow(net, demands))) < 1e-6
 
 
 def test_criterion_9e_interconnector_addition():
@@ -292,7 +292,7 @@ def test_criterion_9e_interconnector_addition():
                 continue
             checked += 1
             demands = [r.demand_profile_mw[0] for r in net.regions]
-            base = dispatch_hour(net, demands).cost_eur
+            base = min_cost_flow(net, demands).cost_eur
             grown = DispatchNetwork(
                 regions=net.regions,
                 interconnectors=tuple(
@@ -301,7 +301,7 @@ def test_criterion_9e_interconnector_addition():
                 ),
                 unserved_penalty_eur_per_mwh=net.unserved_penalty_eur_per_mwh,
             )
-            assert dispatch_hour(grown, demands).cost_eur <= base + 1e-6
+            assert min_cost_flow(grown, demands).cost_eur <= base + 1e-6
 
 
 def test_criterion_9f_shared_reserve():
@@ -343,8 +343,8 @@ def test_criterion_9g_cost_scaling_invariance():
                 interconnectors=net.interconnectors,
                 unserved_penalty_eur_per_mwh=net.unserved_penalty_eur_per_mwh * factor,
             )
-            base = dispatch_hour(net, demands)
-            scaled = dispatch_hour(scaled_net, demands)
+            base = min_cost_flow(net, demands)
+            scaled = min_cost_flow(scaled_net, demands)
             assert scaled.cost_eur == pytest.approx(base.cost_eur * factor, rel=1e-9, abs=1e-6)
             for a, b in zip(base.flows_mw, scaled.flows_mw):
                 assert b == pytest.approx(a, abs=1e-6)

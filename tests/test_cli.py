@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import gridecon
 from gridecon.cli import main
 from gridecon.datasets import bundled_path
+from gridecon.projects import CSV_COLUMNS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -93,7 +94,7 @@ class TestExitCodes:
         path.write_text(json.dumps(data))
         result = invoke(["scenario", "--scenario", str(path)])
         assert result.exit_code == 2
-        assert "paths: empty" in result.output
+        assert "Error: scenario: len(paths) must be 1 or 2, got 0\n" in result.output
 
     @pytest.mark.parametrize(
         "args, expected",
@@ -107,6 +108,33 @@ class TestExitCodes:
         result = invoke(args)
         assert result.exit_code == 2
         assert expected in result.output
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["project-table", "--converter-cost", "-100"],
+                "converter cost assumption must be finite and >= 0, got -100.0",
+            ),
+            (
+                ["scenario", "--scenario", "nosuch"],
+                "unknown scenario 'nosuch'; expected a file path or one of greenland, smoothing",
+            ),
+        ],
+        ids=["negative-converter-cost", "unknown-scenario"],
+    )
+    def test_rejected_value_is_two(self, args, message):
+        result = invoke(args)
+        assert result.exit_code == 2
+        assert f"Error: {message}\n" in result.output
+
+    def test_negative_project_values_are_two(self, tmp_path):
+        path = tmp_path / "projects.csv"
+        row = "Foo,±300,700,100,-50,500,,-20,2"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + row + "\n", encoding="utf-8")
+        result = invoke(["project-table", "--projects-csv", str(path)])
+        assert result.exit_code == 2
+        assert "Error: row 2: Foo: max_depth_m must be finite and >= 0, got -50.0\n" in result.output
 
     def test_missing_section_is_two(self, tmp_path):
         path = tmp_path / "no_network.json"

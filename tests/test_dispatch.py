@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from gridecon.dispatch import (
     DispatchNetwork,
-    HourSnapshot,
     Interconnector,
     Region,
     curtailment_metrics,
+    min_cost_flow,
     reserve_requirements,
     simulate,
     sinusoid_profile,
@@ -19,7 +19,6 @@ from gridecon.dispatch import (
 
 from dispatch_oracles import (
     PENALTY,
-    dispatch_hour,
     energy_balance_residual,
     enumeration_oracle,
     lp_oracle,
@@ -36,14 +35,14 @@ from dispatch_oracles import (
 class TestMinCostFlow:
     def test_single_region_single_generator(self):
         net = network([region("a", 5, [(10, 1.0)])])
-        hour = dispatch_hour(net, [5])
+        hour = min_cost_flow(net, [5])
         assert hour.generation_mw[0][0] == pytest.approx(5.0)
         assert hour.cost_eur == pytest.approx(5.0)
         assert hour.unserved_mw[0] == 0.0
 
     def test_merit_order_between_parallel_units(self):
         net = network([region("a", 5, [(3, 1.0), (3, 2.0)])])
-        hour = dispatch_hour(net, [5])
+        hour = min_cost_flow(net, [5])
         assert hour.generation_mw[0][0] == pytest.approx(3.0)
         assert hour.generation_mw[0][1] == pytest.approx(2.0)
         assert hour.cost_eur == pytest.approx(7.0)
@@ -54,13 +53,13 @@ class TestMinCostFlow:
             [region("a", 0, [(10, 1.0)]), region("b", 0, [(10, 2.0)])],
             [Interconnector("a", "b", 5, 0.95)],
         )
-        hour = dispatch_hour(net, [0, 0])
+        hour = min_cost_flow(net, [0, 0])
         assert hour.flows_mw == (0.0,)
         assert hour.cost_eur == 0.0
 
     def test_shedding_at_penalty(self):
         net = network([region("a", 10, [(4, 1.0)])])
-        hour = dispatch_hour(net, [10])
+        hour = min_cost_flow(net, [10])
         assert hour.unserved_mw[0] == pytest.approx(6.0)
         assert hour.cost_eur == pytest.approx(4.0 + 6.0 * PENALTY)
         assert hour.prices_eur_per_mwh[0] == pytest.approx(PENALTY)
@@ -70,7 +69,7 @@ class TestMinCostFlow:
             [region("a", 0, [(10, 0.0)]), region("b", 9, [(20, 100.0)])],
             [Interconnector("a", "b", 10, 0.9)],
         )
-        hour = dispatch_hour(net, [0, 9])
+        hour = min_cost_flow(net, [0, 9])
         assert hour.flows_mw[0] == pytest.approx(10.0)  # sent
         assert hour.flows_mw[0] * 0.9 == pytest.approx(9.0)  # delivered
         assert hour.loss_mw == pytest.approx(1.0)
@@ -81,13 +80,13 @@ class TestMinCostFlow:
             [region("a", 0, [(10, 0.0)]), region("b", 9, [(20, 100.0)])],
             [Interconnector("a", "b", 5, 1.0)],
         )
-        hour = dispatch_hour(net, [0, 9])
+        hour = min_cost_flow(net, [0, 9])
         assert hour.flows_mw[0] == pytest.approx(5.0)
         assert sum(hour.generation_mw[1]) == pytest.approx(4.0)
 
     def test_curtailment_counts_idle_res(self):
         net = network([region("a", 3, [(10, 0.0), (5, 50.0)])])
-        hour = dispatch_hour(net, [3])
+        hour = min_cost_flow(net, [3])
         assert hour.curtailed_res_mw[0] == pytest.approx(7.0)
 
     def test_import_price_includes_losses(self):
@@ -95,7 +94,7 @@ class TestMinCostFlow:
             [region("a", 0, [(100, 40.0)]), region("b", 9, [(20, 100.0)])],
             [Interconnector("a", "b", 50, 0.8)],
         )
-        hour = dispatch_hour(net, [0, 9])
+        hour = min_cost_flow(net, [0, 9])
         assert hour.prices_eur_per_mwh[1] == pytest.approx(50.0)  # 40 / 0.8
 
 
@@ -109,7 +108,7 @@ class TestOracleEquivalence:
                 [region("a", d1, [(cap1, 1.0)]), region("b", d2, [(4, float(cost2))])],
                 [Interconnector("a", "b", link_cap, 1.0)],
             )
-            hour = dispatch_hour(net, [d1, d2])
+            hour = min_cost_flow(net, [d1, d2])
             expected = enumeration_oracle(net, [d1, d2])
             assert hour.cost_eur == pytest.approx(expected, abs=1e-9)
 
@@ -118,7 +117,7 @@ class TestOracleEquivalence:
         for _ in range(200):
             net = random_network(rng, max_regions=3, integer=True, max_links=2)
             demands = [r.demand_profile_mw[0] for r in net.regions]
-            hour = dispatch_hour(net, demands)
+            hour = min_cost_flow(net, demands)
             expected = enumeration_oracle(net, demands)
             assert hour.cost_eur == pytest.approx(expected, abs=1e-9)
 
@@ -127,7 +126,7 @@ class TestOracleEquivalence:
         for _ in range(200):
             net = random_network(rng)
             demands = [r.demand_profile_mw[0] for r in net.regions]
-            hour = dispatch_hour(net, demands)
+            hour = min_cost_flow(net, demands)
             expected = lp_oracle(net, demands)
             assert hour.cost_eur == pytest.approx(expected, rel=1e-9, abs=1e-6)
 
@@ -188,7 +187,7 @@ class TestEnergyBalance:
         for _ in range(200):
             net = random_network(rng)
             demands = [r.demand_profile_mw[0] for r in net.regions]
-            hour = dispatch_hour(net, demands)
+            hour = min_cost_flow(net, demands)
             assert abs(energy_balance_residual(hour)) < 1e-6
             for flow, ic in zip(hour.flows_mw, net.interconnectors):
                 assert abs(flow) <= ic.capacity_mw + 1e-6
@@ -219,7 +218,7 @@ class TestPriceComplementarySlackness:
             for _ in range(400):
                 net = random_network(rng, **kwargs)
                 demands = [r.demand_profile_mw[0] for r in net.regions]
-                hour = dispatch_hour(net, demands)
+                hour = min_cost_flow(net, demands)
                 price = dict(zip((r.name for r in net.regions), hour.prices_eur_per_mwh))
                 for reg, units, shed, demand in zip(
                     net.regions, hour.generation_mw, hour.unserved_mw, demands
@@ -251,7 +250,7 @@ class TestMonotonicityProperties:
             if not net.interconnectors:
                 continue
             demands = [r.demand_profile_mw[0] for r in net.regions]
-            base_cost = dispatch_hour(net, demands).cost_eur
+            base_cost = min_cost_flow(net, demands).cost_eur
             grown = DispatchNetwork(
                 regions=net.regions,
                 interconnectors=tuple(
@@ -260,7 +259,7 @@ class TestMonotonicityProperties:
                 ),
                 unserved_penalty_eur_per_mwh=net.unserved_penalty_eur_per_mwh,
             )
-            assert dispatch_hour(grown, demands).cost_eur <= base_cost + 1e-6
+            assert min_cost_flow(grown, demands).cost_eur <= base_cost + 1e-6
 
     def test_cost_scaling_leaves_dispatch_unchanged(self):
         rng = random.Random(55)
@@ -281,8 +280,8 @@ class TestMonotonicityProperties:
                 interconnectors=net.interconnectors,
                 unserved_penalty_eur_per_mwh=net.unserved_penalty_eur_per_mwh * factor,
             )
-            base = dispatch_hour(net, demands)
-            scaled = dispatch_hour(scaled_net, demands)
+            base = min_cost_flow(net, demands)
+            scaled = min_cost_flow(scaled_net, demands)
             assert scaled.cost_eur == pytest.approx(base.cost_eur * factor, rel=1e-9, abs=1e-6)
             for a, b in zip(base.flows_mw, scaled.flows_mw):
                 assert b == pytest.approx(a, abs=1e-6)
@@ -433,7 +432,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         network([region("a", 1, [(1, 1)])], [Interconnector("a", "b", 1, 1.0)])
     with pytest.raises(ValueError):
-        HourSnapshot(network=network([region("a", 1, [(1, 1)])]), demand_mw=(1.0, 2.0))
+        min_cost_flow(network([region("a", 1, [(1, 1)])]), (1.0, 2.0))
 
 
 @pytest.mark.parametrize(

@@ -2,14 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridecon.datasets import bundled_path, load_bundled_projects
+from gridecon.datasets import load_bundled_projects
 from gridecon.projects import (
     CostBand,
     ProjectRecord,
     implied_cable_cost_per_km,
-    load_project_records,
     parse_project_records,
-    serialize_project_records,
 )
 
 HEADER = (
@@ -71,18 +69,14 @@ def test_bundled_dataset_reproduces_derived_row():
         assert implied_cable_cost_per_km(record, 150.0).rounded(2) == expected[record.name]
 
 
-def test_round_trip_bundled_file():
-    path = bundled_path("hvdc_projects.csv")
-    text = path.read_text(encoding="utf-8")
-    records = load_project_records(path)
-    assert serialize_project_records(records).rstrip() == text.rstrip()
-
-
-def test_round_trip_is_stable():
-    records = load_bundled_projects()
-    once = serialize_project_records(records)
-    again = serialize_project_records(parse_project_records(once))
-    assert once == again
+def test_bundled_file_parses_every_field():
+    assert load_bundled_projects() == [
+        ProjectRecord("NorNed", "±450", 700.0, 580.0, 410.0, 600.0),
+        ProjectRecord("SAPEI", "±500", 1000.0, 435.0, 1600.0, 750.0),
+        ProjectRecord("BritNed", "±450", 1000.0, 260.0, None, 600.0),
+        ProjectRecord("NorGer", "450-500", 1400.0, 570.0, 410.0, 1400.0, cost_range_frac=0.3),
+        ProjectRecord("NordBalt", "±300", 700.0, 450.0, None, 550.0, known_cable_cost_meur=270.0),
+    ]
 
 
 def test_empty_file_with_header():

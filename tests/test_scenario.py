@@ -128,7 +128,7 @@ class TestEvaluateConnection:
             )
 
     def test_empty_paths_rejected(self):
-        with pytest.raises(ValueError, match="paths: empty"):
+        with pytest.raises(ValueError, match=r"^len\(paths\) must be 1 or 2, got 0$"):
             ConnectionScenario(source=WIND_3GW, paths=())
 
 

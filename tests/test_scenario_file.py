@@ -92,7 +92,7 @@ def test_unknown_segment_kind_rejected():
 def test_empty_paths_rejected():
     data = minimal_scenario_data()
     data["scenario"]["paths"] = []
-    with pytest.raises(ScenarioFileError, match="paths: empty"):
+    with pytest.raises(ScenarioFileError, match=r"^scenario: len\(paths\) must be 1 or 2, got 0$"):
         parse_scenario_data(data)
 
 
