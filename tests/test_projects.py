@@ -1,12 +1,17 @@
+import csv
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridecon.datasets import load_bundled_projects
+from gridecon.datasets import bundled_path, load_bundled_projects
 from gridecon.projects import (
+    CSV_COLUMNS,
     CostBand,
     ProjectRecord,
     implied_cable_cost_per_km,
+    load_project_records,
     parse_project_records,
 )
 
@@ -78,6 +83,36 @@ def test_bundled_file_parses_every_field():
         ProjectRecord("NordBalt", "±300", 700.0, 450.0, None, 550.0, known_cable_cost_meur=270.0),
     ]
 
+
+
+def _to_csv(records: list[ProjectRecord]) -> str:
+    """CSV text of ``records`` in the bundled file's number forms (700, 0.3, empty cells)."""
+    def num(value):
+        return "" if value is None else format(value, "g")
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for r in records:
+        writer.writerow([
+            r.name, r.voltage_kv, num(r.capacity_mw), num(r.length_km), num(r.max_depth_m),
+            num(r.total_cost_meur), num(r.cost_range_frac or None),
+            num(r.known_cable_cost_meur), r.converter_count,
+        ])
+    return out.getvalue()
+
+
+def test_round_trip_bundled_file():
+    path = bundled_path("hvdc_projects.csv")
+    text = path.read_text(encoding="utf-8")
+    assert _to_csv(load_project_records(path)).rstrip() == text.rstrip()
+
+
+def test_round_trip_is_stable():
+    records = load_bundled_projects()
+    once = _to_csv(records)
+    assert parse_project_records(once) == records
+    assert _to_csv(parse_project_records(once)) == once
 
 def test_empty_file_with_header():
     assert parse_project_records(HEADER) == []
