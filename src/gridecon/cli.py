@@ -34,6 +34,7 @@ from .scenario import (
     SchedulePolicy,
     annual_production,
     delivered_cost_increase,
+    delivered_over_period_kwh,
     evaluate_connection,
     import_competitiveness,
     revenue,
@@ -139,6 +140,11 @@ def _apply_profile(
     return profile.apply_to_scenario(scenario), profile.finance(), profile.name
 
 
+def _reference(key):
+    """The published value (or band) of ``key`` in the reference table, or None."""
+    return datasets.REFERENCES.get(key, (None,))[0]
+
+
 def _scenario_notes(fin: FinancialAssumptions, profile_name: str) -> tuple[str, ...]:
     if fin.om_rate == 0:
         return (OM_GAP_NOTE,)
@@ -164,7 +170,7 @@ def lcoe_cmd(profile: str, case: str, length_km: float, capacity_mw: float) -> R
         )
         delivered = deliverable_energy(link)
         value = transmission_lcoe(link, fin, delivered)
-        reference = datasets.REFERENCE_LINK_LCOE_EUR_PER_KWH.get((length_km, c))
+        reference = _reference(("link_lcoe", length_km, c))
         rows.append(
             (c, length_km, capacity_mw, link_capex(link), delivered, value, reference)
         )
@@ -251,36 +257,21 @@ def scenario_cmd(scenario_spec: str, profile: str, case: str, connection: str) -
 
     rows = [("production_gwh_per_yr", annual_production(scenario.source), None)]
     if connection == "single":
-        result = single_result
-        rows.append(
-            (
-                f"delivered_{scenario.paths[0].market}_gwh_per_yr",
-                result.delivered_per_path_gwh[0],
-                None,
-            )
-        )
-        reference = datasets.REFERENCE_SCENARIO_LCOE_EUR_PER_KWH.get(("single", case))
+        connected, result = single, single_result
     else:
-        dual = dataclasses.replace(scenario, trade_enabled=False)
-        result = evaluate_connection(dual, fin)
-        for path, delivered in zip(dual.paths, result.delivered_per_path_gwh):
-            rows.append(
-                (
-                    f"delivered_{path.market}_gwh_per_yr",
-                    delivered,
-                    datasets.REFERENCE_DELIVERED_GWH.get(path.market),
-                )
-            )
-        reference = datasets.REFERENCE_SCENARIO_LCOE_EUR_PER_KWH.get(("dual", case))
+        connected = dataclasses.replace(scenario, trade_enabled=False)
+        result = evaluate_connection(connected, fin)
+    for path, delivered in zip(connected.paths, result.delivered_per_path_gwh):
+        reference = _reference(("delivered_gwh", connection, path.market))
+        rows.append((f"delivered_{path.market}_gwh_per_yr", delivered, reference))
+    reference = _reference(("scenario_lcoe", connection, case))
     rows.append(("total_capex_meur", result.total_capex_meur, None))
     rows.append(("transmission_lcoe_eur_per_kwh", result.scenario_lcoe_eur_per_kwh, reference))
     if connection == "dual":
-        uplift = revenue(dataclasses.replace(scenario, trade_enabled=False), prices).uplift
-        rows.append(
-            ("revenue_uplift_pct", uplift * 100.0, datasets.REFERENCE_REVENUE_UPLIFT * 100.0)
-        )
+        uplift = revenue(connected, prices).uplift
+        rows.append(("revenue_uplift_pct", uplift * 100.0, _reference("revenue_uplift") * 100.0))
         increase = delivered_cost_increase(gen_lcoe, single_result, result)
-        lo, hi = datasets.REFERENCE_COST_INCREASE_BAND
+        lo, hi = _reference("cost_increase")
         rows.append(("cost_increase_vs_single_pct", increase * 100.0, f"{lo * 100:.0f}-{hi * 100:.0f}"))
     return Report(
         title=f"Connection scenario ({connection}, {case}-cost case)",
@@ -304,16 +295,15 @@ def trade_cmd(scenario_spec: str, profile: str, case: str) -> Report:
     trade = trade_potential(scenario)
     result = evaluate_connection(scenario, fin)
     corridor = deliverable_energy(scenario.paths[0].link)
-    lo, hi = datasets.REFERENCE_TRADE_LCOE_BAND_EUR_PER_KWH
     rows = (
         ("wind_delivered_gwh_per_yr", trade.wind_delivered_gwh, None),
-        ("trade_delivered_gwh_per_yr", trade.trade_delivered_gwh, datasets.REFERENCE_TRADE_DELIVERED_GWH),
-        ("total_delivered_gwh_per_yr", trade.total_delivered_gwh, datasets.REFERENCE_TOTAL_DELIVERED_GWH),
-        ("lcoe_with_trade_eur_per_kwh", result.scenario_lcoe_eur_per_kwh, lo if case == "low" else hi),
+        ("trade_delivered_gwh_per_yr", trade.trade_delivered_gwh, _reference("trade_delivered_gwh")),
+        ("total_delivered_gwh_per_yr", trade.total_delivered_gwh, _reference("total_delivered_gwh")),
+        ("lcoe_with_trade_eur_per_kwh", result.scenario_lcoe_eur_per_kwh, _reference(("trade_lcoe", case))),
         (
             f"full_capacity_deliverable_{scenario.paths[0].market}_gwh_per_yr",
             corridor,
-            datasets.REFERENCE_CORRIDOR_DELIVERABLE_GWH,
+            _reference("corridor_deliverable_gwh"),
         ),
     )
     return Report(
@@ -337,16 +327,11 @@ def norned_cmd(revenue_meur: float, days: int, profile: str) -> Report:
     value = revenue_per_delivered_kwh(revenue_meur * 1e6, link, hours)
     sensitivity_hours = datasets.NORNED_PERIOD_DAYS_SENSITIVITY * 24.0
     sensitivity = revenue_per_delivered_kwh(revenue_meur * 1e6, link, sensitivity_hours)
-    delivered_kwh = revenue_meur * 1e6 / value
-    reference = (
-        datasets.REFERENCE_NORNED_REVENUE_PER_KWH
-        if days == datasets.NORNED_PERIOD_DAYS
-        else None
-    )
+    reference = _reference("norned_revenue_per_kwh") if days == datasets.NORNED_PERIOD_DAYS else None
     rows = (
         ("revenue_meur", revenue_meur, None),
         ("period_days", days, None),
-        ("delivered_gwh", delivered_kwh / 1e6, None),
+        ("delivered_gwh", delivered_over_period_kwh(link, hours) / 1e6, None),
         ("revenue_per_delivered_kwh_eur", value, reference),
         (f"revenue_per_delivered_kwh_eur_{datasets.NORNED_PERIOD_DAYS_SENSITIVITY}day", sensitivity, None),
     )

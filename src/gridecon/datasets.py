@@ -137,26 +137,32 @@ def resolve_scenario(spec: str, case: str = "low") -> ScenarioFileContents:
     return load_scenario_file(spec)
 
 
-# Published reference values the computations are benchmarked against.
-REFERENCE_LINK_LCOE_EUR_PER_KWH = {
-    (5500.0, "low"): 0.0166,
-    (5500.0, "high"): 0.0251,
-    (4400.0, "low"): 0.013,
+# Published reference values, each with the tolerance the acceptance suite
+# checks it at, relative unless noted: key -> (value, tolerance). LCOEs are
+# EUR/kWh, link_lcoe_usd USD/kWh at FX_USD_TO_EUR_2011, energies GWh/yr.
+REFERENCES = {
+    ("link_lcoe", 5500.0, "low"): (0.0166, 0.02),
+    ("link_lcoe", 5500.0, "high"): (0.0251, 0.02),
+    ("link_lcoe", 4400.0, "low"): (0.013, 0.02),
+    ("link_lcoe_usd", "low"): (0.023, 0.02),
+    ("link_lcoe_usd", "high"): (0.035, 0.02),
+    ("scenario_lcoe", "single", "low"): (0.014, 0.05),
+    ("scenario_lcoe", "single", "high"): (0.019, 0.05),
+    ("scenario_lcoe", "dual", "low"): (0.029, 0.05),
+    ("scenario_lcoe", "dual", "high"): (0.038, 0.05),
+    # no value: the range of (computed - value) / value for the four scenario LCOEs at zero O&M
+    "scenario_lcoe_zero_om_gap": (None, (-0.13, 0.0)),
+    ("delivered_gwh", "dual", "north-uk"): (4822.0, 0.005),
+    ("delivered_gwh", "dual", "quebec"): (4637.0, 0.005),
+    "revenue_uplift": (0.31, 0.01),  # absolute: one percentage point
+    "cost_increase": ((0.21, 0.25), 0.01),  # a band, checked at its whole-percent precision
+    "trade_delivered_gwh": (10095.0, 0.10),
+    "total_delivered_gwh": (19554.0, 0.05),
+    ("trade_lcoe", "low"): (0.014, 0.05),  # the published band, one end per cost case
+    ("trade_lcoe", "high"): (0.0185, 0.05),
+    "corridor_deliverable_gwh": (20000.0, 0.05),
+    "norned_revenue_per_kwh": (0.0556, 0.02),  # EUR, over the first NORNED_PERIOD_DAYS
 }
-REFERENCE_SCENARIO_LCOE_EUR_PER_KWH = {
-    ("single", "low"): 0.014,
-    ("single", "high"): 0.019,
-    ("dual", "low"): 0.029,
-    ("dual", "high"): 0.038,
-}
-REFERENCE_DELIVERED_GWH = {"north-uk": 4822.0, "quebec": 4637.0}
-REFERENCE_REVENUE_UPLIFT = 0.31
-REFERENCE_COST_INCREASE_BAND = (0.21, 0.25)
-REFERENCE_TRADE_DELIVERED_GWH = 10095.0
-REFERENCE_TOTAL_DELIVERED_GWH = 19554.0
-REFERENCE_TRADE_LCOE_BAND_EUR_PER_KWH = (0.014, 0.0185)
-REFERENCE_CORRIDOR_DELIVERABLE_GWH = 20000.0
-REFERENCE_NORNED_REVENUE_PER_KWH = 0.0556
 NORNED_PERIOD_DAYS = 61  # first two months of operation
 NORNED_PERIOD_DAYS_SENSITIVITY = 60
 
@@ -166,8 +172,8 @@ IMPORT_COMPARISON_USD_PER_KWH = {
     "remote_gen_high": 0.13,
     "local_fossil": 0.08,
     "local_fossil_with_social": 0.14,
-    "link_low": 0.023,
-    "link_high": 0.035,
+    "link_low": REFERENCES[("link_lcoe_usd", "low")][0],
+    "link_high": REFERENCES[("link_lcoe_usd", "high")][0],
 }
 
 # Exchange rate at which the import comparison's link costs were converted.

@@ -15,8 +15,9 @@ keeps the dispatched flows invariant under uniform price scaling. Each LP
 column is one arc of a single arc list (a generator, one direction of an
 interconnector, or a region's shedding). Marginal prices come from
 per-unit-delivered shortest-path labels that walk the same arcs, as the
-residual network of the optimal flow, so price ties resolve toward the
-lower value.
+residual network of the optimal flow, so a region's price is the cost of
+serving one more MWh there. Where the LP's dual is not unique (a unit
+running exactly at its rating), that is the upper end of the dual range.
 
 numpy and scipy are imported by the first solve, not by this module, so
 that importing gridecon and every report that does not dispatch stay clear

@@ -138,6 +138,14 @@ def path_injections(scenario: ConnectionScenario) -> tuple[float, ...]:
     return (production,) + (0.0,) * (len(scenario.paths) - 1)
 
 
+def path_deliveries(scenario: ConnectionScenario) -> tuple[float, ...]:
+    """Annual source energy each path delivers under the schedule, GWh."""
+    return tuple(
+        delivered_from_injection(path.link, injected)
+        for path, injected in zip(scenario.paths, path_injections(scenario))
+    )
+
+
 def evaluate_connection(
     scenario: ConnectionScenario, fin: FinancialAssumptions
 ) -> ScenarioResult:
@@ -146,11 +154,7 @@ def evaluate_connection(
     The LCOE denominator is the delivered source energy, plus delivered
     trade when the scenario enables it.
     """
-    injections = path_injections(scenario)
-    delivered = tuple(
-        delivered_from_injection(path.link, injected)
-        for path, injected in zip(scenario.paths, injections)
-    )
+    delivered = path_deliveries(scenario)
     capex = sum(link_capex(path.link) for path in scenario.paths)
     trade_delivered = 0.0
     if scenario.trade_enabled:
@@ -183,12 +187,7 @@ def revenue(scenario: ConnectionScenario, prices: PriceModel) -> RevenueResult:
     single_revenue = single_delivered * 1e6 * prices.peak_eur_per_kwh * blended
 
     if scenario.schedule is SchedulePolicy.PEAK_CHASING:
-        injections = path_injections(scenario)
-        delivered = sum(
-            delivered_from_injection(path.link, injected)
-            for path, injected in zip(scenario.paths, injections)
-        )
-        annual = delivered * 1e6 * prices.peak_eur_per_kwh
+        annual = sum(path_deliveries(scenario)) * 1e6 * prices.peak_eur_per_kwh
     else:
         annual = single_revenue
     return RevenueResult(
@@ -226,11 +225,7 @@ def trade_potential(scenario: ConnectionScenario) -> TradeResult:
         * route_efficiency(first.link)
         * route_efficiency(second.link)
     )
-    injections = path_injections(scenario)
-    wind_delivered = sum(
-        delivered_from_injection(path.link, injected)
-        for path, injected in zip(scenario.paths, injections)
-    )
+    wind_delivered = sum(path_deliveries(scenario))
     return TradeResult(
         trade_sent_gwh=sent,
         trade_delivered_gwh=delivered,
@@ -248,12 +243,10 @@ def delivered_cost_increase(
     ) - 1.0
 
 
-def revenue_per_delivered_kwh(
-    revenue_eur: float, link: TransmissionLink, period_hours: float
-) -> float:
-    """Revenue divided by the energy the link delivers over the period."""
+def delivered_over_period_kwh(link: TransmissionLink, period_hours: float) -> float:
+    """Energy the link delivers running at its rating over the period, kWh."""
     require(0 < period_hours < math.inf, "period_hours", "finite and > 0", period_hours)
-    delivered_kwh = (
+    return (
         link.capacity_mw
         * period_hours
         * utilization_factor(link.utilization)
@@ -261,6 +254,14 @@ def revenue_per_delivered_kwh(
         * route_efficiency(link)
         * 1000.0
     )
+
+
+def revenue_per_delivered_kwh(
+    revenue_eur: float, link: TransmissionLink, period_hours: float
+) -> float:
+    """Revenue divided by the energy the link delivers over the period."""
+    require(0 <= revenue_eur < math.inf, "revenue_eur", "finite and >= 0", revenue_eur)
+    delivered_kwh = delivered_over_period_kwh(link, period_hours)
     if delivered_kwh <= 0:
         raise ValueError("link delivers no energy over the period")
     return revenue_eur / delivered_kwh

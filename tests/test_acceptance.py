@@ -22,6 +22,7 @@ from dispatch_oracles import (
 )
 from gridecon.cli import main as cli_main
 from gridecon.datasets import (
+    REFERENCES,
     load_bundled_projects,
     load_bundled_scenario,
     long_submarine_link,
@@ -77,6 +78,11 @@ def criterion(number: int, description: str):
     print(f"ACCEPTANCE {number:2d} PASS: {description}")
 
 
+def assert_reference(computed: float, key) -> None:
+    value, rel = REFERENCES[key]
+    assert computed == pytest.approx(value, rel=rel)
+
+
 def reference_lcoe(length_km: float, case: str) -> float:
     link = APPENDIX_A.apply_to_link(long_submarine_link(length_km=length_km, case=case))
     return transmission_lcoe(link, APPENDIX_A.finance(), deliverable_energy(link))
@@ -105,10 +111,9 @@ def scenario_lcoe(case: str, connection: str, profile) -> float:
 
 
 def test_criterion_1_long_cable_lcoe():
-    with criterion(1, "long submarine cable LCOE matches 0.0166 / 0.0251 / 0.013 within 2%"):
-        assert reference_lcoe(5500, "low") == pytest.approx(0.0166, rel=0.02)
-        assert reference_lcoe(5500, "high") == pytest.approx(0.0251, rel=0.02)
-        assert reference_lcoe(4400, "low") == pytest.approx(0.013, rel=0.02)
+    with criterion(1, "long submarine cable LCOE matches the published 5500 km and 4400 km values"):
+        for length_km, case in ((5500.0, "low"), (5500.0, "high"), (4400.0, "low")):
+            assert_reference(reference_lcoe(length_km, case), ("link_lcoe", length_km, case))
 
 
 def test_criterion_2_project_table():
@@ -127,40 +132,35 @@ def test_criterion_2_project_table():
 
 
 def test_criterion_3_currency_normalization():
-    with criterion(3, "126.7 MUSD-1997 -> 1.36 MEUR/km (2007); EUR->USD conversions within 2%"):
+    with criterion(3, "126.7 MUSD-1997 -> 1.36 MEUR/km (2007); the long-cable LCOE in USD matches"):
         amount = MoneyAmount(126.7, Currency.USD, 1997)
         ctx = ConversionContext(0.8587, 0.0224, Currency.EUR)
         per_km = normalize_currency(amount, ctx, 2007).value / 100.0
         assert round(per_km, 2) == 1.36
         to_usd = ConversionContext(1.0 / 0.7119, 0.0, Currency.USD)
-        low = normalize_currency(MoneyAmount(0.0166, Currency.EUR, 2011), to_usd, 2011).value
-        high = normalize_currency(MoneyAmount(0.0251, Currency.EUR, 2011), to_usd, 2011).value
-        assert low == pytest.approx(0.023, rel=0.02)
-        assert high == pytest.approx(0.035, rel=0.02)
+        for case in ("low", "high"):
+            eur = MoneyAmount(REFERENCES[("link_lcoe", 5500.0, case)][0], Currency.EUR, 2011)
+            assert_reference(normalize_currency(eur, to_usd, 2011).value, ("link_lcoe_usd", case))
 
 
 def test_criterion_4_dual_path_deliveries():
-    with criterion(4, "dual-connection deliveries equal 4822 / 4637 GWh within 0.5%"):
+    with criterion(4, "dual-connection deliveries match the published north-uk / quebec values"):
         scenario = dataclasses.replace(
             greenland_scenario("low", RECONCILED), trade_enabled=False
         )
         result = evaluate_connection(scenario, RECONCILED.finance())
-        assert result.delivered_per_path_gwh[0] == pytest.approx(4822.0, rel=0.005)
-        assert result.delivered_per_path_gwh[1] == pytest.approx(4637.0, rel=0.005)
+        for path, delivered in zip(scenario.paths, result.delivered_per_path_gwh):
+            assert_reference(delivered, ("delivered_gwh", "dual", path.market))
 
 
 def test_criterion_5_scenario_costs():
-    with criterion(5, "scenario LCOEs match 0.014/0.019/0.029/0.038 within 5% (reconciled); om-0 gap in [-13%, 0%] and flagged"):
-        targets = {
-            ("single", "low"): 0.014,
-            ("single", "high"): 0.019,
-            ("dual", "low"): 0.029,
-            ("dual", "high"): 0.038,
-        }
-        for (connection, case), target in targets.items():
-            assert scenario_lcoe(case, connection, RECONCILED) == pytest.approx(target, rel=0.05)
+    with criterion(5, "scenario LCOEs match the published values (reconciled); om-0 gap in range and flagged"):
+        _, (gap_low, gap_high) = REFERENCES["scenario_lcoe_zero_om_gap"]
+        for connection, case in itertools.product(("single", "dual"), ("low", "high")):
+            target, rel = REFERENCES[("scenario_lcoe", connection, case)]
+            assert scenario_lcoe(case, connection, RECONCILED) == pytest.approx(target, rel=rel)
             gap = (scenario_lcoe(case, connection, APPENDIX_A) - target) / target
-            assert -0.13 <= gap <= 0.0
+            assert gap_low <= gap <= gap_high
         output = CliRunner().invoke(
             cli_main, ["scenario", "--profile", "paper-appendix-A"]
         ).output
@@ -168,7 +168,7 @@ def test_criterion_5_scenario_costs():
 
 
 def test_criterion_6_uplift_and_increase():
-    with criterion(6, "uplift 33.3% idealized exactly, 30.8% case study (31% +/- 1pp); cost increase inside [21%, 25%]"):
+    with criterion(6, "uplift 33.3% idealized exactly, 30.8% case study, matching the published uplift; cost increase inside the published band"):
         source = GenerationSource(3000.0, 0.4, 0.06)
         link = APPENDIX_A.apply_to_link(long_submarine_link(length_km=1000.0))
         idealized = ConnectionScenario(
@@ -184,38 +184,37 @@ def test_criterion_6_uplift_and_increase():
         )
         uplift = revenue(case_study, prices).uplift
         assert uplift == pytest.approx(0.308, abs=5e-4)
-        assert uplift * 100 == pytest.approx(31.0, abs=1.0)
+        published, points = REFERENCES["revenue_uplift"]
+        assert uplift == pytest.approx(published, abs=points)
 
+        (low, high), step = REFERENCES["cost_increase"]
         for case in ("low", "high"):
             increase = delivered_cost_increase(
                 0.06,
                 scenario_result(case, "single", RECONCILED),
                 scenario_result(case, "dual", RECONCILED),
             )
-            # inside the published [21%, 25%] band at its whole-percent precision
-            assert 21 <= round(increase * 100) <= 25
+            # inside the published band at the precision it is published in
+            assert round(low / step) <= round(increase / step) <= round(high / step)
 
 
 def test_criterion_7_trade():
-    with criterion(7, "trade 10095 GWh +/-10%, total 19554 +/-5%, trade LCOE in [0.014, 0.0185] +/-5%, corridor ~20 TWh +/-5%"):
+    with criterion(7, "trade, total delivered, trade LCOE per case and corridor match the published values"):
         scenario = greenland_scenario("low", RECONCILED)
         trade = trade_potential(scenario)
-        assert trade.trade_delivered_gwh == pytest.approx(10095.0, rel=0.10)
-        assert trade.total_delivered_gwh == pytest.approx(19554.0, rel=0.05)
-        low = evaluate_connection(scenario, RECONCILED.finance()).scenario_lcoe_eur_per_kwh
-        high = evaluate_connection(
-            greenland_scenario("high", RECONCILED), RECONCILED.finance()
-        ).scenario_lcoe_eur_per_kwh
-        assert low == pytest.approx(0.014, rel=0.05)
-        assert high == pytest.approx(0.0185, rel=0.05)
-        assert deliverable_energy(scenario.paths[0].link) == pytest.approx(20000.0, rel=0.05)
+        assert_reference(trade.trade_delivered_gwh, "trade_delivered_gwh")
+        assert_reference(trade.total_delivered_gwh, "total_delivered_gwh")
+        for case in ("low", "high"):
+            result = evaluate_connection(greenland_scenario(case, RECONCILED), RECONCILED.finance())
+            assert_reference(result.scenario_lcoe_eur_per_kwh, ("trade_lcoe", case))
+        assert_reference(deliverable_energy(scenario.paths[0].link), "corridor_deliverable_gwh")
 
 
 def test_criterion_8_norned_revenue():
-    with criterion(8, "NorNed revenue per delivered kWh = 0.0556 within 2% (61 days, utilization 11/12)"):
+    with criterion(8, "NorNed revenue per delivered kWh matches the published value (61 days, utilization 11/12)"):
         link = NORNED.apply_to_link(norned_link())
         value = revenue_per_delivered_kwh(50e6, link, 61 * 24)
-        assert value == pytest.approx(0.0556, rel=0.02)
+        assert_reference(value, "norned_revenue_per_kwh")
 
 
 def test_criterion_9a_annuity_identity():

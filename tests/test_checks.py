@@ -134,6 +134,9 @@ ROWS = [
     ("revenue_per_delivered_kwh.period_hours",
      lambda v: revenue_per_delivered_kwh(1e6, link(), v),
      "period_hours", "finite and > 0", 0.0),
+    ("revenue_per_delivered_kwh.revenue_eur",
+     lambda v: revenue_per_delivered_kwh(v, link(), 1464.0),
+     "revenue_eur", "finite and >= 0", -1.0),
     ("import_competitiveness.local_cost", lambda v: import_competitiveness(0.05, 0.03, v),
      "local_cost", "finite and > 0", 0.0),
     ("ProjectRecord.capacity_mw", lambda v: project(capacity_mw=v),

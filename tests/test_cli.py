@@ -11,8 +11,9 @@ from click.testing import CliRunner
 
 import gridecon
 from gridecon.cli import main
-from gridecon.datasets import bundled_path
+from gridecon.datasets import REFERENCES, bundled_path
 from gridecon.projects import CSV_COLUMNS
+from gridecon.report import format_sig
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -44,6 +45,11 @@ HIGH_CASE_INVOCATIONS = {
 
 def invoke(args):
     return CliRunner().invoke(main, args)
+
+
+def reference_text(key):
+    """A published reference as a report prints it."""
+    return format_sig(REFERENCES[key][0])
 
 
 class TestExitCodes:
@@ -100,7 +106,7 @@ class TestExitCodes:
         "args, expected",
         [
             (["lcoe", "--capacity-mw", "1e308"], "report row 'low', column 'delivered_gwh_per_yr'"),
-            (["norned", "--revenue-meur", "1e308"], "report row 'delivered_gwh', column 'value'"),
+            (["norned", "--days", "1" + "0" * 305], "report row 'delivered_gwh', column 'value'"),
             (["project-table", "--converter-cost", "nan"], "converter cost assumption must be finite"),
         ],
     )
@@ -120,8 +126,18 @@ class TestExitCodes:
                 ["scenario", "--scenario", "nosuch"],
                 "unknown scenario 'nosuch'; expected a file path or one of greenland, smoothing",
             ),
+            (["norned", "--revenue-meur", "-1"], "revenue_eur must be finite and >= 0, got -1000000.0"),
+            (["norned", "--revenue-meur", "nan"], "revenue_eur must be finite and >= 0, got nan"),
+            # MEUR to EUR overflows to inf
+            (["norned", "--revenue-meur", "1e308"], "revenue_eur must be finite and >= 0, got inf"),
         ],
-        ids=["negative-converter-cost", "unknown-scenario"],
+        ids=[
+            "negative-converter-cost",
+            "unknown-scenario",
+            "negative-revenue",
+            "nan-revenue",
+            "overflowing-revenue",
+        ],
     )
     def test_rejected_value_is_two(self, args, message):
         result = invoke(args)
@@ -148,7 +164,7 @@ class TestReportContents:
     def test_lcoe_low_contains_value_and_reference(self):
         output = invoke(["lcoe", "--profile", "paper-appendix-A", "--case", "low"]).output
         assert "0.0167" in output
-        assert "0.0166" in output
+        assert reference_text(("link_lcoe", 5500.0, "low")) in output
         assert "paper-appendix-A" in output
 
     def test_project_table_derived_row(self):
@@ -158,8 +174,8 @@ class TestReportContents:
 
     def test_scenario_dual_deliveries(self):
         output = invoke(["scenario", "--scenario", "greenland"]).output
-        assert "4822" in output
-        assert "4637" in output
+        assert reference_text(("delivered_gwh", "dual", "north-uk")) in output
+        assert reference_text(("delivered_gwh", "dual", "quebec")) in output
         assert "appendix-B-reconciled" in output
 
     def test_scenario_zero_om_flags_gap(self):
@@ -175,7 +191,14 @@ class TestReportContents:
     def test_norned_report(self):
         output = invoke(["norned"]).output
         assert "0.0554" in output
-        assert "0.0556" in output
+        assert reference_text("norned_revenue_per_kwh") in output
+
+    def test_norned_zero_revenue(self):
+        result = invoke(["norned", "--revenue-meur", "0", "--format", "csv"])
+        assert result.exit_code == 0
+        values = {row["metric"]: row["value"] for row in csv.DictReader(io.StringIO(result.output))}
+        assert values["delivered_gwh"] == "903"
+        assert values["revenue_per_delivered_kwh_eur"] == "0"
 
     def test_compare_import_signs(self):
         output = invoke(["compare-import"]).output

@@ -48,6 +48,13 @@ class TestMinCostFlow:
         assert hour.cost_eur == pytest.approx(7.0)
         assert hour.prices_eur_per_mwh[0] == pytest.approx(2.0)
 
+    def test_price_of_region_whose_unit_runs_at_its_rating(self):
+        # The LP's dual is any price in [3, 20]; one more MWh costs 20.
+        net = network([region("a", 5, [(5, 3.0), (4, 20.0)])])
+        hour = min_cost_flow(net, [5])
+        assert hour.generation_mw[0] == pytest.approx((5.0, 0.0))
+        assert hour.prices_eur_per_mwh[0] == pytest.approx(20.0)
+
     def test_zero_demand_means_zero_flow(self):
         net = network(
             [region("a", 0, [(10, 1.0)]), region("b", 0, [(10, 2.0)])],

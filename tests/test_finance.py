@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridecon.datasets import REFERENCES
 from gridecon.finance import (
     ConversionContext,
     Currency,
@@ -127,8 +128,10 @@ def test_normalize_eur_to_usd_inverse_quote():
     ctx = ConversionContext(
         fx_rate=1.0 / 0.7119, inflation_rate=0.0, target_currency=Currency.USD
     )
-    low = normalize_currency(MoneyAmount(0.0166, Currency.EUR, 2011), ctx, 2011)
-    high = normalize_currency(MoneyAmount(0.0251, Currency.EUR, 2011), ctx, 2011)
+    low_eur, _ = REFERENCES[("link_lcoe", 5500.0, "low")]
+    high_eur, _ = REFERENCES[("link_lcoe", 5500.0, "high")]
+    low = normalize_currency(MoneyAmount(low_eur, Currency.EUR, 2011), ctx, 2011)
+    high = normalize_currency(MoneyAmount(high_eur, Currency.EUR, 2011), ctx, 2011)
     assert low.value == pytest.approx(0.0233, abs=5e-5)
     assert high.value == pytest.approx(0.0353, abs=5e-5)
 

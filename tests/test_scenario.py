@@ -85,12 +85,10 @@ class TestEvaluateConnection:
         assert result.scenario_lcoe_eur_per_kwh == pytest.approx(0.0123939, abs=1e-6)
         reconciled = evaluate_connection(single(), FIN_OM)
         assert reconciled.scenario_lcoe_eur_per_kwh == pytest.approx(0.0138264, abs=1e-6)
-        assert reconciled.scenario_lcoe_eur_per_kwh == pytest.approx(0.014, rel=0.02)
 
     def test_dual_connection_high_cost(self):
         result = evaluate_connection(dual("high"), FIN_OM)
         assert result.scenario_lcoe_eur_per_kwh == pytest.approx(0.0392245, abs=1e-6)
-        assert result.scenario_lcoe_eur_per_kwh == pytest.approx(0.038, rel=0.04)
 
     def test_dual_split_is_even(self):
         result = evaluate_connection(dual(), FIN_OM)
@@ -149,7 +147,6 @@ class TestRevenue:
     def test_case_study_uplift(self):
         result = revenue(dual(), PRICES)
         assert result.uplift == pytest.approx(0.307684, abs=1e-5)
-        assert result.uplift * 100 == pytest.approx(31.0, abs=1.0)
 
     def test_uniform_prices_reduce_uplift_to_energy_ratio(self):
         flat = PriceModel(peak_eur_per_kwh=0.1, offpeak_ratio=1.0)
@@ -193,9 +190,7 @@ class TestTradePotential:
     def test_case_study_trade(self):
         result = trade_potential(greenland())
         assert result.trade_delivered_gwh == pytest.approx(10635.66, abs=0.01)
-        assert result.trade_delivered_gwh == pytest.approx(10095.0, rel=0.06)
         assert result.total_delivered_gwh == pytest.approx(20094.84, abs=0.01)
-        assert result.total_delivered_gwh == pytest.approx(19554.0, rel=0.03)
 
     def test_full_capacity_factor_leaves_no_residual(self):
         scenario = greenland()
@@ -207,7 +202,6 @@ class TestTradePotential:
     def test_corridor_deliverable_is_about_twenty_twh(self):
         uk_link = greenland().paths[0].link
         assert deliverable_energy(uk_link) == pytest.approx(20093.17, abs=0.01)
-        assert deliverable_energy(uk_link) == pytest.approx(20000.0, rel=0.05)
 
     def test_trade_requires_flag_and_two_paths(self):
         with pytest.raises(ValueError):
@@ -273,7 +267,6 @@ class TestRevenuePerDeliveredKwh:
         )
         value = revenue_per_delivered_kwh(50e6, link, 61 * 24)
         assert value == pytest.approx(0.0553797, abs=1e-6)
-        assert value == pytest.approx(0.0556, rel=0.005)
         sensitivity = revenue_per_delivered_kwh(50e6, link, 60 * 24)
         assert sensitivity == pytest.approx(0.0563027, abs=1e-6)
 

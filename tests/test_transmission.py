@@ -135,11 +135,9 @@ class TestDeliverableEnergy:
 class TestDeliveredFromInjection:
     def test_uk_route_delivery(self):
         assert delivered_from_injection(UK_ROUTE, 5256.0) == pytest.approx(4822.36, abs=0.01)
-        assert delivered_from_injection(UK_ROUTE, 5256.0) == pytest.approx(4822.0, rel=5e-4)
 
     def test_quebec_route_delivery(self):
         assert delivered_from_injection(QUEBEC_ROUTE, 5256.0) == pytest.approx(4636.82, abs=0.01)
-        assert delivered_from_injection(QUEBEC_ROUTE, 5256.0) == pytest.approx(4637.0, rel=5e-4)
 
     def test_zero_injection(self):
         assert delivered_from_injection(UK_ROUTE, 0.0) == 0.0
@@ -155,19 +153,16 @@ class TestTransmissionLcoe:
         delivered = deliverable_energy(LONG_LOW)
         value = transmission_lcoe(LONG_LOW, FIN_3PC_40Y, delivered)
         assert value == pytest.approx(0.0167497, abs=1e-6)
-        assert value == pytest.approx(0.0166, rel=0.02)
 
     def test_high_case(self):
         delivered = deliverable_energy(LONG_HIGH)
         value = transmission_lcoe(LONG_HIGH, FIN_3PC_40Y, delivered)
         assert value == pytest.approx(0.0253967, abs=1e-6)
-        assert value == pytest.approx(0.0251, rel=0.02)
 
     def test_shorter_line(self):
         link = make_link([cable(4400)])
         value = transmission_lcoe(link, FIN_3PC_40Y, deliverable_energy(link))
         assert value == pytest.approx(0.0131695, abs=1e-6)
-        assert value == pytest.approx(0.013, rel=0.02)
 
     def test_rejects_zero_delivery(self):
         with pytest.raises(ValueError):
