@@ -271,8 +271,8 @@ def scenario_cmd(scenario_spec: str, profile: str, case: str, connection: str) -
         uplift = revenue(connected, prices).uplift
         rows.append(("revenue_uplift_pct", uplift * 100.0, _reference("revenue_uplift") * 100.0))
         increase = delivered_cost_increase(gen_lcoe, single_result, result)
-        lo, hi = _reference("cost_increase")
-        rows.append(("cost_increase_vs_single_pct", increase * 100.0, f"{lo * 100:.0f}-{hi * 100:.0f}"))
+        band = "-".join(f"{bound * 100:g}" for bound in _reference("cost_increase"))
+        rows.append(("cost_increase_vs_single_pct", increase * 100.0, band))
     return Report(
         title=f"Connection scenario ({connection}, {case}-cost case)",
         profile=profile_name,

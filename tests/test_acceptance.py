@@ -27,6 +27,7 @@ from gridecon.datasets import (
     load_bundled_scenario,
     long_submarine_link,
     norned_link,
+    within_reference,
 )
 from gridecon.dispatch import (
     DispatchNetwork,
@@ -78,11 +79,6 @@ def criterion(number: int, description: str):
     print(f"ACCEPTANCE {number:2d} PASS: {description}")
 
 
-def assert_reference(computed: float, key) -> None:
-    value, rel = REFERENCES[key]
-    assert computed == pytest.approx(value, rel=rel)
-
-
 def reference_lcoe(length_km: float, case: str) -> float:
     link = APPENDIX_A.apply_to_link(long_submarine_link(length_km=length_km, case=case))
     return transmission_lcoe(link, APPENDIX_A.finance(), deliverable_energy(link))
@@ -113,7 +109,7 @@ def scenario_lcoe(case: str, connection: str, profile) -> float:
 def test_criterion_1_long_cable_lcoe():
     with criterion(1, "long submarine cable LCOE matches the published 5500 km and 4400 km values"):
         for length_km, case in ((5500.0, "low"), (5500.0, "high"), (4400.0, "low")):
-            assert_reference(reference_lcoe(length_km, case), ("link_lcoe", length_km, case))
+            assert within_reference(("link_lcoe", length_km, case), reference_lcoe(length_km, case))
 
 
 def test_criterion_2_project_table():
@@ -140,7 +136,7 @@ def test_criterion_3_currency_normalization():
         to_usd = ConversionContext(1.0 / 0.7119, 0.0, Currency.USD)
         for case in ("low", "high"):
             eur = MoneyAmount(REFERENCES[("link_lcoe", 5500.0, case)][0], Currency.EUR, 2011)
-            assert_reference(normalize_currency(eur, to_usd, 2011).value, ("link_lcoe_usd", case))
+            assert within_reference(("link_lcoe_usd", case), normalize_currency(eur, to_usd, 2011).value)
 
 
 def test_criterion_4_dual_path_deliveries():
@@ -150,17 +146,17 @@ def test_criterion_4_dual_path_deliveries():
         )
         result = evaluate_connection(scenario, RECONCILED.finance())
         for path, delivered in zip(scenario.paths, result.delivered_per_path_gwh):
-            assert_reference(delivered, ("delivered_gwh", "dual", path.market))
+            assert within_reference(("delivered_gwh", "dual", path.market), delivered)
 
 
 def test_criterion_5_scenario_costs():
     with criterion(5, "scenario LCOEs match the published values (reconciled); om-0 gap in range and flagged"):
-        _, (gap_low, gap_high) = REFERENCES["scenario_lcoe_zero_om_gap"]
         for connection, case in itertools.product(("single", "dual"), ("low", "high")):
-            target, rel = REFERENCES[("scenario_lcoe", connection, case)]
-            assert scenario_lcoe(case, connection, RECONCILED) == pytest.approx(target, rel=rel)
+            key = ("scenario_lcoe", connection, case)
+            assert within_reference(key, scenario_lcoe(case, connection, RECONCILED))
+            target = REFERENCES[key][0]
             gap = (scenario_lcoe(case, connection, APPENDIX_A) - target) / target
-            assert gap_low <= gap <= gap_high
+            assert within_reference("scenario_lcoe_zero_om_gap", gap)
         output = CliRunner().invoke(
             cli_main, ["scenario", "--profile", "paper-appendix-A"]
         ).output
@@ -184,37 +180,34 @@ def test_criterion_6_uplift_and_increase():
         )
         uplift = revenue(case_study, prices).uplift
         assert uplift == pytest.approx(0.308, abs=5e-4)
-        published, points = REFERENCES["revenue_uplift"]
-        assert uplift == pytest.approx(published, abs=points)
+        assert within_reference("revenue_uplift", uplift)
 
-        (low, high), step = REFERENCES["cost_increase"]
         for case in ("low", "high"):
             increase = delivered_cost_increase(
                 0.06,
                 scenario_result(case, "single", RECONCILED),
                 scenario_result(case, "dual", RECONCILED),
             )
-            # inside the published band at the precision it is published in
-            assert round(low / step) <= round(increase / step) <= round(high / step)
+            assert within_reference("cost_increase", increase)
 
 
 def test_criterion_7_trade():
     with criterion(7, "trade, total delivered, trade LCOE per case and corridor match the published values"):
         scenario = greenland_scenario("low", RECONCILED)
         trade = trade_potential(scenario)
-        assert_reference(trade.trade_delivered_gwh, "trade_delivered_gwh")
-        assert_reference(trade.total_delivered_gwh, "total_delivered_gwh")
+        assert within_reference("trade_delivered_gwh", trade.trade_delivered_gwh)
+        assert within_reference("total_delivered_gwh", trade.total_delivered_gwh)
         for case in ("low", "high"):
             result = evaluate_connection(greenland_scenario(case, RECONCILED), RECONCILED.finance())
-            assert_reference(result.scenario_lcoe_eur_per_kwh, ("trade_lcoe", case))
-        assert_reference(deliverable_energy(scenario.paths[0].link), "corridor_deliverable_gwh")
+            assert within_reference(("trade_lcoe", case), result.scenario_lcoe_eur_per_kwh)
+        assert within_reference("corridor_deliverable_gwh", deliverable_energy(scenario.paths[0].link))
 
 
 def test_criterion_8_norned_revenue():
     with criterion(8, "NorNed revenue per delivered kWh matches the published value (61 days, utilization 11/12)"):
         link = NORNED.apply_to_link(norned_link())
         value = revenue_per_delivered_kwh(50e6, link, 61 * 24)
-        assert_reference(value, "norned_revenue_per_kwh")
+        assert within_reference("norned_revenue_per_kwh", value)
 
 
 def test_criterion_9a_annuity_identity():

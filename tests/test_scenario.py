@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridecon.datasets import load_bundled_scenario
+from gridecon.datasets import load_bundled_scenario, within_reference
 from gridecon.profiles import get_profile
 from gridecon.scenario import (
     ConnectionPath,
@@ -147,6 +147,7 @@ class TestRevenue:
     def test_case_study_uplift(self):
         result = revenue(dual(), PRICES)
         assert result.uplift == pytest.approx(0.307684, abs=1e-5)
+        assert within_reference("revenue_uplift", result.uplift)
 
     def test_uniform_prices_reduce_uplift_to_energy_ratio(self):
         flat = PriceModel(peak_eur_per_kwh=0.1, offpeak_ratio=1.0)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridecon.datasets import within_reference
 from gridecon.finance import FinancialAssumptions
 from gridecon.transmission import (
     LossComposition,
@@ -163,6 +164,7 @@ class TestTransmissionLcoe:
         link = make_link([cable(4400)])
         value = transmission_lcoe(link, FIN_3PC_40Y, deliverable_energy(link))
         assert value == pytest.approx(0.0131695, abs=1e-6)
+        assert within_reference(("link_lcoe", 4400.0, "low"), value)
 
     def test_rejects_zero_delivery(self):
         with pytest.raises(ValueError):
