@@ -31,7 +31,6 @@ from .projects import implied_cable_cost_per_km, load_project_records
 from .report import Report, format_sig, render
 from .scenario import (
     ConnectionScenario,
-    SchedulePolicy,
     annual_production,
     delivered_cost_increase,
     delivered_over_period_kwh,
@@ -39,6 +38,7 @@ from .scenario import (
     import_competitiveness,
     revenue,
     revenue_per_delivered_kwh,
+    trade_inclusive_lcoe,
     trade_potential,
 )
 from .transmission import deliverable_energy, link_capex, transmission_lcoe
@@ -145,6 +145,14 @@ def _reference(key):
     return datasets.REFERENCES.get(key, (None,))[0]
 
 
+def _case_study_rows(rows, scenario_spec: str) -> tuple:
+    """``rows`` as they are for the bundled ``greenland`` case study, the one the
+    references were published for; any other scenario gets empty reference cells."""
+    if scenario_spec == "greenland":
+        return tuple(rows)
+    return tuple((metric, value, None) for metric, value, _ in rows)
+
+
 def _scenario_notes(fin: FinancialAssumptions, profile_name: str) -> tuple[str, ...]:
     if fin.om_rate == 0:
         return (OM_GAP_NOTE,)
@@ -170,7 +178,7 @@ def lcoe_cmd(profile: str, case: str, length_km: float, capacity_mw: float) -> R
         )
         delivered = deliverable_energy(link)
         value = transmission_lcoe(link, fin, delivered)
-        reference = _reference(("link_lcoe", length_km, c))
+        reference = _reference(("link_lcoe", length_km, capacity_mw, c))
         rows.append(
             (c, length_km, capacity_mw, link_capex(link), delivered, value, reference)
         )
@@ -247,20 +255,14 @@ def scenario_cmd(scenario_spec: str, profile: str, case: str, connection: str) -
     prices = contents.require("prices")
     gen_lcoe = scenario.source.lcoe_eur_per_kwh
 
-    single = dataclasses.replace(
-        scenario,
-        paths=scenario.paths[:1],
-        schedule=SchedulePolicy.ALL_TO_SINGLE,
-        trade_enabled=False,
-    )
+    single = dataclasses.replace(scenario, paths=scenario.paths[:1])
     single_result = evaluate_connection(single, fin)
 
     rows = [("production_gwh_per_yr", annual_production(scenario.source), None)]
     if connection == "single":
         connected, result = single, single_result
     else:
-        connected = dataclasses.replace(scenario, trade_enabled=False)
-        result = evaluate_connection(connected, fin)
+        connected, result = scenario, evaluate_connection(scenario, fin)
     for path, delivered in zip(connected.paths, result.delivered_per_path_gwh):
         reference = _reference(("delivered_gwh", connection, path.market))
         rows.append((f"delivered_{path.market}_gwh_per_yr", delivered, reference))
@@ -277,7 +279,7 @@ def scenario_cmd(scenario_spec: str, profile: str, case: str, connection: str) -
         title=f"Connection scenario ({connection}, {case}-cost case)",
         profile=profile_name,
         columns=("metric", "value", "reference"),
-        rows=tuple(rows),
+        rows=_case_study_rows(rows, scenario_spec),
         notes=_scenario_notes(fin, profile_name),
     )
 
@@ -290,16 +292,13 @@ def trade_cmd(scenario_spec: str, profile: str, case: str) -> Report:
     """Residual trade capacity of a dual connection and the trade-inclusive LCOE."""
     contents = datasets.resolve_scenario(scenario_spec, case)
     scenario, fin, profile_name = _apply_profile(contents, profile)
-    if not scenario.trade_enabled:
-        raise click.UsageError("scenario: trade_enabled is false in this scenario")
     trade = trade_potential(scenario)
-    result = evaluate_connection(scenario, fin)
     corridor = deliverable_energy(scenario.paths[0].link)
     rows = (
         ("wind_delivered_gwh_per_yr", trade.wind_delivered_gwh, None),
         ("trade_delivered_gwh_per_yr", trade.trade_delivered_gwh, _reference("trade_delivered_gwh")),
         ("total_delivered_gwh_per_yr", trade.total_delivered_gwh, _reference("total_delivered_gwh")),
-        ("lcoe_with_trade_eur_per_kwh", result.scenario_lcoe_eur_per_kwh, _reference(("trade_lcoe", case))),
+        ("lcoe_with_trade_eur_per_kwh", trade_inclusive_lcoe(scenario, fin), _reference(("trade_lcoe", case))),
         (
             f"full_capacity_deliverable_{scenario.paths[0].market}_gwh_per_yr",
             corridor,
@@ -310,7 +309,7 @@ def trade_cmd(scenario_spec: str, profile: str, case: str) -> Report:
         title=f"Inter-market trade over the dual connection ({case}-cost case)",
         profile=profile_name,
         columns=("metric", "value", "reference"),
-        rows=rows,
+        rows=_case_study_rows(rows, scenario_spec),
         notes=_scenario_notes(fin, profile_name),
     )
 

@@ -49,7 +49,6 @@ def long_submarine_link(
     length_km: float = 5500.0,
     case: str = "low",
     capacity_mw: float = 3000.0,
-    utilization: UtilizationModel = UTILIZATION_REDUCED_TO_ZERO,
 ) -> TransmissionLink:
     """Point-to-point submarine cable with two converter terminals."""
     return TransmissionLink(
@@ -65,7 +64,7 @@ def long_submarine_link(
         capacity_mw=capacity_mw,
         availability=0.99,
         loss_model=LossModel(),
-        utilization=utilization,
+        utilization=UTILIZATION_REDUCED_TO_ZERO,
     )
 
 
@@ -143,12 +142,13 @@ def _relative(value: float, tolerance: float) -> tuple:
 
 # Published reference values: key -> (value, (low, high)), where the
 # acceptance suite accepts a computed value in [low, high] (see
-# within_reference). LCOEs are EUR/kWh, link_lcoe_usd USD/kWh at
+# within_reference). link_lcoe is keyed on length (km), capacity (MW) and
+# cost case. LCOEs are EUR/kWh, link_lcoe_usd USD/kWh at
 # FX_USD_TO_EUR_2011, energies GWh/yr.
 REFERENCES = {
-    ("link_lcoe", 5500.0, "low"): _relative(0.0166, 0.02),
-    ("link_lcoe", 5500.0, "high"): _relative(0.0251, 0.02),
-    ("link_lcoe", 4400.0, "low"): _relative(0.013, 0.02),
+    ("link_lcoe", 5500.0, 3000.0, "low"): _relative(0.0166, 0.02),
+    ("link_lcoe", 5500.0, 3000.0, "high"): _relative(0.0251, 0.02),
+    ("link_lcoe", 4400.0, 3000.0, "low"): _relative(0.013, 0.02),
     ("link_lcoe_usd", "low"): _relative(0.023, 0.02),
     ("link_lcoe_usd", "high"): _relative(0.035, 0.02),
     ("scenario_lcoe", "single", "low"): _relative(0.014, 0.05),

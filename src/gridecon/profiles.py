@@ -22,31 +22,29 @@ from dataclasses import dataclass, replace
 
 from .finance import FinancialAssumptions
 from .scenario import ConnectionScenario
-from .transmission import LossComposition, LossModel, TransmissionLink, UtilizationModel
+from .transmission import LossComposition, TransmissionLink, UtilizationModel
+
+# Shared by every profile.
+DISCOUNT_RATE = 0.03
+LIFETIME_YEARS = 40
+LOSS_COMPOSITION = LossComposition.LINEAR
 
 
 @dataclass(frozen=True)
 class CalibrationProfile:
     name: str
-    discount_rate: float = 0.03
-    lifetime_years: int = 40
     om_rate: float = 0.0
     utilization: UtilizationModel = UtilizationModel(reduced_hours=4, reduced_fraction=0.0)
-    loss_composition: LossComposition = LossComposition.LINEAR
 
     def finance(self) -> FinancialAssumptions:
         return FinancialAssumptions(
-            discount_rate=self.discount_rate,
-            lifetime_years=self.lifetime_years,
+            discount_rate=DISCOUNT_RATE,
+            lifetime_years=LIFETIME_YEARS,
             om_rate=self.om_rate,
         )
 
     def apply_to_link(self, link: TransmissionLink) -> TransmissionLink:
-        loss_model = LossModel(
-            line_loss_per_1000km=link.loss_model.line_loss_per_1000km,
-            terminal_loss=link.loss_model.terminal_loss,
-            composition=self.loss_composition,
-        )
+        loss_model = replace(link.loss_model, composition=LOSS_COMPOSITION)
         return replace(link, loss_model=loss_model, utilization=self.utilization)
 
     def apply_to_scenario(self, scenario: ConnectionScenario) -> ConnectionScenario:

@@ -1,17 +1,18 @@
 """Generation-connection scenarios over one or two transmission paths.
 
 A remote generation source is tied to one market, or to two markets in
-different time zones. With two paths the plant chases the peak: it sells
-into whichever market is currently at its daily peak window, splitting the
-annual energy 50/50 between them, and the capacity left over on the
-corridor can carry inter-market trade.
+different time zones. The paths decide how it sells: over one path it
+sells everything to its only market; over two it chases the peak, selling
+into whichever market is currently at its daily peak window and splitting
+the annual energy 50/50 between them, and the capacity left over on the
+corridor can carry inter-market trade (``trade_potential``,
+``trade_inclusive_lcoe``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .checks import require
 from .finance import FinancialAssumptions, annualized_cost
@@ -23,11 +24,6 @@ from .transmission import (
     route_efficiency,
     utilization_factor,
 )
-
-
-class SchedulePolicy(Enum):
-    ALL_TO_SINGLE = "all_to_single"
-    PEAK_CHASING = "peak_chasing"
 
 
 @dataclass(frozen=True)
@@ -68,25 +64,23 @@ class ConnectionPath:
 
 @dataclass(frozen=True)
 class ConnectionScenario:
+    """A source selling over one path, or chasing the peak over two."""
+
     source: GenerationSource
     paths: tuple[ConnectionPath, ...]
-    schedule: SchedulePolicy = SchedulePolicy.ALL_TO_SINGLE
-    trade_enabled: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "paths", tuple(self.paths))
         count = len(self.paths)
         require(1 <= count <= 2, "len(paths)", "1 or 2", count)
-        if self.schedule is SchedulePolicy.PEAK_CHASING:
-            if len(self.paths) != 2:
-                raise ValueError("peak_chasing requires exactly two paths")
+        if count == 2:
             a, b = self.paths
             if a.market == b.market:
-                raise ValueError("peak_chasing paths must serve distinct markets")
+                raise ValueError(f"two paths must serve distinct markets, got {a.market!r} twice")
             if a.tz_offset_hours == b.tz_offset_hours:
                 raise ValueError(
-                    "peak_chasing markets must lie in different time zones "
-                    "(peak windows would coincide)"
+                    "two paths must serve markets in different time zones (peak windows "
+                    f"would coincide), got tz_offset_hours {a.tz_offset_hours} twice"
                 )
         for path in self.paths:
             if path.link.capacity_mw < self.source.capacity_mw:
@@ -102,20 +96,17 @@ class ScenarioResult:
     delivered_per_path_gwh: tuple[float, ...]
     total_capex_meur: float
     scenario_lcoe_eur_per_kwh: float
-    trade_delivered_gwh: float
     total_delivered_gwh: float
 
 
 @dataclass(frozen=True)
 class RevenueResult:
     annual_revenue_eur: float
-    single_path_revenue_eur: float
     uplift: float  # fraction vs the all-to-first-path baseline
 
 
 @dataclass(frozen=True)
 class TradeResult:
-    trade_sent_gwh: float
     trade_delivered_gwh: float
     wind_delivered_gwh: float
     total_delivered_gwh: float
@@ -127,19 +118,18 @@ def annual_production(source: GenerationSource) -> float:
 
 
 def path_injections(scenario: ConnectionScenario) -> tuple[float, ...]:
-    """Annual energy injected into each path under the schedule, GWh.
+    """Annual energy injected into each path, GWh.
 
-    Peak chasing alternates in 12 h blocks and the source output is assumed
-    uncorrelated with the hour of day, so the split is exactly 50/50.
+    One path carries all of it. Two paths chase the peak, alternating in
+    12 h blocks; the source output is assumed uncorrelated with the hour of
+    day, so the split is exactly 50/50.
     """
     production = annual_production(scenario.source)
-    if scenario.schedule is SchedulePolicy.PEAK_CHASING:
-        return tuple(production / len(scenario.paths) for _ in scenario.paths)
-    return (production,) + (0.0,) * (len(scenario.paths) - 1)
+    return tuple(production / len(scenario.paths) for _ in scenario.paths)
 
 
 def path_deliveries(scenario: ConnectionScenario) -> tuple[float, ...]:
-    """Annual source energy each path delivers under the schedule, GWh."""
+    """Annual source energy each path delivers, GWh."""
     return tuple(
         delivered_from_injection(path.link, injected)
         for path, injected in zip(scenario.paths, path_injections(scenario))
@@ -149,34 +139,40 @@ def path_deliveries(scenario: ConnectionScenario) -> tuple[float, ...]:
 def evaluate_connection(
     scenario: ConnectionScenario, fin: FinancialAssumptions
 ) -> ScenarioResult:
-    """Deliveries and levelized transmission cost of a connection scenario.
-
-    The LCOE denominator is the delivered source energy, plus delivered
-    trade when the scenario enables it.
-    """
+    """Deliveries and levelized transmission cost of the delivered source energy."""
     delivered = path_deliveries(scenario)
-    capex = sum(link_capex(path.link) for path in scenario.paths)
-    trade_delivered = 0.0
-    if scenario.trade_enabled:
-        trade_delivered = trade_potential(scenario).trade_delivered_gwh
-    total_delivered = sum(delivered) + trade_delivered
-    lcoe = annualized_cost(capex, fin) / total_delivered if total_delivered > 0 else 0.0
+    capex = _capex(scenario)
+    total_delivered = sum(delivered)
     return ScenarioResult(
         production_gwh=annual_production(scenario.source),
         delivered_per_path_gwh=delivered,
         total_capex_meur=capex,
-        scenario_lcoe_eur_per_kwh=lcoe,
-        trade_delivered_gwh=trade_delivered,
+        scenario_lcoe_eur_per_kwh=_per_delivered_kwh(capex, fin, total_delivered),
         total_delivered_gwh=total_delivered,
     )
+
+
+def trade_inclusive_lcoe(scenario: ConnectionScenario, fin: FinancialAssumptions) -> float:
+    """Levelized transmission cost per delivered kWh of source energy plus trade, EUR/kWh."""
+    delivered = trade_potential(scenario).total_delivered_gwh
+    return _per_delivered_kwh(_capex(scenario), fin, delivered)
+
+
+def _capex(scenario: ConnectionScenario) -> float:
+    return sum(link_capex(path.link) for path in scenario.paths)
+
+
+def _per_delivered_kwh(capex: float, fin: FinancialAssumptions, delivered_gwh: float) -> float:
+    """Annualized cost of ``capex`` per delivered kWh; 0 when nothing is delivered."""
+    return annualized_cost(capex, fin) / delivered_gwh if delivered_gwh > 0 else 0.0
 
 
 def revenue(scenario: ConnectionScenario, prices: PriceModel) -> RevenueResult:
     """Annual sales revenue and the uplift over selling everything on path 1.
 
-    Peak chasing sells every delivered kWh at peak price. The single-path
-    baseline sells at peak only during the peak window, at ratio * peak for
-    the rest of the day.
+    Two paths chase the peak and sell every delivered kWh at peak price.
+    One path, the baseline, sells at peak only during the peak window, at
+    ratio * peak for the rest of the day.
     """
     w = prices.peak_window_hours
     blended = (w + (24.0 - w) * prices.offpeak_ratio) / 24.0
@@ -186,13 +182,12 @@ def revenue(scenario: ConnectionScenario, prices: PriceModel) -> RevenueResult:
     )
     single_revenue = single_delivered * 1e6 * prices.peak_eur_per_kwh * blended
 
-    if scenario.schedule is SchedulePolicy.PEAK_CHASING:
+    if len(scenario.paths) == 2:
         annual = sum(path_deliveries(scenario)) * 1e6 * prices.peak_eur_per_kwh
     else:
         annual = single_revenue
     return RevenueResult(
         annual_revenue_eur=annual,
-        single_path_revenue_eur=single_revenue,
         uplift=annual / single_revenue - 1.0,
     )
 
@@ -205,8 +200,6 @@ def trade_potential(scenario: ConnectionScenario) -> TradeResult:
     runs through both links in series and pays both links' losses, both
     availabilities, and the ramping duty cycle of the corridor.
     """
-    if not scenario.trade_enabled:
-        raise ValueError("trade is not enabled for this scenario")
     if len(scenario.paths) != 2:
         raise ValueError("trade requires exactly two paths")
     wind_flow = scenario.source.capacity_mw * scenario.source.capacity_factor
@@ -227,7 +220,6 @@ def trade_potential(scenario: ConnectionScenario) -> TradeResult:
     )
     wind_delivered = sum(path_deliveries(scenario))
     return TradeResult(
-        trade_sent_gwh=sent,
         trade_delivered_gwh=delivered,
         wind_delivered_gwh=wind_delivered,
         total_delivered_gwh=wind_delivered + delivered,

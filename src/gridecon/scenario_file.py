@@ -6,7 +6,7 @@ checks that the sections it needs are present. Unknown keys are rejected
 everywhere so a typo cannot silently fall back to a default.
 
 Every value goes through one typed reader (finite number, whole number,
-boolean, string, enum choice, list, object). A key the file omits is not
+string, enum choice, list, object). A key the file omits is not
 passed on, so its default is the one the dataclass declares. Range checks
 stay with the dataclasses; their messages are prefixed with the path of
 the object that failed.
@@ -21,13 +21,7 @@ from pathlib import Path
 
 from .dispatch import DispatchNetwork, Interconnector, Region, sinusoid_profile
 from .finance import FinancialAssumptions
-from .scenario import (
-    ConnectionPath,
-    ConnectionScenario,
-    GenerationSource,
-    PriceModel,
-    SchedulePolicy,
-)
+from .scenario import ConnectionPath, ConnectionScenario, GenerationSource, PriceModel
 from .transmission import (
     LossComposition,
     LossModel,
@@ -139,12 +133,6 @@ def _integer(value) -> int:
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise _Invalid(f"expected a whole number, got {value!r}")
-    return value
-
-
-def _bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise _Invalid(f"expected true or false, got {value!r}")
     return value
 
 
@@ -264,8 +252,8 @@ def _scenario(
         {"link": link, "market": _text, "tz_offset_hours": _integer},
         ("link", "market"),
     )
-    readers = {"paths": _list(path), "schedule": _choice(SchedulePolicy), "trade_enabled": _bool}
-    return ConnectionScenario(source=generation, **_fields(value, readers, ("paths",)))
+    paths = _fields(value, {"paths": _list(path)}, ("paths",))
+    return ConnectionScenario(source=generation, **paths)
 
 
 _GENERATOR = {"capacity_mw": _number, "marginal_cost_eur_per_mwh": _number}

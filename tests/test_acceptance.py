@@ -50,12 +50,12 @@ from gridecon.scenario import (
     ConnectionScenario,
     GenerationSource,
     PriceModel,
-    SchedulePolicy,
     delivered_cost_increase,
     evaluate_connection,
     import_competitiveness,
     revenue,
     revenue_per_delivered_kwh,
+    trade_inclusive_lcoe,
     trade_potential,
 )
 from gridecon.transmission import (
@@ -91,14 +91,7 @@ def greenland_scenario(case: str, profile) -> ConnectionScenario:
 def scenario_result(case: str, connection: str, profile):
     scenario = greenland_scenario(case, profile)
     if connection == "single":
-        scenario = dataclasses.replace(
-            scenario,
-            paths=scenario.paths[:1],
-            schedule=SchedulePolicy.ALL_TO_SINGLE,
-            trade_enabled=False,
-        )
-    else:
-        scenario = dataclasses.replace(scenario, trade_enabled=False)
+        scenario = dataclasses.replace(scenario, paths=scenario.paths[:1])
     return evaluate_connection(scenario, profile.finance())
 
 
@@ -109,7 +102,8 @@ def scenario_lcoe(case: str, connection: str, profile) -> float:
 def test_criterion_1_long_cable_lcoe():
     with criterion(1, "long submarine cable LCOE matches the published 5500 km and 4400 km values"):
         for length_km, case in ((5500.0, "low"), (5500.0, "high"), (4400.0, "low")):
-            assert within_reference(("link_lcoe", length_km, case), reference_lcoe(length_km, case))
+            key = ("link_lcoe", length_km, 3000.0, case)
+            assert within_reference(key, reference_lcoe(length_km, case))
 
 
 def test_criterion_2_project_table():
@@ -135,15 +129,13 @@ def test_criterion_3_currency_normalization():
         assert round(per_km, 2) == 1.36
         to_usd = ConversionContext(1.0 / 0.7119, 0.0, Currency.USD)
         for case in ("low", "high"):
-            eur = MoneyAmount(REFERENCES[("link_lcoe", 5500.0, case)][0], Currency.EUR, 2011)
+            eur = MoneyAmount(REFERENCES[("link_lcoe", 5500.0, 3000.0, case)][0], Currency.EUR, 2011)
             assert within_reference(("link_lcoe_usd", case), normalize_currency(eur, to_usd, 2011).value)
 
 
 def test_criterion_4_dual_path_deliveries():
     with criterion(4, "dual-connection deliveries match the published north-uk / quebec values"):
-        scenario = dataclasses.replace(
-            greenland_scenario("low", RECONCILED), trade_enabled=False
-        )
+        scenario = greenland_scenario("low", RECONCILED)
         result = evaluate_connection(scenario, RECONCILED.finance())
         for path, delivered in zip(scenario.paths, result.delivered_per_path_gwh):
             assert within_reference(("delivered_gwh", "dual", path.market), delivered)
@@ -170,14 +162,11 @@ def test_criterion_6_uplift_and_increase():
         idealized = ConnectionScenario(
             source=source,
             paths=(ConnectionPath(link, "west", 0), ConnectionPath(link, "east", 12)),
-            schedule=SchedulePolicy.PEAK_CHASING,
         )
         prices = PriceModel(peak_eur_per_kwh=0.1, offpeak_ratio=0.5, peak_window_hours=12)
         assert revenue(idealized, prices).uplift == pytest.approx(1 / 3, rel=1e-9)
 
-        case_study = dataclasses.replace(
-            greenland_scenario("low", RECONCILED), trade_enabled=False
-        )
+        case_study = greenland_scenario("low", RECONCILED)
         uplift = revenue(case_study, prices).uplift
         assert uplift == pytest.approx(0.308, abs=5e-4)
         assert within_reference("revenue_uplift", uplift)
@@ -198,8 +187,8 @@ def test_criterion_7_trade():
         assert within_reference("trade_delivered_gwh", trade.trade_delivered_gwh)
         assert within_reference("total_delivered_gwh", trade.total_delivered_gwh)
         for case in ("low", "high"):
-            result = evaluate_connection(greenland_scenario(case, RECONCILED), RECONCILED.finance())
-            assert within_reference(("trade_lcoe", case), result.scenario_lcoe_eur_per_kwh)
+            lcoe = trade_inclusive_lcoe(greenland_scenario(case, RECONCILED), RECONCILED.finance())
+            assert within_reference(("trade_lcoe", case), lcoe)
         assert within_reference("corridor_deliverable_gwh", deliverable_energy(scenario.paths[0].link))
 
 

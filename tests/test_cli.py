@@ -164,7 +164,7 @@ class TestReportContents:
     def test_lcoe_low_contains_value_and_reference(self):
         output = invoke(["lcoe", "--profile", "paper-appendix-A", "--case", "low"]).output
         assert "0.0167" in output
-        assert reference_text(("link_lcoe", 5500.0, "low")) in output
+        assert reference_text(("link_lcoe", 5500.0, 3000.0, "low")) in output
         assert "paper-appendix-A" in output
 
     def test_project_table_derived_row(self):
@@ -182,6 +182,17 @@ class TestReportContents:
         output = invoke(["scenario", "--profile", "paper-appendix-A"]).output
         assert "understates" in output
         assert "7-13%" in output
+
+    @pytest.mark.parametrize("command", ["scenario", "trade"])
+    def test_scenario_file_gets_no_references(self, tmp_path, command):
+        """The references belong to the bundled case study, not to a file, even a copy of it."""
+        path = tmp_path / "greenland_copy.json"
+        path.write_text(bundled_path("greenland_low.json").read_text(encoding="utf-8"))
+        result = invoke([command, "--scenario", str(path), "--format", "csv"])
+        assert result.exit_code == 0, result.output
+        rows = list(csv.DictReader(io.StringIO(result.output)))
+        assert len(rows) >= 5
+        assert [row["reference"] for row in rows] == [""] * len(rows)
 
     def test_trade_report(self):
         output = invoke(["trade"]).output
@@ -235,9 +246,11 @@ class TestCsvEmission:
         assert out.getvalue() == output
 
     def test_empty_reference_cells_allowed(self):
-        output = invoke(["lcoe", "--length-km", "1234", "--case", "low", "--format", "csv"]).output
-        rows = list(csv.reader(io.StringIO(output)))
-        assert rows[1][rows[0].index("reference_eur_per_kwh")] == ""
+        # No reference was published for either length or capacity.
+        for option in (["--length-km", "1234"], ["--capacity-mw", "1000"]):
+            output = invoke(["lcoe", *option, "--case", "low", "--format", "csv"]).output
+            rows = list(csv.reader(io.StringIO(output)))
+            assert rows[1][rows[0].index("reference_eur_per_kwh")] == ""
 
     def test_simulate_emits_hourly_rows(self):
         output = invoke(["simulate", "--hours", "2"]).output

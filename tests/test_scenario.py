@@ -11,13 +11,13 @@ from gridecon.scenario import (
     ConnectionScenario,
     GenerationSource,
     PriceModel,
-    SchedulePolicy,
     annual_production,
     delivered_cost_increase,
     evaluate_connection,
     import_competitiveness,
     revenue,
     revenue_per_delivered_kwh,
+    trade_inclusive_lcoe,
     trade_potential,
 )
 from gridecon.transmission import (
@@ -41,17 +41,12 @@ def greenland(case: str = "low") -> ConnectionScenario:
 
 
 def dual(case: str = "low") -> ConnectionScenario:
-    return dataclasses.replace(greenland(case), trade_enabled=False)
+    return greenland(case)
 
 
 def single(case: str = "low") -> ConnectionScenario:
     scenario = greenland(case)
-    return dataclasses.replace(
-        scenario,
-        paths=scenario.paths[:1],
-        schedule=SchedulePolicy.ALL_TO_SINGLE,
-        trade_enabled=False,
-    )
+    return dataclasses.replace(scenario, paths=scenario.paths[:1])
 
 
 def simple_link(capacity_mw: float = 3000.0, km: float = 1000.0) -> TransmissionLink:
@@ -110,13 +105,20 @@ class TestEvaluateConnection:
         assert result.total_capex_meur == 0.0
         assert result.scenario_lcoe_eur_per_kwh == 0.0
 
-    def test_peak_chasing_needs_two_paths(self):
-        with pytest.raises(ValueError):
-            ConnectionScenario(
-                source=WIND_3GW,
-                paths=(ConnectionPath(simple_link(), "a"),),
-                schedule=SchedulePolicy.PEAK_CHASING,
-            )
+    def test_two_paths_need_distinct_markets_in_different_time_zones(self):
+        link = simple_link()
+        rejected = {
+            "two paths must serve distinct markets, got 'a' twice": (("a", 0), ("a", 12)),
+            "two paths must serve markets in different time zones (peak windows "
+            "would coincide), got tz_offset_hours 3 twice": (("a", 3), ("b", 3)),
+        }
+        for message, paths in rejected.items():
+            with pytest.raises(ValueError) as error:
+                ConnectionScenario(
+                    source=WIND_3GW,
+                    paths=tuple(ConnectionPath(link, market, tz) for market, tz in paths),
+                )
+            assert str(error.value) == message
 
     def test_path_capacity_must_cover_source(self):
         with pytest.raises(ValueError, match="below"):
@@ -139,7 +141,6 @@ class TestRevenue:
                 ConnectionPath(link, "west", tz_offset_hours=0),
                 ConnectionPath(link, "east", tz_offset_hours=12),
             ),
-            schedule=SchedulePolicy.PEAK_CHASING,
         )
         result = revenue(scenario, PRICES)
         assert result.uplift == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -163,7 +164,6 @@ class TestRevenue:
                 ConnectionPath(link, "west", 0),
                 ConnectionPath(link, "east", 12),
             ),
-            schedule=SchedulePolicy.PEAK_CHASING,
         )
         prices = PriceModel(peak_eur_per_kwh=0.08, offpeak_ratio=ratio)
         assert revenue(scenario, prices).uplift == pytest.approx(
@@ -205,15 +205,12 @@ class TestTradePotential:
         assert deliverable_energy(uk_link) == pytest.approx(20093.17, abs=0.01)
 
     def test_trade_requires_flag_and_two_paths(self):
-        with pytest.raises(ValueError):
-            trade_potential(dual())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^trade requires exactly two paths$"):
             trade_potential(single())
 
     def test_trade_inclusive_lcoe(self):
-        result = evaluate_connection(greenland(), FIN_OM)
-        assert result.scenario_lcoe_eur_per_kwh == pytest.approx(0.0141881, abs=1e-6)
-        assert result.total_delivered_gwh <= sum(
+        assert trade_inclusive_lcoe(greenland(), FIN_OM) == pytest.approx(0.0141881, abs=1e-6)
+        assert trade_potential(greenland()).total_delivered_gwh <= sum(
             deliverable_energy(p.link) for p in greenland().paths
         )
 

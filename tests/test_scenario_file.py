@@ -14,7 +14,7 @@ from gridecon.cli import main
 from gridecon.datasets import bundled_path, load_bundled_scenario
 from gridecon.dispatch import DEFAULT_UNSERVED_PENALTY
 from gridecon.finance import FinancialAssumptions
-from gridecon.scenario import PriceModel, SchedulePolicy
+from gridecon.scenario import PriceModel
 from gridecon.scenario_file import (
     ScenarioFileError,
     load_scenario_file,
@@ -39,21 +39,14 @@ def minimal_scenario_data() -> dict:
         "links": {"main": link},
         "generation": {"capacity_mw": 500, "capacity_factor": 0.4, "lcoe_eur_per_kwh": 0.05},
         "prices": {"peak_eur_per_kwh": 0.1, "offpeak_ratio": 0.5, "peak_window_hours": 12},
-        "scenario": {
-            "paths": [{"link": "main", "market": "home", "tz_offset_hours": 0}],
-            "schedule": "all_to_single",
-            "trade_enabled": False,
-        },
+        "scenario": {"paths": [{"link": "main", "market": "home", "tz_offset_hours": 0}]},
     }
 
 
 def test_bundled_greenland_parses():
     contents = load_bundled_scenario("greenland")
     assert set(contents.links) == {"to-north-uk", "to-quebec"}
-    scenario = contents.scenario
-    assert scenario.schedule is SchedulePolicy.PEAK_CHASING
-    assert scenario.trade_enabled
-    assert [p.market for p in scenario.paths] == ["north-uk", "quebec"]
+    assert [p.market for p in contents.scenario.paths] == ["north-uk", "quebec"]
     assert contents.finance.om_rate == 0.005
     assert contents.links["to-north-uk"].total_length_km == pytest.approx(2066.0)
     assert contents.links["to-quebec"].total_length_km == pytest.approx(3269.0)
@@ -202,8 +195,6 @@ def test_omitted_optional_keys_take_dataclass_defaults():
     assert link.utilization == UtilizationModel()
     assert contents.finance == FinancialAssumptions(discount_rate=0.03, lifetime_years=40)
     assert contents.prices == PriceModel(peak_eur_per_kwh=0.1)
-    assert contents.scenario.schedule is SchedulePolicy.ALL_TO_SINGLE
-    assert contents.scenario.trade_enabled is False
     assert contents.scenario.paths[0].tz_offset_hours == 0
     network = contents.network
     assert network.regions[0].tz_offset_hours == 0
@@ -229,13 +220,16 @@ def _get(data, key_path):
     return functools.reduce(operator.getitem, key_path, data)
 
 
-def run_on_file(name: str, data, path):
-    """Write ``data`` to ``path`` and run the subcommand that reads ``name``'s sections."""
+# The subcommands that read each bundled file's sections; the first is the
+# one the regression rows run.
+COMMANDS = {GREENLAND: ("scenario", "trade"), SMOOTHING: ("simulate",)}
+
+
+def run_on_file(command: str, data, path):
+    """Write ``data`` to ``path`` and run ``command`` on it."""
     path.write_text(json.dumps(data))
-    if name == SMOOTHING:
-        args = ["simulate", "--scenario", str(path), "--hours", "2"]
-    else:
-        args = ["scenario", "--scenario", str(path), "--profile", "custom"]
+    args = [command, "--scenario", str(path)]
+    args += ["--hours", "2"] if command == "simulate" else ["--profile", "custom"]
     return CliRunner().invoke(main, args)
 
 
@@ -243,7 +237,9 @@ def run_on_file(name: str, data, path):
 # coerced, or end in a traceback: (file, key path, new value, text the error
 # message must contain).
 REGRESSIONS = [
-    (GREENLAND, ("scenario", "trade_enabled"), "false", "scenario.trade_enabled"),
+    # Keys removed from the format: two paths always chase the peak and carry trade.
+    (GREENLAND, ("scenario", "trade_enabled"), "false", "scenario: unknown key 'trade_enabled'"),
+    (GREENLAND, ("scenario", "schedule"), "peak_chasing", "scenario: unknown key 'schedule'"),
     (
         GREENLAND,
         ("links", "to-north-uk", "loss_model", "line_loss_per_1000km"),
@@ -317,7 +313,7 @@ REGRESSIONS = [
 def test_malformed_value_exits_two_naming_its_key(tmp_path, name, key_path, value, expected):
     data = bundled_data(name)
     _get(data, key_path[:-1])[key_path[-1]] = value
-    result = run_on_file(name, data, tmp_path / "scenario.json")
+    result = run_on_file(COMMANDS[name][0], data, tmp_path / "scenario.json")
     assert result.exit_code == 2, (result.output, result.exception)
     assert expected in result.output
 
@@ -370,7 +366,8 @@ def mutated_files(draw):
 @given(case=mutated_files())
 def test_mutated_bundled_files_exit_zero_or_two(tmp_path_factory, case):
     name, data = case
-    result = run_on_file(name, data, tmp_path_factory.getbasetemp() / "fuzzed.json")
-    assert result.exit_code in {0, 2}, (result.output, repr(result.exception))
-    if result.exit_code == 0:
-        assert not NON_FINITE_CELL.search(result.output), result.output
+    for command in COMMANDS[name]:
+        result = run_on_file(command, data, tmp_path_factory.getbasetemp() / "fuzzed.json")
+        assert result.exit_code in {0, 2}, (command, result.output, repr(result.exception))
+        if result.exit_code == 0:
+            assert not NON_FINITE_CELL.search(result.output), result.output

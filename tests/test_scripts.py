@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -16,3 +17,11 @@ def test_smoothing_experiment_output(capsys):
     load_script("smoothing_experiment").run()
     expected = (GOLDEN_DIR / "smoothing_experiment.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's library example names only symbols the package still has."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 3
