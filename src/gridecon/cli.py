@@ -153,8 +153,13 @@ def _case_study_rows(rows, scenario_spec: str) -> tuple:
     return tuple((metric, value, None) for metric, value, _ in rows)
 
 
-def _scenario_notes(fin: FinancialAssumptions, profile_name: str) -> tuple[str, ...]:
-    if fin.om_rate == 0:
+def _scenario_notes(
+    fin: FinancialAssumptions, profile_name: str, scenario_spec: str
+) -> tuple[str, ...]:
+    """Notes under a scenario report. The O&M gap is a gap to the references of
+    the bundled ``greenland`` case study, so only its report, which prints them,
+    gets that note."""
+    if fin.om_rate == 0 and scenario_spec == "greenland":
         return (OM_GAP_NOTE,)
     if profile_name == "appendix-B-reconciled":
         return (RECONCILED_NOTE,)
@@ -252,6 +257,8 @@ def scenario_cmd(scenario_spec: str, profile: str, case: str, connection: str) -
     """Deliveries, transmission LCOE, and revenue uplift of a connection scenario."""
     contents = datasets.resolve_scenario(scenario_spec, case)
     scenario, fin, profile_name = _apply_profile(contents, profile)
+    if connection == "dual" and len(scenario.paths) != 2:
+        raise ValueError("dual connection requires exactly two paths")
     prices = contents.require("prices")
     gen_lcoe = scenario.source.lcoe_eur_per_kwh
 
@@ -280,7 +287,7 @@ def scenario_cmd(scenario_spec: str, profile: str, case: str, connection: str) -
         profile=profile_name,
         columns=("metric", "value", "reference"),
         rows=_case_study_rows(rows, scenario_spec),
-        notes=_scenario_notes(fin, profile_name),
+        notes=_scenario_notes(fin, profile_name, scenario_spec),
     )
 
 
@@ -310,7 +317,7 @@ def trade_cmd(scenario_spec: str, profile: str, case: str) -> Report:
         profile=profile_name,
         columns=("metric", "value", "reference"),
         rows=_case_study_rows(rows, scenario_spec),
-        notes=_scenario_notes(fin, profile_name),
+        notes=_scenario_notes(fin, profile_name, scenario_spec),
     )
 
 

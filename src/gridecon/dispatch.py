@@ -19,6 +19,12 @@ residual network of the optimal flow, so a region's price is the cost of
 serving one more MWh there. Where the LP's dual is not unique (a unit
 running exactly at its rating), that is the upper end of the dual range.
 
+The balance constraints go to HiGHS as a sparse column matrix, one column
+per arc with at most two entries (leaving one region, arriving in another).
+``simulate`` solves each distinct demand vector once: an hour that repeats
+an earlier hour's demand shares that hour's result, so a year of a daily
+profile costs about as much as its distinct hours, at most 24.
+
 numpy and scipy are imported by the first solve, not by this module, so
 that importing gridecon and every report that does not dispatch stay clear
 of their half-second import.
@@ -186,6 +192,7 @@ def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
     if linprog is None:
         from scipy.optimize import linprog
     import numpy as np
+    from scipy.sparse import csc_array
 
     penalty = network.unserved_penalty_eur_per_mwh
     # One arc (tail, head, capacity, gain, cost) per LP column: generators
@@ -206,15 +213,21 @@ def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
     arcs.extend((0, ri + 1, math.inf, 1.0, penalty) for ri in range(n_regions))
 
     costs = np.array([cost for *_, cost in arcs], dtype=float)
-    balance = np.zeros((n_regions, len(arcs)))
-    for j, (tail, head, _, gain, _) in enumerate(arcs):
-        if tail:
-            balance[tail - 1, j] -= 1.0
-        balance[head - 1, j] += gain
+    # The balance rows, one column per arc: -1 where it leaves a region,
+    # its gain where it arrives; rows ascend within a column (canonical CSC).
+    rows, entries, starts = [], [], [0]
+    for tail, head, _, gain, _ in arcs:
+        column = sorted(((tail - 1, -1.0), (head - 1, gain))) if tail else [(head - 1, gain)]
+        for row, entry in column:
+            rows.append(row)
+            entries.append(entry)
+        starts.append(len(rows))
+    balance = csc_array((entries, rows, starts), shape=(n_regions, len(arcs)))
     # Capping shedding at local demand rules out degenerate optima that
     # route penalty power over cost-tied efficiency-1 links.
-    bounds = [(0.0, cap) for _, _, cap, _, _ in arcs[:first_shed]]
-    bounds.extend((0.0, d) for d in demand)
+    bounds = np.zeros((len(arcs), 2))
+    bounds[:first_shed, 1] = [cap for _, _, cap, _, _ in arcs[:first_shed]]
+    bounds[first_shed:, 1] = demand
 
     # Normalizing the objective keeps the chosen vertex invariant when all
     # marginal costs are scaled by a constant.
@@ -289,12 +302,16 @@ class DispatchResult:
 
 
 def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
-    """Dispatch ``hours`` consecutive hours; hours are independent (no storage)."""
+    """Dispatch ``hours`` consecutive hours; hours are independent (no storage),
+    so an hour whose demand repeats an earlier hour's shares that hour's result."""
     require(1 <= hours < math.inf, "hours", "finite and >= 1", hours)
+    solved: dict[tuple[float, ...], HourlyDispatch] = {}
     hourly = []
     for t in range(hours):
         demand = tuple(region.demand_at(t) for region in network.regions)
-        hourly.append(min_cost_flow(network, demand))
+        if demand not in solved:
+            solved[demand] = min_cost_flow(network, demand)
+        hourly.append(solved[demand])
     return DispatchResult(network=network, hourly=tuple(hourly))
 
 

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import gridecon
-from gridecon.cli import main
+from gridecon.cli import OM_GAP_NOTE, main
 from gridecon.datasets import REFERENCES, bundled_path
 from gridecon.projects import CSV_COLUMNS
 from gridecon.report import format_sig
@@ -102,6 +102,17 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "Error: scenario: len(paths) must be 1 or 2, got 0\n" in result.output
 
+    def test_dual_connection_of_one_path_is_two(self, tmp_path):
+        data = json.loads(bundled_path("greenland_low.json").read_text(encoding="utf-8"))
+        data["scenario"]["paths"] = data["scenario"]["paths"][:1]
+        path = tmp_path / "one_path.json"
+        path.write_text(json.dumps(data))
+        result = invoke(["scenario", "--scenario", str(path)])
+        assert result.exit_code == 2
+        assert "Error: dual connection requires exactly two paths\n" in result.output
+        single = invoke(["scenario", "--scenario", str(path), "--connection", "single"])
+        assert single.exit_code == 0, single.output
+
     @pytest.mark.parametrize(
         "args, expected",
         [
@@ -179,9 +190,18 @@ class TestReportContents:
         assert "appendix-B-reconciled" in output
 
     def test_scenario_zero_om_flags_gap(self):
-        output = invoke(["scenario", "--profile", "paper-appendix-A"]).output
-        assert "understates" in output
-        assert "7-13%" in output
+        for command in ("scenario", "trade"):
+            output = invoke([command, "--scenario", "greenland", "--profile", "paper-appendix-A"]).output
+            assert f"note: {OM_GAP_NOTE}\n" in output
+
+    @pytest.mark.parametrize("command", ["scenario", "trade"])
+    def test_scenario_file_gets_no_gap_note(self, tmp_path, command):
+        """The gap note is measured against the case study's references, which a file does not get."""
+        path = tmp_path / "greenland_copy.json"
+        path.write_text(bundled_path("greenland_low.json").read_text(encoding="utf-8"))
+        result = invoke([command, "--scenario", str(path), "--profile", "paper-appendix-A"])
+        assert result.exit_code == 0, result.output
+        assert "note:" not in result.output
 
     @pytest.mark.parametrize("command", ["scenario", "trade"])
     def test_scenario_file_gets_no_references(self, tmp_path, command):

@@ -1,16 +1,20 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridecon import dispatch
+from gridecon.datasets import load_bundled_scenario
 from gridecon.dispatch import (
     DispatchNetwork,
     Interconnector,
     Region,
     curtailment_metrics,
+    export_csv,
     min_cost_flow,
     reserve_requirements,
     simulate,
@@ -26,6 +30,8 @@ from dispatch_oracles import (
     random_network,
     region,
 )
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +192,35 @@ class TestSimulate:
     def test_rejects_empty_horizon(self):
         with pytest.raises(ValueError):
             simulate(network([region("a", 1, [(1, 1.0)])]), 0)
+
+
+class TestRepeatedHours:
+    """simulate solves each distinct demand vector once and reuses the result."""
+
+    @pytest.fixture
+    def smoothing(self):
+        return load_bundled_scenario("smoothing").require("network")
+
+    def test_each_distinct_hour_is_solved_once(self, smoothing, monkeypatch):
+        demands = []
+
+        def counting(net, demand_mw):
+            demands.append(tuple(demand_mw))
+            return min_cost_flow(net, demand_mw)
+
+        monkeypatch.setattr(dispatch, "min_cost_flow", counting)
+        result = simulate(smoothing, 168)
+        assert len(demands) == len(set(demands)) == 13
+        for t, hour in enumerate(result.hourly):
+            demand = tuple(region.demand_at(t) for region in smoothing.regions)
+            assert hour == min_cost_flow(smoothing, demand)
+
+    def test_year_repeats_the_first_day(self, smoothing):
+        result = simulate(smoothing, 8760)
+        assert all(hour == result.hourly[t % 24] for t, hour in enumerate(result.hourly))
+        golden = GOLDEN_DIR / "simulate_24h.txt"
+        first_day = golden.read_text(encoding="utf-8").splitlines()[:49]
+        assert export_csv(result).splitlines()[:49] == first_day
 
 
 class TestEnergyBalance:
