@@ -1,6 +1,11 @@
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -32,6 +37,7 @@ from dispatch_oracles import (
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+REPO = Path(__file__).parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +227,36 @@ class TestRepeatedHours:
         golden = GOLDEN_DIR / "simulate_24h.txt"
         first_day = golden.read_text(encoding="utf-8").splitlines()[:49]
         assert export_csv(result).splitlines()[:49] == first_day
+
+    def test_benchmark_tracer_counts_one_solve_per_distinct_hour(self):
+        # The benchmark's tracer must see the memo: one min_cost_flow and one
+        # linprog span per distinct demand vector, each LP with 10 nonzeros on
+        # the 2-region demo. Run in a child: the tracer rewires gridecon's modules.
+        code = textwrap.dedent(
+            """
+            import json
+            import gridecon.dispatch as dispatch
+            from gridecon import datasets
+            from tracer import Tracer
+
+            network = datasets.load_bundled_scenario("smoothing").require("network")
+            distinct = {tuple(r.demand_at(t) for r in network.regions) for t in range(48)}
+            plain = dispatch.export_csv(dispatch.simulate(network, 48))
+            tracer = Tracer()
+            tracer.install()
+            traced = dispatch.export_csv(dispatch.simulate(network, 48))
+            tracer.end_op()
+            print(json.dumps({"same": plain == traced, "distinct": len(distinct), **tracer.totals()}))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(REPO / "src"), str(REPO / "bench"))))
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        totals = json.loads(child.stdout)
+        assert totals["same"]
+        calls = totals["calls"]
+        assert calls["dispatch.min_cost_flow"] == calls["dispatch.linprog"] == totals["distinct"] == 13
+        assert totals["counters"]["dispatch.linprog.a_eq_nnz"] == 10 * totals["distinct"]
 
 
 class TestEnergyBalance:
