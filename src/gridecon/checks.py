@@ -1,4 +1,5 @@
-"""The one range check for dataclass fields and function arguments."""
+"""The one range check for dataclass fields and function arguments, and the
+one rejection of a name a table does not hold."""
 
 from __future__ import annotations
 
@@ -11,3 +12,11 @@ def require(ok: bool, name: str, rule: str, value) -> None:
     """
     if not ok:
         raise ValueError(f"{name} must be {rule}, got {value}")
+
+
+def lookup(table: dict, name: str, what: str):
+    """``table[name]``, or ``ValueError("unknown <what> <name>; expected one of <keys>")``."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ValueError(f"unknown {what} {name!r}; expected one of {', '.join(table)}") from None

@@ -33,7 +33,6 @@ from .scenario import (
     ConnectionScenario,
     annual_production,
     delivered_cost_increase,
-    delivered_over_period_kwh,
     evaluate_connection,
     import_competitiveness,
     revenue,
@@ -322,7 +321,7 @@ def trade_cmd(scenario_spec: str, profile: str, case: str) -> Report:
 
 
 @report_command("norned")
-@click.option("--revenue-meur", default=50.0, show_default=True, help="Observed revenue over the period.")
+@click.option("--revenue-meur", default=datasets.NORNED_REVENUE_MEUR, show_default=True, help="Observed revenue over the period.")
 @click.option("--days", default=datasets.NORNED_PERIOD_DAYS, show_default=True)
 @click.option("--profile", default="norned", type=PROFILE_CHOICE, show_default=True)
 def norned_cmd(revenue_meur: float, days: int, profile: str) -> Report:
@@ -333,11 +332,12 @@ def norned_cmd(revenue_meur: float, days: int, profile: str) -> Report:
     value = revenue_per_delivered_kwh(revenue_meur * 1e6, link, hours)
     sensitivity_hours = datasets.NORNED_PERIOD_DAYS_SENSITIVITY * 24.0
     sensitivity = revenue_per_delivered_kwh(revenue_meur * 1e6, link, sensitivity_hours)
-    reference = _reference("norned_revenue_per_kwh") if days == datasets.NORNED_PERIOD_DAYS else None
+    published = (revenue_meur, days) == (datasets.NORNED_REVENUE_MEUR, datasets.NORNED_PERIOD_DAYS)
+    reference = _reference("norned_revenue_per_kwh") if published else None
     rows = (
         ("revenue_meur", revenue_meur, None),
         ("period_days", days, None),
-        ("delivered_gwh", delivered_over_period_kwh(link, hours) / 1e6, None),
+        ("delivered_gwh", deliverable_energy(link, hours), None),
         ("revenue_per_delivered_kwh_eur", value, reference),
         (f"revenue_per_delivered_kwh_eur_{datasets.NORNED_PERIOD_DAYS_SENSITIVITY}day", sensitivity, None),
     )

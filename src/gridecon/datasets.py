@@ -15,34 +15,19 @@ import json
 from importlib import resources
 from pathlib import Path
 
+from .checks import lookup
+from .profiles import PROFILES
 from .projects import ProjectRecord, load_project_records
 from .scenario_file import ScenarioFileContents, load_scenario_file, parse_scenario_data
-from .transmission import (
-    LossModel,
-    Segment,
-    SegmentKind,
-    TransmissionLink,
-    UtilizationModel,
-)
+from .transmission import Segment, SegmentKind, TransmissionLink
 
 CABLE_COST_CASES_MEUR_PER_KM = {"low": 1.15, "high": 1.8}
 TERMINAL_COST_MEUR = 300.0
 
-# Interconnector duty presets: the ramping constraint interval halves (or
-# zeroes) capacity for four hours a day around flow reversals.
-UTILIZATION_REDUCED_TO_ZERO = UtilizationModel(reduced_hours=4, reduced_fraction=0.0)
-UTILIZATION_REDUCED_TO_HALF = UtilizationModel(reduced_hours=4, reduced_fraction=0.5)
-
 
 def _cable_unit_cost(case: str) -> float:
     """Submarine cable cost per km, MEUR, of a cost case."""
-    try:
-        return CABLE_COST_CASES_MEUR_PER_KM[case]
-    except KeyError:
-        raise ValueError(
-            f"unknown cost case {case!r}; expected one of "
-            f"{', '.join(CABLE_COST_CASES_MEUR_PER_KM)}"
-        ) from None
+    return lookup(CABLE_COST_CASES_MEUR_PER_KM, case, "cost case")
 
 
 def long_submarine_link(
@@ -50,7 +35,8 @@ def long_submarine_link(
     case: str = "low",
     capacity_mw: float = 3000.0,
 ) -> TransmissionLink:
-    """Point-to-point submarine cable with two converter terminals."""
+    """Point-to-point submarine cable with two converter terminals, at the duty
+    cycle of the ``paper-appendix-A`` profile."""
     return TransmissionLink(
         segments=(
             Segment(
@@ -62,14 +48,13 @@ def long_submarine_link(
         terminal_count=2,
         terminal_unit_cost_meur=TERMINAL_COST_MEUR,
         capacity_mw=capacity_mw,
-        availability=0.99,
-        loss_model=LossModel(),
-        utilization=UTILIZATION_REDUCED_TO_ZERO,
+        utilization=PROFILES["paper-appendix-A"].utilization,
     )
 
 
 def norned_link() -> TransmissionLink:
-    """The Norway-Netherlands interconnector: 700 MW over a 580 km cable."""
+    """The Norway-Netherlands interconnector: 700 MW over a 580 km cable, at the
+    duty cycle of the ``norned`` profile."""
     return TransmissionLink(
         segments=(
             Segment(
@@ -81,9 +66,7 @@ def norned_link() -> TransmissionLink:
         terminal_count=2,
         terminal_unit_cost_meur=150.0,
         capacity_mw=700.0,
-        availability=0.99,
-        loss_model=LossModel(),
-        utilization=UTILIZATION_REDUCED_TO_HALF,
+        utilization=PROFILES["norned"].utilization,
     )
 
 
@@ -103,13 +86,7 @@ BUNDLED_SCENARIOS = {
 
 def load_bundled_scenario(name: str, case: str = "low") -> ScenarioFileContents:
     """A bundled scenario, every submarine cable segment priced at the cost ``case``."""
-    try:
-        filename = BUNDLED_SCENARIOS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown bundled scenario {name!r}; expected one of "
-            f"{', '.join(BUNDLED_SCENARIOS)}"
-        ) from None
+    filename = lookup(BUNDLED_SCENARIOS, name, "bundled scenario")
     unit_cost = _cable_unit_cost(case)
     raw = json.loads(bundled_path(filename).read_text(encoding="utf-8"))
     for link in raw.get("links", {}).values():
@@ -167,7 +144,8 @@ REFERENCES = {
     ("trade_lcoe", "low"): _relative(0.014, 0.05),  # the published band, one end per cost case
     ("trade_lcoe", "high"): _relative(0.0185, 0.05),
     "corridor_deliverable_gwh": _relative(20000.0, 0.05),
-    "norned_revenue_per_kwh": _relative(0.0556, 0.02),  # EUR, over the first NORNED_PERIOD_DAYS
+    # EUR, of NORNED_REVENUE_MEUR over NORNED_PERIOD_DAYS
+    "norned_revenue_per_kwh": _relative(0.0556, 0.02),
 }
 
 
@@ -177,6 +155,8 @@ def within_reference(key, computed: float) -> bool:
     return low <= computed <= high
 
 
+# The revenue and period the NorNed reference was published for.
+NORNED_REVENUE_MEUR = 50.0
 NORNED_PERIOD_DAYS = 61  # first two months of operation
 NORNED_PERIOD_DAYS_SENSITIVITY = 60
 

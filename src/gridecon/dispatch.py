@@ -102,6 +102,7 @@ class DispatchNetwork:
     def __post_init__(self) -> None:
         object.__setattr__(self, "regions", tuple(self.regions))
         object.__setattr__(self, "interconnectors", tuple(self.interconnectors))
+        require(len(self.regions) >= 1, "len(regions)", ">= 1", len(self.regions))
         names = [r.name for r in self.regions]
         if len(set(names)) != len(names):
             raise ValueError("region names must be unique")

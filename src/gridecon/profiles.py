@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .checks import lookup
 from .finance import FinancialAssumptions
 from .scenario import ConnectionScenario
 from .transmission import LossComposition, TransmissionLink, UtilizationModel
@@ -65,9 +66,4 @@ PROFILES: dict[str, CalibrationProfile] = {
 
 
 def get_profile(name: str) -> CalibrationProfile:
-    try:
-        return PROFILES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown profile {name!r}; expected one of {', '.join(PROFILES)}"
-        ) from None
+    return lookup(PROFILES, name, "profile")

@@ -132,6 +132,9 @@ def parse_project_records(text: str) -> list[ProjectRecord]:
     extra = [c for c in header if c not in CSV_COLUMNS]
     if extra:
         raise ValueError(f"unknown columns: {', '.join(extra)}")
+    repeated = [c for c in CSV_COLUMNS if header.count(c) > 1]
+    if repeated:
+        raise ValueError(f"repeated columns: {', '.join(repeated)}")
 
     records: list[ProjectRecord] = []
     seen: set[str] = set()

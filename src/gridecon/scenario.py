@@ -19,6 +19,7 @@ from .finance import FinancialAssumptions, annualized_cost
 from .transmission import (
     HOURS_PER_YEAR,
     TransmissionLink,
+    deliverable_energy,
     delivered_from_injection,
     link_capex,
     route_efficiency,
@@ -235,28 +236,15 @@ def delivered_cost_increase(
     ) - 1.0
 
 
-def delivered_over_period_kwh(link: TransmissionLink, period_hours: float) -> float:
-    """Energy the link delivers running at its rating over the period, kWh."""
-    require(0 < period_hours < math.inf, "period_hours", "finite and > 0", period_hours)
-    return (
-        link.capacity_mw
-        * period_hours
-        * utilization_factor(link.utilization)
-        * link.availability
-        * route_efficiency(link)
-        * 1000.0
-    )
-
-
 def revenue_per_delivered_kwh(
     revenue_eur: float, link: TransmissionLink, period_hours: float
 ) -> float:
     """Revenue divided by the energy the link delivers over the period."""
     require(0 <= revenue_eur < math.inf, "revenue_eur", "finite and >= 0", revenue_eur)
-    delivered_kwh = delivered_over_period_kwh(link, period_hours)
-    if delivered_kwh <= 0:
+    delivered_gwh = deliverable_energy(link, period_hours)
+    if delivered_gwh <= 0:
         raise ValueError("link delivers no energy over the period")
-    return revenue_eur / delivered_kwh
+    return revenue_eur / (delivered_gwh * 1e6)
 
 
 def import_competitiveness(

@@ -3,7 +3,8 @@
 A file may carry any subset of the sections ``finance``, ``links``,
 ``generation``, ``prices``, ``scenario``, and ``network``; each subcommand
 checks that the sections it needs are present. Unknown keys are rejected
-everywhere so a typo cannot silently fall back to a default.
+everywhere so a typo cannot silently fall back to a default, and so is a
+key repeated within one object, whose last copy would otherwise win.
 
 Every value goes through one typed reader (finite number, whole number,
 string, enum choice, list, object). A key the file omits is not
@@ -33,7 +34,36 @@ from .transmission import (
 
 
 class ScenarioFileError(ValueError):
-    """Raised for any schema violation, naming the offending key or value."""
+    """A schema violation, naming the offending key or value.
+
+    Each level of the file it leaves prepends its key or index to the key
+    path, which is only assembled into text when the error is reported, so
+    reading a valid file builds no path strings.
+    """
+
+    def __init__(self, message: str, *path: str | int):
+        super().__init__(message)
+        self.path = list(path)
+
+    @staticmethod
+    def at(key: str | int, exc: Exception) -> ScenarioFileError:
+        """``exc`` with ``key`` prepended to its path, as a ``ScenarioFileError``."""
+        if isinstance(exc, ArithmeticError):
+            return ScenarioFileError(f"cannot compute with these values ({exc!r})", key)
+        if not isinstance(exc, ScenarioFileError):
+            return ScenarioFileError(str(exc), key)
+        exc.path.insert(0, key)
+        return exc
+
+    def __str__(self) -> str:
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in self.path)
+        return f"{where[1:]}: {self.args[0]}" if where else self.args[0]
+
+
+# What reading one key or list item may raise: a schema violation below it
+# (a ScenarioFileError is a ValueError), or a dataclass rejecting (or
+# overflowing on) the object read there.
+_REJECTIONS = (ValueError, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -47,34 +77,41 @@ class ScenarioFileContents:
 
     def require(self, section: str):
         value = getattr(self, section)
-        if value is None or (section == "links" and not value):
-            raise ScenarioFileError(f"{section}: missing")
+        if value is None:
+            raise ScenarioFileError("missing", section)
         return value
 
 
 def load_scenario_file(path: str | Path) -> ScenarioFileContents:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(f"invalid JSON: {exc}") from None
     return parse_scenario_data(raw)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, rejecting a repeated key instead of keeping its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ScenarioFileError(f"repeated key {repeated!r}")
+    return obj
+
+
 def parse_scenario_data(raw: dict) -> ScenarioFileContents:
-    try:
-        sections = _fields(raw, _SECTIONS)
-        links = sections.get("links", {})
-        generation = sections.get("generation")
-        scenario = sections.get("scenario")
-        if scenario is not None:
-            if generation is None:
-                raise _Invalid("requires a generation section", "scenario")
-            try:
-                scenario = _scenario(scenario, links, generation)
-            except _REJECTIONS as exc:
-                raise _Invalid.at("scenario", exc) from None
-    except _Invalid as exc:
-        raise ScenarioFileError(str(exc)) from None
+    sections = _fields(raw, _SECTIONS)
+    links = sections.get("links", {})
+    generation = sections.get("generation")
+    scenario = sections.get("scenario")
+    if scenario is not None:
+        if generation is None:
+            raise ScenarioFileError("requires a generation section", "scenario")
+        try:
+            scenario = _scenario(scenario, links, generation)
+        except _REJECTIONS as exc:
+            raise ScenarioFileError.at("scenario", exc) from None
     return ScenarioFileContents(
         finance=sections.get("finance"),
         links=links,
@@ -85,46 +122,15 @@ def parse_scenario_data(raw: dict) -> ScenarioFileContents:
     )
 
 
-class _Invalid(Exception):
-    """A schema violation; each level it leaves prepends its key or index.
-
-    The key path is only assembled into text when the error is reported,
-    so reading a valid file builds no path strings.
-    """
-
-    def __init__(self, message: str, *path: str | int):
-        super().__init__(message)
-        self.path = list(path)
-
-    @staticmethod
-    def at(key: str | int, exc: Exception) -> _Invalid:
-        """``exc`` with ``key`` prepended to its path, as an ``_Invalid``."""
-        if isinstance(exc, ArithmeticError):
-            return _Invalid(f"cannot compute with these values ({exc!r})", key)
-        if not isinstance(exc, _Invalid):
-            return _Invalid(str(exc), key)
-        exc.path.insert(0, key)
-        return exc
-
-    def __str__(self) -> str:
-        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in self.path)
-        return f"{where[1:]}: {self.args[0]}" if where else self.args[0]
-
-
-# What reading one key or list item may raise: a schema violation below it,
-# or a dataclass rejecting (or overflowing on) the object read there.
-_REJECTIONS = (_Invalid, ValueError, ArithmeticError)
-
-
 def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _Invalid(f"expected a number, got {value!r}")
+        raise ScenarioFileError(f"expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise _Invalid(f"expected a finite number, got {value!r}")
+        raise ScenarioFileError(f"expected a finite number, got {value!r}")
     return number
 
 
@@ -132,13 +138,13 @@ def _integer(value) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _Invalid(f"expected a whole number, got {value!r}")
+        raise ScenarioFileError(f"expected a whole number, got {value!r}")
     return value
 
 
 def _text(value) -> str:
     if not isinstance(value, str):
-        raise _Invalid(f"expected a string, got {value!r}")
+        raise ScenarioFileError(f"expected a string, got {value!r}")
     return value
 
 
@@ -148,7 +154,7 @@ def _choice(enum):
     def read(value):
         member = members.get(value) if isinstance(value, str) else None
         if member is None:
-            raise _Invalid(f"{value!r} is not one of {', '.join(members)}")
+            raise ScenarioFileError(f"{value!r} is not one of {', '.join(members)}")
         return member
 
     return read
@@ -157,13 +163,13 @@ def _choice(enum):
 def _list(read_item, nonempty: bool = False):
     def read(value) -> tuple:
         if not isinstance(value, list) or (nonempty and not value):
-            raise _Invalid(f"expected a {'non-empty ' if nonempty else ''}list, got {value!r}")
+            raise ScenarioFileError(f"expected a {'non-empty ' if nonempty else ''}list, got {value!r}")
         items = []
         for index, item in enumerate(value):
             try:
                 items.append(read_item(item))
             except _REJECTIONS as exc:
-                raise _Invalid.at(index, exc) from None
+                raise ScenarioFileError.at(index, exc) from None
         return tuple(items)
 
     return read
@@ -172,19 +178,19 @@ def _list(read_item, nonempty: bool = False):
 def _fields(obj, readers: dict, required: tuple[str, ...] = ()) -> dict:
     """Read each key of ``obj`` with its reader; omitted optional keys stay out."""
     if not isinstance(obj, dict):
-        raise _Invalid(f"expected an object, got {obj!r}")
+        raise ScenarioFileError(f"expected an object, got {obj!r}")
     for key in required:
         if key not in obj:
-            raise _Invalid("missing", key)
+            raise ScenarioFileError("missing", key)
     values = {}
     for key, value in obj.items():
         read = readers.get(key)
         if read is None:
-            raise _Invalid(f"unknown key {key!r}")
+            raise ScenarioFileError(f"unknown key {key!r}")
         try:
             values[key] = read(value)
         except _REJECTIONS as exc:
-            raise _Invalid.at(key, exc) from None
+            raise ScenarioFileError.at(key, exc) from None
     return values
 
 
@@ -244,7 +250,7 @@ def _scenario(
 ) -> ConnectionScenario:
     def link(name) -> TransmissionLink:
         if _text(name) not in links:
-            raise _Invalid(f"unknown link {name!r}")
+            raise ScenarioFileError(f"unknown link {name!r}")
         return links[name]
 
     path = _record(
@@ -278,8 +284,10 @@ def _region(value) -> Region:
     peak = region.pop("demand_peak_mw", None)
     if "demand_profile_mw" not in region:
         if peak is None:
-            raise _Invalid("needs demand_profile_mw or demand_peak_mw")
+            raise ScenarioFileError("needs demand_profile_mw or demand_peak_mw")
         region["demand_profile_mw"] = sinusoid_profile(peak)
+    elif peak is not None:
+        raise ScenarioFileError("takes demand_profile_mw or demand_peak_mw, not both")
     return Region(**region)
 
 
@@ -311,7 +319,7 @@ _SECTIONS = {
     "network": _record(
         DispatchNetwork,
         {
-            "regions": _list(_region, nonempty=True),
+            "regions": _list(_region),
             "interconnectors": _list(_interconnector),
             "unserved_penalty_eur_per_mwh": _number,
         },

@@ -134,17 +134,20 @@ def utilization_factor(u: UtilizationModel) -> float:
     return ((24.0 - u.reduced_hours) + u.reduced_hours * u.reduced_fraction) / 24.0
 
 
-def deliverable_energy(link: TransmissionLink) -> float:
-    """Annual energy the link can deliver at full duty, GWh/yr.
+def deliverable_energy(link: TransmissionLink, period_hours: float = HOURS_PER_YEAR) -> float:
+    """Energy the link delivers running at its rating over ``period_hours``, GWh.
 
-    capacity * 8760 h * utilization * availability * efficiency. This is the
-    capacity-based deliverable used for interconnector LCOE and trade; for
-    a generator feeding the link see delivered_from_injection, which does
-    not apply the ramping utilization.
+    capacity * period * utilization * availability * efficiency: the energy
+    left after the ramping duty cycle, outages and losses. Over the default
+    period of a year it is the capacity-based deliverable of interconnector
+    LCOE and trade; over a shorter period, the denominator of revenue per
+    delivered kWh. For a generator feeding the link see
+    delivered_from_injection, which does not apply the ramping utilization.
     """
+    require(0 < period_hours < math.inf, "period_hours", "finite and > 0", period_hours)
     return (
         link.capacity_mw
-        * HOURS_PER_YEAR
+        * period_hours
         * utilization_factor(link.utilization)
         * link.availability
         * route_efficiency(link)

@@ -22,6 +22,8 @@ from dispatch_oracles import (
 )
 from gridecon.cli import main as cli_main
 from gridecon.datasets import (
+    NORNED_PERIOD_DAYS,
+    NORNED_REVENUE_MEUR,
     REFERENCES,
     load_bundled_projects,
     load_bundled_scenario,
@@ -195,7 +197,7 @@ def test_criterion_7_trade():
 def test_criterion_8_norned_revenue():
     with criterion(8, "NorNed revenue per delivered kWh matches the published value (61 days, utilization 11/12)"):
         link = NORNED.apply_to_link(norned_link())
-        value = revenue_per_delivered_kwh(50e6, link, 61 * 24)
+        value = revenue_per_delivered_kwh(NORNED_REVENUE_MEUR * 1e6, link, NORNED_PERIOD_DAYS * 24)
         assert within_reference("norned_revenue_per_kwh", value)
 
 

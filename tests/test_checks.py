@@ -5,6 +5,8 @@ import re
 
 import pytest
 
+from gridecon.checks import lookup
+from gridecon.datasets import load_bundled_scenario, long_submarine_link
 from gridecon.dispatch import (
     DispatchNetwork,
     Interconnector,
@@ -23,6 +25,7 @@ from gridecon.finance import (
     capital_recovery_factor,
     normalize_currency,
 )
+from gridecon.profiles import get_profile
 from gridecon.projects import ProjectRecord, implied_cable_cost_per_km
 from gridecon.scenario import (
     GenerationSource,
@@ -36,6 +39,7 @@ from gridecon.transmission import (
     SegmentKind,
     TransmissionLink,
     UtilizationModel,
+    deliverable_energy,
     delivered_from_injection,
     transmission_lcoe,
 )
@@ -115,6 +119,8 @@ ROWS = [
      "capacity_mw", "finite and >= 0", -1.0),
     ("TransmissionLink.availability", lambda v: link(availability=v),
      "availability", "in (0, 1]", 0.0),
+    ("deliverable_energy.period_hours", lambda v: deliverable_energy(link(), v),
+     "period_hours", "finite and > 0", 0.0),
     ("delivered_from_injection.injected_gwh", lambda v: delivered_from_injection(link(), v),
      "injected_gwh", ">= 0", -1.0),
     ("transmission_lcoe.delivered_gwh", lambda v: transmission_lcoe(link(), FIN, v),
@@ -203,3 +209,24 @@ CASES = [
 def test_out_of_range_value_is_rejected(build, name, rule, value):
     with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be {rule}, got ")):
         build(value)
+
+
+def test_network_without_regions_is_rejected():
+    with pytest.raises(ValueError, match=r"^len\(regions\) must be >= 1, got 0$"):
+        DispatchNetwork(regions=())
+
+
+def test_unknown_name_lists_the_table():
+    assert lookup({"a": 1, "b": 2}, "b", "letter") == 2
+    with pytest.raises(ValueError, match="^unknown letter 'c'; expected one of a, b$"):
+        lookup({"a": 1, "b": 2}, "c", "letter")
+    # each table's rejection goes through lookup, its message word for word
+    for build, message in (
+        (lambda: get_profile("x"),
+         "unknown profile 'x'; expected one of paper-appendix-A, appendix-B-reconciled, norned"),
+        (lambda: long_submarine_link(case="x"), "unknown cost case 'x'; expected one of low, high"),
+        (lambda: load_bundled_scenario("x"),
+         "unknown bundled scenario 'x'; expected one of greenland, smoothing"),
+    ):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            build()

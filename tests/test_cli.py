@@ -163,6 +163,25 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "Error: row 2: Foo: max_depth_m must be finite and >= 0, got -50.0\n" in result.output
 
+    def test_repeated_scenario_key_is_two(self, tmp_path):
+        """A second ``network`` key is rejected, not simulated in place of the first."""
+        text = bundled_path("smoothing_demo.json").read_text(encoding="utf-8")
+        network = json.dumps(json.loads(text)["network"])
+        path = tmp_path / "two_networks.json"
+        path.write_text(text.rstrip()[:-1] + f', "network": {network}}}')
+        result = invoke(["simulate", "--scenario", str(path)])
+        assert result.exit_code == 2
+        assert "Error: repeated key 'network'\n" in result.output
+
+    def test_repeated_project_column_is_two(self, tmp_path):
+        """A second ``capacity_mw`` column is rejected, not printed in place of the first."""
+        path = tmp_path / "projects.csv"
+        row = "Foo,±300,700,100,50,500,,,2,9999"
+        path.write_text(",".join(CSV_COLUMNS) + ",capacity_mw\n" + row + "\n", encoding="utf-8")
+        result = invoke(["project-table", "--projects-csv", str(path)])
+        assert result.exit_code == 2
+        assert "Error: repeated columns: capacity_mw\n" in result.output
+
     def test_missing_section_is_two(self, tmp_path):
         path = tmp_path / "no_network.json"
         path.write_text("{}")
@@ -271,6 +290,12 @@ class TestCsvEmission:
             output = invoke(["lcoe", *option, "--case", "low", "--format", "csv"]).output
             rows = list(csv.reader(io.StringIO(output)))
             assert rows[1][rows[0].index("reference_eur_per_kwh")] == ""
+
+    def test_norned_reference_only_for_published_revenue(self):
+        output = invoke(["norned", "--revenue-meur", "40", "--format", "csv"]).output
+        rows = {row["metric"]: row for row in csv.DictReader(io.StringIO(output))}
+        assert rows["revenue_per_delivered_kwh_eur"]["value"] == "0.0443"
+        assert rows["revenue_per_delivered_kwh_eur"]["reference"] == ""
 
     def test_simulate_emits_hourly_rows(self):
         output = invoke(["simulate", "--hours", "2"]).output

@@ -169,6 +169,32 @@ def test_network_unknown_region_reference():
         parse_scenario_data(data)
 
 
+def test_region_takes_one_demand_key():
+    region = {
+        "name": "a",
+        "demand_profile_mw": [1.0] * 24,
+        "demand_peak_mw": 10,
+        "generators": [{"capacity_mw": 1, "marginal_cost_eur_per_mwh": 1}],
+    }
+    data = {"network": {"regions": [region]}}
+    message = "network.regions[0]: takes demand_profile_mw or demand_peak_mw, not both"
+    with pytest.raises(ScenarioFileError, match="^" + re.escape(message) + "$"):
+        parse_scenario_data(data)
+
+
+def test_network_without_regions_rejected():
+    data = {"network": {"regions": []}}
+    with pytest.raises(ScenarioFileError, match=r"^network: len\(regions\) must be >= 1, got 0$"):
+        parse_scenario_data(data)
+
+
+def test_repeated_key_rejected(tmp_path):
+    path = tmp_path / "repeated.json"
+    path.write_text('{"finance": {"discount_rate": 0.03, "lifetime_years": 40, "discount_rate": 0.1}}')
+    with pytest.raises(ScenarioFileError, match="^repeated key 'discount_rate'$"):
+        load_scenario_file(path)
+
+
 def test_invalid_json_reported(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -132,6 +132,10 @@ class TestDeliverableEnergy:
         # 700 * 8760 * 11/12 * 0.99 * 0.9708088 / 1000
         assert deliverable_energy(NORNED) == pytest.approx(5402.347, abs=1e-3)
 
+    def test_norned_two_months(self):
+        # the annual energy scaled to 61 days: 5402.347 * 61 * 24 / 8760
+        assert deliverable_energy(NORNED, 61 * 24) == pytest.approx(902.858, abs=1e-3)
+
 
 class TestDeliveredFromInjection:
     def test_uk_route_delivery(self):
