@@ -332,7 +332,10 @@ def norned_cmd(revenue_meur: float, days: int, profile: str) -> Report:
     value = revenue_per_delivered_kwh(revenue_meur * 1e6, link, hours)
     sensitivity_hours = datasets.NORNED_PERIOD_DAYS_SENSITIVITY * 24.0
     sensitivity = revenue_per_delivered_kwh(revenue_meur * 1e6, link, sensitivity_hours)
-    published = (revenue_meur, days) == (datasets.NORNED_REVENUE_MEUR, datasets.NORNED_PERIOD_DAYS)
+    published = profile == "norned" and (revenue_meur, days) == (
+        datasets.NORNED_REVENUE_MEUR,
+        datasets.NORNED_PERIOD_DAYS,
+    )
     reference = _reference("norned_revenue_per_kwh") if published else None
     rows = (
         ("revenue_meur", revenue_meur, None),

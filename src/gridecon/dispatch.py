@@ -19,6 +19,17 @@ residual network of the optimal flow, so a region's price is the cost of
 serving one more MWh there. Where the LP's dual is not unique (a unit
 running exactly at its rating), that is the upper end of the dual range.
 
+The labels are corrected from a FIFO queue of nodes, with no bound on the
+number of passes. A residual cycle of lossy links lowers its labels by a
+constant factor per round, without end, so such a cycle is closed in one
+step at its fixed point, as generalized shortest-path labels are (Ahuja,
+Magnanti & Orlin, *Network Flows*, 1993, ch. 15). Labels that still cannot
+settle raise ``ValueError``, which ``simulate`` prefixes with the hour;
+they are never returned as prices. HiGHS solves at feasibility tolerances
+of 1e-9, not its default 1e-7: flows left at the default tolerance make
+residual cycles that the optimum does not have, and labels that follow
+them to their fixed point undercut the cost of one more MWh.
+
 The balance constraints go to HiGHS as a sparse column matrix, one column
 per arc with at most two entries (leaving one region, arriving in another).
 ``simulate`` solves each distinct demand vector once: an hour that repeats
@@ -35,6 +46,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .checks import require
@@ -43,6 +55,14 @@ DEFAULT_UNSERVED_PENALTY = 10000.0  # EUR/MWh, far above any generator
 
 _EPS_FLOW = 1e-7  # residual capacities below this count as saturated
 _EPS_IMPROVE = 1e-7  # label must improve by this much to relax
+# Tight tolerances leave no flow at tolerance level to form false residual
+# cycles (see the module docstring); presolve costs more than it saves on
+# LPs this small.
+_HIGHS_OPTIONS = {
+    "dual_feasibility_tolerance": 1e-9,
+    "primal_feasibility_tolerance": 1e-9,
+    "presolve": False,
+}
 
 # scipy.optimize.linprog, bound by the first solve. Solves call it through
 # this module global, so that it can be wrapped from outside.
@@ -151,30 +171,96 @@ def _delivery_price_labels(
 ) -> list[float]:
     """Cheapest cost of delivering one more unit at each node, from source node 0.
 
-    Bellman-Ford on the residual network of ``arcs`` carrying ``flows``;
+    Label-correcting shortest paths on the residual network of ``arcs``
+    carrying ``flows``, visiting nodes from a FIFO queue. Each residual arc
+    is an affine map of labels, clamped at zero since no cost is negative:
     traversing an arc forward maps a label p to (p + cost) / gain,
-    traversing it backward refunds to p * gain - cost. Relaxation passes are
-    bounded so that zero-cost residual loops (degenerate all-free networks)
-    terminate; labels are clamped at zero since no cost is negative.
+    traversing it backward refunds to p * gain - cost.
+
+    There is no bound on passes. A residual cycle whose maps compose to
+    p -> M * p + A with M < 1 lowers its labels geometrically, without end.
+    A node queued ``n_nodes`` times lies on or behind such a cycle, so its
+    predecessors lead to it; the cycle's node is then set to the fixed point
+    max(0, A / (1 - M)), once one clamped pass around the cycle confirms
+    that value, and the queue goes on from there. Anything else cannot
+    converge and raises ValueError. In a dispatch network only arcs leaving
+    the source cost anything and none enters it, so every such cycle closes
+    at 0, each node at most once, and the queue ends. The flows must be
+    solved at tight tolerances: a flow left at tolerance level makes a
+    residual cycle that the optimum does not have, and its fixed point
+    undercuts the price.
     """
+    residual = [[] for _ in range(n_nodes)]
+    for (tail, head, cap, gain, cost), flow in zip(arcs, flows):
+        if cap - flow > _EPS_FLOW:
+            residual[tail].append((head, 1.0 / gain, cost / gain))
+        if flow > _EPS_FLOW and tail:  # node 0's label is 0 by definition
+            residual[head].append((tail, gain, -cost))
     dist = [math.inf] * n_nodes
     dist[0] = 0.0
-    for _ in range(n_nodes + 40):
-        improved = False
-        for (tail, head, cap, gain, cost), flow in zip(arcs, flows):
-            if cap - flow > _EPS_FLOW and dist[tail] < math.inf:
-                cand = max(0.0, (dist[tail] + cost) / gain)
-                if cand < dist[head] - _EPS_IMPROVE:
-                    dist[head] = cand
-                    improved = True
-            if flow > _EPS_FLOW and dist[head] < math.inf:
-                cand = max(0.0, dist[head] * gain - cost)
-                if cand < dist[tail] - _EPS_IMPROVE:
-                    dist[tail] = cand
-                    improved = True
-        if not improved:
-            break
+    pred: list[tuple[int, float, float] | None] = [None] * n_nodes
+    enqueued = [0] * n_nodes
+    queued = [False] * n_nodes
+    queue = deque([0])
+    while queue:
+        tail = queue.popleft()
+        queued[tail] = False
+        label = dist[tail]
+        for head, m, a in residual[tail]:
+            cand = max(0.0, label * m + a)
+            if cand >= dist[head] - _EPS_IMPROVE:
+                continue
+            dist[head] = cand
+            pred[head] = (tail, m, a)
+            if queued[head]:
+                continue
+            queued[head] = True
+            queue.append(head)
+            enqueued[head] += 1
+            if enqueued[head] == n_nodes:
+                node = _close_gain_cycle(dist, pred, head)
+                enqueued = [0] * n_nodes
+                if not queued[node]:
+                    queued[node] = True
+                    queue.append(node)
     return dist
+
+
+def _close_gain_cycle(dist: list[float], pred: list, start: int) -> int:
+    """Set a node of the predecessor cycle behind ``start`` to its fixed point.
+
+    Returns that node. Raises ValueError when the predecessors lead to no
+    cycle, or to one that neither shrinks labels nor has a fixed point
+    below the node's label.
+    """
+    node = start
+    for _ in range(len(dist)):  # past any tail of the predecessor graph
+        if pred[node] is None:
+            raise ValueError("price labels do not converge: no residual cycle to close")
+        node = pred[node][0]
+    maps = []
+    at = node
+    while True:
+        at, m, a = pred[at]
+        maps.append((m, a))
+        if at == node:
+            break
+    maps.reverse()  # in label order, from node around to node
+    slope, offset = 1.0, 0.0
+    for m, a in maps:
+        slope, offset = slope * m, offset * m + a
+    if slope < 1.0:
+        fixed = max(0.0, offset / (1.0 - slope))
+        around = fixed
+        for m, a in maps:
+            around = max(0.0, around * m + a)
+        if abs(around - fixed) <= _EPS_IMPROVE and fixed < dist[node] - _EPS_IMPROVE:
+            dist[node] = fixed
+            return node
+    raise ValueError(
+        f"price labels do not converge: a residual cycle of {len(maps)} arcs "
+        f"maps p to {slope:.6g} * p + {offset:.6g}, with no fixed point below {dist[node]:.6g}"
+    )
 
 
 def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
@@ -240,6 +326,7 @@ def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
         b_eq=np.array(demand),
         bounds=bounds,
         method="highs",
+        options=_HIGHS_OPTIONS,
     )
     if solution.status != 0:
         # The LP is feasible by construction, so a failure means inputs too
@@ -311,7 +398,10 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
     for t in range(hours):
         demand = tuple(region.demand_at(t) for region in network.regions)
         if demand not in solved:
-            solved[demand] = min_cost_flow(network, demand)
+            try:
+                solved[demand] = min_cost_flow(network, demand)
+            except ValueError as exc:
+                raise ValueError(f"hour {t}: {exc}") from exc
         hourly.append(solved[demand])
     return DispatchResult(network=network, hourly=tuple(hourly))
 

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 from scipy.optimize import linprog
 
-from gridecon.dispatch import DispatchNetwork, Interconnector, Region
+from gridecon.dispatch import DispatchNetwork, Interconnector, Region, sinusoid_profile
 
 PENALTY = 10000.0
 
@@ -120,3 +121,38 @@ def random_network(rng, max_regions=4, integer=False, max_links=4):
 def energy_balance_residual(hour):
     generated = sum(sum(units) for units in hour.generation_mw)
     return generated - sum(hour.served_mw) - hour.loss_mw
+
+
+def ring_network(seed, n_regions, n_chords):
+    """Seeded ring of regions plus random chords, with lossy links and a
+    three-unit merit order per region; the same draws as the benchmark's
+    ring generator, so a seed names the same network in both."""
+    rng = random.Random(seed)
+    names = [f"r{i:03d}" for i in range(n_regions)]
+    regions = []
+    for name in names:
+        peak = round(rng.uniform(500.0, 3000.0), 1)
+        profile = sinusoid_profile(peak, round(rng.uniform(0.3, 0.8), 3), rng.randrange(24))
+        generators = (
+            (round(rng.uniform(0.2, 1.2) * peak, 1), 0.0),
+            (round(rng.uniform(0.3, 0.8) * peak, 1), round(rng.uniform(20.0, 60.0), 2)),
+            (round(rng.uniform(0.2, 0.6) * peak, 1), round(rng.uniform(80.0, 200.0), 2)),
+        )
+        regions.append(Region(name, rng.randint(-11, 12), profile, generators))
+
+    def link(a, b, min_eff):
+        capacity = round(rng.uniform(200.0, 1500.0), 1)
+        return Interconnector(names[a], names[b], capacity, round(rng.uniform(min_eff, 0.99), 4))
+
+    links = [link(i, (i + 1) % n_regions, 0.9) for i in range(n_regions)]
+    taken = {frozenset((i, (i + 1) % n_regions)) for i in range(n_regions)}
+    while len(links) < n_regions + n_chords:
+        a, b = rng.randrange(n_regions), rng.randrange(n_regions)
+        if a != b and frozenset((a, b)) not in taken:
+            taken.add(frozenset((a, b)))
+            links.append(link(a, b, 0.85))
+    return DispatchNetwork(tuple(regions), tuple(links))
+
+
+def hourly_demand(net, hour):
+    return tuple(r.demand_at(hour) for r in net.regions)

@@ -297,6 +297,14 @@ class TestCsvEmission:
         assert rows["revenue_per_delivered_kwh_eur"]["value"] == "0.0443"
         assert rows["revenue_per_delivered_kwh_eur"]["reference"] == ""
 
+    def test_norned_reference_only_for_its_duty_cycle(self):
+        # The reference was published for the norned duty cycle, not for
+        # the appendix profile's utilization.
+        output = invoke(["norned", "--profile", "paper-appendix-A", "--format", "csv"]).output
+        rows = {row["metric"]: row for row in csv.DictReader(io.StringIO(output))}
+        assert rows["revenue_per_delivered_kwh_eur"]["value"] == "0.0609"
+        assert rows["revenue_per_delivered_kwh_eur"]["reference"] == ""
+
     def test_simulate_emits_hourly_rows(self):
         output = invoke(["simulate", "--hours", "2"]).output
         rows = list(csv.reader(io.StringIO(output)))

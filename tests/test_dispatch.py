@@ -30,10 +30,12 @@ from dispatch_oracles import (
     PENALTY,
     energy_balance_residual,
     enumeration_oracle,
+    hourly_demand,
     lp_oracle,
     network,
     random_network,
     region,
+    ring_network,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -318,6 +320,75 @@ class TestPriceComplementarySlackness:
                         )
                         checks += 1
         assert checks > 1000
+
+
+class TestPricesAreMarginalCosts:
+    """A region's price is the cost of one more MWh there: the right finite
+    difference of the hour's cost, wherever the difference is steady."""
+
+    DELTA = 1e-2  # MW; checked against DELTA / 10, so a breakpoint is skipped
+
+    def test_free_hour_of_a_ring_is_priced_at_zero(self):
+        # Free units cover this hour everywhere, over a residual cycle of
+        # lossy links that a pass-bounded relaxation left at 18-21 EUR/MWh.
+        net = ring_network("10:41", n_regions=10, n_chords=10)
+        hour = min_cost_flow(net, hourly_demand(net, 13))
+        assert hour.cost_eur == 0.0
+        assert hour.prices_eur_per_mwh == (0.0,) * 10
+
+    def test_labels_that_cannot_settle_raise(self):
+        # A flow that is not optimal: moving 5 MW from the costly 1 -> 2 arc
+        # to the free one saves 1 EUR/MWh, a residual cycle that lowers
+        # labels by 1 per round and has no fixed point.
+        arcs = [(0, 1, 10.0, 1.0, 100.0), (1, 2, 10.0, 1.0, 0.0), (1, 2, 10.0, 1.0, 1.0)]
+        with pytest.raises(ValueError, match="price labels do not converge"):
+            dispatch._delivery_price_labels(arcs, [0.0, 0.0, 5.0], 3)
+
+    def test_simulate_names_the_hour_that_fails(self, monkeypatch):
+        def fail(arcs, flows, n_nodes):
+            raise ValueError("price labels do not converge")
+
+        monkeypatch.setattr(dispatch, "_delivery_price_labels", fail)
+        net = network([region("a", 5, [(10, 1.0)])])
+        with pytest.raises(ValueError, match="^hour 0: price labels do not converge$"):
+            simulate(net, 2)
+
+    def checked_regions(self, net, demand):
+        """Regions whose price matches a steady finite difference; raises on a mismatch."""
+        hour = min_cost_flow(net, demand)
+        checked = 0
+        for i, price in enumerate(hour.prices_eur_per_mwh):
+            slopes = []
+            for delta in (self.DELTA, self.DELTA / 10):
+                more = list(demand)
+                more[i] += delta
+                slopes.append((min_cost_flow(net, more).cost_eur - hour.cost_eur) / delta)
+            if slopes[0] == pytest.approx(slopes[1], rel=1e-6, abs=1e-6):
+                assert price == pytest.approx(slopes[0], rel=1e-6, abs=1e-6), (i, slopes)
+                checked += 1
+        return checked
+
+    @pytest.mark.parametrize(
+        "seed, n_regions, hour",
+        [("10:58", 10, 12), ("20:1", 20, 9), ("40:26", 40, 20)],
+    )
+    def test_ring_prices_match_finite_differences(self, seed, n_regions, hour):
+        net = ring_network(seed, n_regions, n_chords=n_regions)
+        assert self.checked_regions(net, hourly_demand(net, hour)) >= n_regions // 2
+
+    def test_random_network_prices_match_finite_differences(self):
+        rng = random.Random(314)
+        settings = [
+            {},
+            {"max_regions": 3, "integer": True, "max_links": 2},
+            {"max_regions": 6, "max_links": 10},
+        ]
+        checks = 0
+        for kwargs in settings:
+            for _ in range(40):
+                net = random_network(rng, **kwargs)
+                checks += self.checked_regions(net, [r.demand_profile_mw[0] for r in net.regions])
+        assert checks > 200
 
 
 class TestMonotonicityProperties:
