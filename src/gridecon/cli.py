@@ -129,38 +129,19 @@ def _emit(report: Report, fmt: str) -> None:
     click.echo(render(report, fmt), nl=False)
 
 
-def _apply_profile(
-    contents, profile_name: str
-) -> tuple[ConnectionScenario, FinancialAssumptions, str]:
+def _apply_profile(contents, profile_name: str) -> tuple[ConnectionScenario, FinancialAssumptions]:
     scenario = contents.require("scenario")
     if profile_name == "custom":
-        return scenario, contents.require("finance"), "custom"
+        return scenario, contents.require("finance")
     profile = get_profile(profile_name)
-    return profile.apply_to_scenario(scenario), profile.finance(), profile.name
+    return profile.apply_to_scenario(scenario), profile.finance()
 
 
-def _reference(key):
-    """The published value (or band) of ``key`` in the reference table, or None."""
-    return datasets.REFERENCES.get(key, (None,))[0]
-
-
-def _case_study_rows(rows, scenario_spec: str) -> tuple:
-    """``rows`` as they are for the bundled ``greenland`` case study, the one the
-    references were published for; any other scenario gets empty reference cells."""
-    if scenario_spec == "greenland":
-        return tuple(rows)
-    return tuple((metric, value, None) for metric, value, _ in rows)
-
-
-def _scenario_notes(
-    fin: FinancialAssumptions, profile_name: str, scenario_spec: str
-) -> tuple[str, ...]:
-    """Notes under a scenario report. The O&M gap is a gap to the references of
-    the bundled ``greenland`` case study, so only its report, which prints them,
-    gets that note."""
-    if fin.om_rate == 0 and scenario_spec == "greenland":
+def _scenario_notes(args: dict) -> tuple[str, ...]:
+    """Notes under a scenario or trade report run with the arguments ``args``."""
+    if datasets.published("scenario_lcoe_zero_om_gap", **args) is not None:
         return (OM_GAP_NOTE,)
-    if profile_name == "appendix-B-reconciled":
+    if args["profile"] == "appendix-B-reconciled":
         return (RECONCILED_NOTE,)
     return ()
 
@@ -182,10 +163,9 @@ def lcoe_cmd(profile: str, case: str, length_km: float, capacity_mw: float) -> R
         )
         delivered = deliverable_energy(link)
         value = transmission_lcoe(link, fin, delivered)
-        reference = _reference(("link_lcoe", length_km, capacity_mw, c))
-        rows.append(
-            (c, length_km, capacity_mw, link_capex(link), delivered, value, reference)
-        )
+        args = {"profile": profile, "case": c, "length_km": length_km, "capacity_mw": capacity_mw}
+        reference = datasets.published(("link_lcoe", length_km, c), **args)
+        rows.append((c, length_km, capacity_mw, link_capex(link), delivered, value, reference))
     return Report(
         title="Levelized transmission cost, long submarine cable",
         profile=prof.name,
@@ -254,8 +234,10 @@ def project_table_cmd(converter_cost: float, projects_csv: str | None) -> Report
 @click.option("--connection", default="dual", type=click.Choice(["single", "dual"]), show_default=True)
 def scenario_cmd(scenario_spec: str, profile: str, case: str, connection: str) -> Report:
     """Deliveries, transmission LCOE, and revenue uplift of a connection scenario."""
+    args = {"scenario_spec": scenario_spec, "profile": profile, "case": case, "connection": connection}
+    published = functools.partial(datasets.published, **args)
     contents = datasets.resolve_scenario(scenario_spec, case)
-    scenario, fin, profile_name = _apply_profile(contents, profile)
+    scenario, fin = _apply_profile(contents, profile)
     if connection == "dual" and len(scenario.paths) != 2:
         raise ValueError("dual connection requires exactly two paths")
     prices = contents.require("prices")
@@ -270,23 +252,25 @@ def scenario_cmd(scenario_spec: str, profile: str, case: str, connection: str) -
     else:
         connected, result = scenario, evaluate_connection(scenario, fin)
     for path, delivered in zip(connected.paths, result.delivered_per_path_gwh):
-        reference = _reference(("delivered_gwh", connection, path.market))
+        reference = published(("delivered_gwh", path.market))
         rows.append((f"delivered_{path.market}_gwh_per_yr", delivered, reference))
-    reference = _reference(("scenario_lcoe", connection, case))
+    reference = published(("scenario_lcoe", connection, case))
     rows.append(("total_capex_meur", result.total_capex_meur, None))
     rows.append(("transmission_lcoe_eur_per_kwh", result.scenario_lcoe_eur_per_kwh, reference))
     if connection == "dual":
         uplift = revenue(connected, prices).uplift
-        rows.append(("revenue_uplift_pct", uplift * 100.0, _reference("revenue_uplift") * 100.0))
+        reference = published("revenue_uplift")
+        rows.append(("revenue_uplift_pct", uplift * 100.0, reference and reference * 100.0))
         increase = delivered_cost_increase(gen_lcoe, single_result, result)
-        band = "-".join(f"{bound * 100:g}" for bound in _reference("cost_increase"))
+        band = published("cost_increase")
+        band = band and "-".join(f"{bound * 100:g}" for bound in band)
         rows.append(("cost_increase_vs_single_pct", increase * 100.0, band))
     return Report(
         title=f"Connection scenario ({connection}, {case}-cost case)",
-        profile=profile_name,
+        profile=profile,
         columns=("metric", "value", "reference"),
-        rows=_case_study_rows(rows, scenario_spec),
-        notes=_scenario_notes(fin, profile_name, scenario_spec),
+        rows=tuple(rows),
+        notes=_scenario_notes(args),
     )
 
 
@@ -296,33 +280,35 @@ def scenario_cmd(scenario_spec: str, profile: str, case: str, connection: str) -
 @click.option("--case", default="low", type=click.Choice(CASES), show_default=True)
 def trade_cmd(scenario_spec: str, profile: str, case: str) -> Report:
     """Residual trade capacity of a dual connection and the trade-inclusive LCOE."""
+    args = {"scenario_spec": scenario_spec, "profile": profile, "case": case}
+    published = functools.partial(datasets.published, **args)
     contents = datasets.resolve_scenario(scenario_spec, case)
-    scenario, fin, profile_name = _apply_profile(contents, profile)
+    scenario, fin = _apply_profile(contents, profile)
     trade = trade_potential(scenario)
     corridor = deliverable_energy(scenario.paths[0].link)
     rows = (
         ("wind_delivered_gwh_per_yr", trade.wind_delivered_gwh, None),
-        ("trade_delivered_gwh_per_yr", trade.trade_delivered_gwh, _reference("trade_delivered_gwh")),
-        ("total_delivered_gwh_per_yr", trade.total_delivered_gwh, _reference("total_delivered_gwh")),
-        ("lcoe_with_trade_eur_per_kwh", trade_inclusive_lcoe(scenario, fin), _reference(("trade_lcoe", case))),
+        ("trade_delivered_gwh_per_yr", trade.trade_delivered_gwh, published("trade_delivered_gwh")),
+        ("total_delivered_gwh_per_yr", trade.total_delivered_gwh, published("total_delivered_gwh")),
+        ("lcoe_with_trade_eur_per_kwh", trade_inclusive_lcoe(scenario, fin), published(("trade_lcoe", case))),
         (
             f"full_capacity_deliverable_{scenario.paths[0].market}_gwh_per_yr",
             corridor,
-            _reference("corridor_deliverable_gwh"),
+            published("corridor_deliverable_gwh"),
         ),
     )
     return Report(
         title=f"Inter-market trade over the dual connection ({case}-cost case)",
-        profile=profile_name,
+        profile=profile,
         columns=("metric", "value", "reference"),
-        rows=_case_study_rows(rows, scenario_spec),
-        notes=_scenario_notes(fin, profile_name, scenario_spec),
+        rows=rows,
+        notes=_scenario_notes(args),
     )
 
 
 @report_command("norned")
-@click.option("--revenue-meur", default=datasets.NORNED_REVENUE_MEUR, show_default=True, help="Observed revenue over the period.")
-@click.option("--days", default=datasets.NORNED_PERIOD_DAYS, show_default=True)
+@click.option("--revenue-meur", default=datasets.NORNED["revenue_meur"], show_default=True, help="Observed revenue over the period.")
+@click.option("--days", default=datasets.NORNED["days"], show_default=True)
 @click.option("--profile", default="norned", type=PROFILE_CHOICE, show_default=True)
 def norned_cmd(revenue_meur: float, days: int, profile: str) -> Report:
     """Revenue per delivered kWh of the NorNed interconnector's first months."""
@@ -332,11 +318,8 @@ def norned_cmd(revenue_meur: float, days: int, profile: str) -> Report:
     value = revenue_per_delivered_kwh(revenue_meur * 1e6, link, hours)
     sensitivity_hours = datasets.NORNED_PERIOD_DAYS_SENSITIVITY * 24.0
     sensitivity = revenue_per_delivered_kwh(revenue_meur * 1e6, link, sensitivity_hours)
-    published = profile == "norned" and (revenue_meur, days) == (
-        datasets.NORNED_REVENUE_MEUR,
-        datasets.NORNED_PERIOD_DAYS,
-    )
-    reference = _reference("norned_revenue_per_kwh") if published else None
+    args = {"profile": profile, "revenue_meur": revenue_meur, "days": days}
+    reference = datasets.published("norned_revenue_per_kwh", **args)
     rows = (
         ("revenue_meur", revenue_meur, None),
         ("period_days", days, None),

@@ -121,7 +121,7 @@ def route_efficiency(link: TransmissionLink) -> float:
         if line_factor <= 0.0 or terminal_factor <= 0.0:
             raise ValueError(
                 "linear loss composition gives non-positive efficiency for "
-                f"{link.total_length_km:.0f} km / {link.terminal_count} terminals"
+                f"{link.total_length_km:g} km / {link.terminal_count} terminals"
             )
         return line_factor * terminal_factor
     return (1.0 - lm.line_loss_per_1000km) ** thousands * (

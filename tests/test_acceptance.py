@@ -22,8 +22,6 @@ from dispatch_oracles import (
 )
 from gridecon.cli import main as cli_main
 from gridecon.datasets import (
-    NORNED_PERIOD_DAYS,
-    NORNED_REVENUE_MEUR,
     REFERENCES,
     load_bundled_projects,
     load_bundled_scenario,
@@ -68,7 +66,6 @@ from gridecon.transmission import (
 
 APPENDIX_A = get_profile("paper-appendix-A")
 RECONCILED = get_profile("appendix-B-reconciled")
-NORNED = get_profile("norned")
 
 
 @contextmanager
@@ -81,9 +78,19 @@ def criterion(number: int, description: str):
     print(f"ACCEPTANCE {number:2d} PASS: {description}")
 
 
-def reference_lcoe(length_km: float, case: str) -> float:
-    link = APPENDIX_A.apply_to_link(long_submarine_link(length_km=length_km, case=case))
-    return transmission_lcoe(link, APPENDIX_A.finance(), deliverable_energy(link))
+def entries(family: str) -> dict:
+    """The reference table's entries whose key starts with ``family``."""
+    return {key: entry for key, entry in REFERENCES.items() if isinstance(key, tuple) and key[0] == family}
+
+
+def reference_lcoe(inputs: dict) -> float:
+    """The long-cable LCOE as ``gridecon lcoe`` computes it for the arguments ``inputs``."""
+    profile = get_profile(inputs["profile"])
+    link = long_submarine_link(
+        length_km=inputs["length_km"], case=inputs["case"], capacity_mw=inputs["capacity_mw"]
+    )
+    link = profile.apply_to_link(link)
+    return transmission_lcoe(link, profile.finance(), deliverable_energy(link))
 
 
 def greenland_scenario(case: str, profile) -> ConnectionScenario:
@@ -103,9 +110,10 @@ def scenario_lcoe(case: str, connection: str, profile) -> float:
 
 def test_criterion_1_long_cable_lcoe():
     with criterion(1, "long submarine cable LCOE matches the published 5500 km and 4400 km values"):
-        for length_km, case in ((5500.0, "low"), (5500.0, "high"), (4400.0, "low")):
-            key = ("link_lcoe", length_km, 3000.0, case)
-            assert within_reference(key, reference_lcoe(length_km, case))
+        links = entries("link_lcoe")
+        assert len(links) == 3
+        for key, (_, _, inputs) in links.items():
+            assert within_reference(key, reference_lcoe(inputs))
 
 
 def test_criterion_2_project_table():
@@ -130,9 +138,13 @@ def test_criterion_3_currency_normalization():
         per_km = normalize_currency(amount, ctx, 2007).value / 100.0
         assert round(per_km, 2) == 1.36
         to_usd = ConversionContext(1.0 / 0.7119, 0.0, Currency.USD)
-        for case in ("low", "high"):
-            eur = MoneyAmount(REFERENCES[("link_lcoe", 5500.0, 3000.0, case)][0], Currency.EUR, 2011)
-            assert within_reference(("link_lcoe_usd", case), normalize_currency(eur, to_usd, 2011).value)
+        usd = entries("link_lcoe_usd")
+        assert len(usd) == 2
+        for key, (_, _, inputs) in usd.items():
+            # the EUR reference published for the same inputs
+            (eur,) = [value for value, _, i in entries("link_lcoe").values() if i == inputs]
+            converted = normalize_currency(MoneyAmount(eur, Currency.EUR, 2011), to_usd, 2011)
+            assert within_reference(key, converted.value)
 
 
 def test_criterion_4_dual_path_deliveries():
@@ -140,7 +152,7 @@ def test_criterion_4_dual_path_deliveries():
         scenario = greenland_scenario("low", RECONCILED)
         result = evaluate_connection(scenario, RECONCILED.finance())
         for path, delivered in zip(scenario.paths, result.delivered_per_path_gwh):
-            assert within_reference(("delivered_gwh", "dual", path.market), delivered)
+            assert within_reference(("delivered_gwh", path.market), delivered)
 
 
 def test_criterion_5_scenario_costs():
@@ -196,8 +208,9 @@ def test_criterion_7_trade():
 
 def test_criterion_8_norned_revenue():
     with criterion(8, "NorNed revenue per delivered kWh matches the published value (61 days, utilization 11/12)"):
-        link = NORNED.apply_to_link(norned_link())
-        value = revenue_per_delivered_kwh(NORNED_REVENUE_MEUR * 1e6, link, NORNED_PERIOD_DAYS * 24)
+        _, _, inputs = REFERENCES["norned_revenue_per_kwh"]
+        link = get_profile(inputs["profile"]).apply_to_link(norned_link())
+        value = revenue_per_delivered_kwh(inputs["revenue_meur"] * 1e6, link, inputs["days"] * 24)
         assert within_reference("norned_revenue_per_kwh", value)
 
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 import gridecon
 from gridecon.cli import OM_GAP_NOTE, main
 from gridecon.datasets import REFERENCES, bundled_path
+from gridecon.profiles import PROFILES
 from gridecon.projects import CSV_COLUMNS
 from gridecon.report import format_sig
 
@@ -141,6 +143,10 @@ class TestExitCodes:
             (["norned", "--revenue-meur", "nan"], "revenue_eur must be finite and >= 0, got nan"),
             # MEUR to EUR overflows to inf
             (["norned", "--revenue-meur", "1e308"], "revenue_eur must be finite and >= 0, got inf"),
+            (
+                ["lcoe", "--length-km", "1e308"],
+                "linear loss composition gives non-positive efficiency for 1e+308 km / 2 terminals",
+            ),
         ],
         ids=[
             "negative-converter-cost",
@@ -148,6 +154,7 @@ class TestExitCodes:
             "negative-revenue",
             "nan-revenue",
             "overflowing-revenue",
+            "huge-length",
         ],
     )
     def test_rejected_value_is_two(self, args, message):
@@ -194,7 +201,7 @@ class TestReportContents:
     def test_lcoe_low_contains_value_and_reference(self):
         output = invoke(["lcoe", "--profile", "paper-appendix-A", "--case", "low"]).output
         assert "0.0167" in output
-        assert reference_text(("link_lcoe", 5500.0, 3000.0, "low")) in output
+        assert reference_text(("link_lcoe", 5500.0, "low")) in output
         assert "paper-appendix-A" in output
 
     def test_project_table_derived_row(self):
@@ -204,8 +211,8 @@ class TestReportContents:
 
     def test_scenario_dual_deliveries(self):
         output = invoke(["scenario", "--scenario", "greenland"]).output
-        assert reference_text(("delivered_gwh", "dual", "north-uk")) in output
-        assert reference_text(("delivered_gwh", "dual", "quebec")) in output
+        assert reference_text(("delivered_gwh", "north-uk")) in output
+        assert reference_text(("delivered_gwh", "quebec")) in output
         assert "appendix-B-reconciled" in output
 
     def test_scenario_zero_om_flags_gap(self):
@@ -232,6 +239,15 @@ class TestReportContents:
         rows = list(csv.DictReader(io.StringIO(result.output)))
         assert len(rows) >= 5
         assert [row["reference"] for row in rows] == [""] * len(rows)
+
+    @pytest.mark.parametrize("command", ["scenario", "trade"])
+    def test_case_study_gets_no_references_at_another_duty_cycle(self, command):
+        """The case study's references hold at its duty cycle, not at the norned profile's."""
+        csv_result = invoke([command, "--profile", "norned", "--format", "csv"])
+        assert csv_result.exit_code == 0, csv_result.output
+        rows = list(csv.DictReader(io.StringIO(csv_result.output)))
+        assert [row["reference"] for row in rows] == [""] * len(rows)
+        assert "note:" not in invoke([command, "--profile", "norned"]).output
 
     def test_trade_report(self):
         output = invoke(["trade"]).output
@@ -285,8 +301,14 @@ class TestCsvEmission:
         assert out.getvalue() == output
 
     def test_empty_reference_cells_allowed(self):
-        # No reference was published for either length or capacity.
-        for option in (["--length-km", "1234"], ["--capacity-mw", "1000"]):
+        # No reference was published for these lengths, capacities or profiles:
+        # the long-cable values were reproduced under paper-appendix-A.
+        for option in (
+            ["--length-km", "1234"],
+            ["--capacity-mw", "1000"],
+            ["--profile", "appendix-B-reconciled"],
+            ["--profile", "norned"],
+        ):
             output = invoke(["lcoe", *option, "--case", "low", "--format", "csv"]).output
             rows = list(csv.reader(io.StringIO(output)))
             assert rows[1][rows[0].index("reference_eur_per_kwh")] == ""
@@ -312,6 +334,107 @@ class TestCsvEmission:
         hourly = [r for r in rows[1:] if r and r[0] in {"0", "1"}]
         assert len(hourly) == 4  # 2 hours x 2 regions
         assert any(r and r[0] == "total_cost_eur" for r in rows)
+
+
+def family(key):
+    return key[0] if isinstance(key, tuple) else key
+
+
+# The report row that prints each family of references: the subcommand and the
+# row's first cell, with {1} and {2} standing for items of the key; "note" is
+# the O&M gap note. compare-import prints link_lcoe_usd as its link costs,
+# whatever its arguments; acceptance criterion 3 checks those entries.
+REFERENCE_ROWS = {
+    "link_lcoe": ("lcoe", "{2}"),
+    "scenario_lcoe": ("scenario", "transmission_lcoe_eur_per_kwh"),
+    "scenario_lcoe_zero_om_gap": ("scenario", "note"),
+    "delivered_gwh": ("scenario", "delivered_{1}_gwh_per_yr"),
+    "revenue_uplift": ("scenario", "revenue_uplift_pct"),
+    "cost_increase": ("scenario", "cost_increase_vs_single_pct"),
+    "trade_delivered_gwh": ("trade", "trade_delivered_gwh_per_yr"),
+    "total_delivered_gwh": ("trade", "total_delivered_gwh_per_yr"),
+    "trade_lcoe": ("trade", "lcoe_with_trade_eur_per_kwh"),
+    "corridor_deliverable_gwh": ("trade", "full_capacity_deliverable_north-uk_gwh_per_yr"),
+    "norned_revenue_per_kwh": ("norned", "revenue_per_delivered_kwh_eur"),
+}
+
+
+def reference_row(key):
+    command, metric = REFERENCE_ROWS[family(key)]
+    return command, metric.format(*key) if isinstance(key, tuple) else metric
+
+
+def printed_reference(value, metric):
+    """A published value as its report's cell shows it."""
+    if metric == "note":
+        return OM_GAP_NOTE
+    if isinstance(value, tuple):
+        return "-".join(f"{bound * 100:g}" for bound in value)
+    return format_sig(value * 100.0 if metric.endswith("_pct") else value)
+
+
+def reference_cell(command, args, metric):
+    """The reference a report run with ``args`` prints in row ``metric``; '' if none."""
+    argv = [command]
+    for name, value in args.items():
+        argv += ["--scenario" if name == "scenario_spec" else "--" + name.replace("_", "-"), str(value)]
+    result = invoke(argv if metric == "note" else [*argv, "--format", "csv"])
+    if result.exit_code == 2:  # e.g. a scenario file at the high cost case: no report
+        return ""
+    assert result.exit_code == 0, result.output
+    if metric == "note":
+        return OM_GAP_NOTE if f"note: {OM_GAP_NOTE}\n" in result.output else ""
+    header, *rows = csv.reader(io.StringIO(result.output))
+    column = next(i for i, name in enumerate(header) if name.startswith("reference"))
+    return {row[0]: row[column] for row in rows}.get(metric, "")
+
+
+def accepted_values(value) -> tuple:
+    return value if isinstance(value, tuple) else (value,)
+
+
+def unpublished_value(name, accepted, tmp_path):
+    """A value of subcommand argument ``name`` outside ``accepted``."""
+    if name == "scenario_spec":
+        path = tmp_path / "greenland_copy.json"
+        path.write_text(bundled_path("greenland_low.json").read_text(encoding="utf-8"))
+        return str(path)
+    others = {
+        "profile": list(PROFILES),
+        "case": ["low", "high"],
+        "connection": ["single", "dual"],
+        "length_km": [1234.0],
+        "capacity_mw": [1000.0],
+        "revenue_meur": [40.0],
+        "days": [60],
+    }[name]
+    return next(value for value in others if value not in accepted)
+
+
+@pytest.mark.parametrize("key", [k for k in REFERENCES if family(k) != "link_lcoe_usd"], ids=repr)
+def test_reference_printed_only_for_its_inputs(key, tmp_path):
+    """A report prints a reference when run with exactly the inputs it was
+    published for, under each accepted value, and stops printing it when any one
+    input changes: that cell is then empty, or shows the reference the table
+    holds for exactly the changed inputs (another cost case or connection)."""
+    value, _, inputs = REFERENCES[key]
+    command, metric = reference_row(key)
+    expected = printed_reference(value, metric)
+    accepted = {name: accepted_values(v) for name, v in inputs.items()}
+    for combination in itertools.product(*accepted.values()):
+        assert reference_cell(command, dict(zip(accepted, combination)), metric) == expected
+
+    first = {name: values[0] for name, values in accepted.items()}
+    for name in inputs:
+        changed = {**inputs, name: unpublished_value(name, accepted[name], tmp_path)}
+        same_row = [
+            printed_reference(v, metric)
+            for k, (v, _, i) in REFERENCES.items()
+            if family(k) == family(key) and reference_row(k)[1] == metric and i == changed
+        ]
+        cell = reference_cell(command, {**first, name: changed[name]}, metric)
+        assert cell == (same_row[0] if same_row else "")
+        assert cell != expected
 
 
 class TestDeterminismAndGoldens:

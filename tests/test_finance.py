@@ -128,8 +128,8 @@ def test_normalize_eur_to_usd_inverse_quote():
     ctx = ConversionContext(
         fx_rate=1.0 / 0.7119, inflation_rate=0.0, target_currency=Currency.USD
     )
-    low_eur, _ = REFERENCES[("link_lcoe", 5500.0, 3000.0, "low")]
-    high_eur, _ = REFERENCES[("link_lcoe", 5500.0, 3000.0, "high")]
+    low_eur = REFERENCES[("link_lcoe", 5500.0, "low")][0]
+    high_eur = REFERENCES[("link_lcoe", 5500.0, "high")][0]
     low = normalize_currency(MoneyAmount(low_eur, Currency.EUR, 2011), ctx, 2011)
     high = normalize_currency(MoneyAmount(high_eur, Currency.EUR, 2011), ctx, 2011)
     assert low.value == pytest.approx(0.0233, abs=5e-5)
