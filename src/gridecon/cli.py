@@ -5,73 +5,45 @@ profile it was produced with and, where a published benchmark exists, the
 reference value next to the computed one. Exit status is 0 on success and
 2 on any input error (unknown flag, bad scenario file, unresolved name,
 or values too large to compute with).
+
+A process runs one subcommand, and its wall time is mostly import time, so
+this module imports only what building the parser needs (the names it
+offers as choices and defaults); each subcommand imports its evaluators
+itself. ``lcoe``, ``norned``, ``compare-import`` and ``normalize`` never load
+the scenario-file reader, the project table or dispatch, and only
+``simulate`` loads dispatch (and, on its first solve, numpy and scipy).
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import functools
 import math
 import sys
 from pathlib import Path
-
-import click
+from typing import TYPE_CHECKING
 
 from . import datasets
-from .dispatch import export_csv, simulate
-from .finance import (
-    ConversionContext,
-    Currency,
-    FinancialAssumptions,
-    MoneyAmount,
-    normalize_currency,
-)
+from .finance import Currency
 from .profiles import PROFILES, get_profile
-from .projects import implied_cable_cost_per_km, load_project_records
-from .report import Report, format_sig, render
-from .scenario import (
-    ConnectionScenario,
-    annual_production,
-    delivered_cost_increase,
-    evaluate_connection,
-    import_competitiveness,
-    revenue,
-    revenue_per_delivered_kwh,
-    trade_inclusive_lcoe,
-    trade_potential,
-)
-from .transmission import deliverable_energy, link_capex, transmission_lcoe
 
-FORMAT_CHOICE = click.Choice(["table", "csv", "markdown"])
-PROFILE_CHOICE = click.Choice(list(PROFILES))
+if TYPE_CHECKING:
+    from .report import Report
+
+FORMATS = ("table", "csv", "markdown")
 # The scenario reports can also take finance and duty from the scenario file.
-SCENARIO_PROFILE_CHOICE = click.Choice([*PROFILES, "custom"])
-CASES = list(datasets.CABLE_COST_CASES_MEUR_PER_KM)
+SCENARIO_PROFILES = (*PROFILES, "custom")
+CASES = tuple(datasets.CABLE_COST_CASES_MEUR_PER_KM)
 
 OM_GAP_NOTE = (
     "zero-O&M profile understates the published reference costs by roughly "
     "7-13%; profile appendix-B-reconciled (0.5%/yr fixed O&M) closes the gap"
 )
 RECONCILED_NOTE = (
-    "the 0.5%/yr fixed O&M charge of this profile is a reconciliation "
+    "the {om_rate:.1%}/yr fixed O&M charge of {source} is a reconciliation "
     "hypothesis, not a published input"
 )
-
-
-def guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ValueError, OSError) as exc:
-            raise click.UsageError(str(exc)) from None
-        except ArithmeticError as exc:
-            raise click.UsageError(
-                f"{_failed_step(exc)}: cannot compute with these inputs "
-                f"({type(exc).__name__}: {exc})"
-            ) from None
-
-    return wrapper
 
 
 def _failed_step(exc: BaseException) -> str:
@@ -88,71 +60,24 @@ def _failed_step(exc: BaseException) -> str:
     return step
 
 
-@click.group()
-def main() -> None:
-    """Techno-economic analysis of long-distance HVDC interconnections."""
+def _rendered(report: Report, fmt: str) -> str:
+    from .report import render
 
-
-def report_command(name: str):
-    """Register the decorated function, which returns a Report, as subcommand ``name``.
-
-    The subcommand takes the function's options plus ``--format``, maps input
-    errors to exit 2 and prints the report in the chosen format.
-    """
-
-    def register(fn):
-        run = guarded(fn)
-
-        # wraps copies fn's help text and click options (__click_params__);
-        # --format goes onto the finished command, so it is listed after them.
-        @functools.wraps(fn)
-        def callback(fmt: str, **options) -> None:
-            _emit(run(**options), fmt)
-
-        command = main.command(name)(callback)
-        command.params.append(
-            click.Option(["--format", "fmt"], default="table", type=FORMAT_CHOICE, show_default=True)
-        )
-        return command
-
-    return register
-
-
-def _emit(report: Report, fmt: str) -> None:
     for row in report.rows:
         for column, value in zip(report.columns, row):
             if isinstance(value, float) and not math.isfinite(value):
-                raise click.UsageError(
+                raise ValueError(
                     f"report row {row[0]!r}, column {column!r}: {value} is not a finite "
                     "number; the inputs are too large to compute with"
                 )
-    click.echo(render(report, fmt), nl=False)
+    return render(report, fmt)
 
 
-def _apply_profile(contents, profile_name: str) -> tuple[ConnectionScenario, FinancialAssumptions]:
-    scenario = contents.require("scenario")
-    if profile_name == "custom":
-        return scenario, contents.require("finance")
-    profile = get_profile(profile_name)
-    return profile.apply_to_scenario(scenario), profile.finance()
-
-
-def _scenario_notes(args: dict) -> tuple[str, ...]:
-    """Notes under a scenario or trade report run with the arguments ``args``."""
-    if datasets.published("scenario_lcoe_zero_om_gap", **args) is not None:
-        return (OM_GAP_NOTE,)
-    if args["profile"] == "appendix-B-reconciled":
-        return (RECONCILED_NOTE,)
-    return ()
-
-
-@report_command("lcoe")
-@click.option("--profile", default="paper-appendix-A", type=PROFILE_CHOICE, show_default=True)
-@click.option("--case", default="all", type=click.Choice([*CASES, "all"]), show_default=True)
-@click.option("--length-km", default=5500.0, show_default=True)
-@click.option("--capacity-mw", default=3000.0, show_default=True)
-def lcoe_cmd(profile: str, case: str, length_km: float, capacity_mw: float) -> Report:
+def _lcoe(profile: str, case: str, length_km: float, capacity_mw: float) -> Report:
     """Levelized cost per delivered kWh of a long point-to-point cable."""
+    from .report import Report
+    from .transmission import deliverable_energy, link_capex, transmission_lcoe
+
     prof = get_profile(profile)
     fin = prof.finance()
     cases = CASES if case == "all" else [case]
@@ -182,11 +107,11 @@ def lcoe_cmd(profile: str, case: str, length_km: float, capacity_mw: float) -> R
     )
 
 
-@report_command("project-table")
-@click.option("--converter-cost", default=150.0, show_default=True, help="Assumed cost of one converter terminal, MEUR.")
-@click.option("--projects-csv", default=None, help="Project records CSV (default: bundled dataset).")
-def project_table_cmd(converter_cost: float, projects_csv: str | None) -> Report:
+def _project_table(converter_cost: float, projects_csv: str | None) -> Report:
     """Implied cable cost per km of the benchmark submarine projects."""
+    from .projects import implied_cable_cost_per_km, load_project_records
+    from .report import Report, format_sig
+
     records = (
         load_project_records(projects_csv)
         if projects_csv
@@ -227,17 +152,41 @@ def project_table_cmd(converter_cost: float, projects_csv: str | None) -> Report
     )
 
 
-@report_command("scenario")
-@click.option("--scenario", "scenario_spec", default="greenland", show_default=True, help="Bundled scenario name or path to a scenario file.")
-@click.option("--profile", default="appendix-B-reconciled", type=SCENARIO_PROFILE_CHOICE, show_default=True)
-@click.option("--case", default="low", type=click.Choice(CASES), show_default=True)
-@click.option("--connection", default="dual", type=click.Choice(["single", "dual"]), show_default=True)
-def scenario_cmd(scenario_spec: str, profile: str, case: str, connection: str) -> Report:
+def _case_study(args: dict):
+    """What a scenario or trade report run with the arguments ``args`` evaluates.
+
+    Returns the scenario file's contents, the connection scenario and finance
+    under ``args["profile"]``, and the notes printed under the report. The
+    reconciliation note goes under every nonzero O&M rate that gridecon
+    supplies rather than the user, a profile's or a bundled file's: each is
+    the hypothesis of ``appendix-B-reconciled``.
+    """
+    contents = datasets.resolve_scenario(args["scenario_spec"], args["case"])
+    scenario = contents.require("scenario")
+    if args["profile"] == "custom":
+        fin = contents.require("finance")
+        bundled = args["scenario_spec"] in datasets.BUNDLED_SCENARIOS
+        source = "the bundled scenario file" if bundled else None
+    else:
+        profile = get_profile(args["profile"])
+        scenario, fin, source = profile.apply_to_scenario(scenario), profile.finance(), "this profile"
+    if datasets.published("scenario_lcoe_zero_om_gap", **args) is not None:
+        notes = (OM_GAP_NOTE,)
+    elif fin.om_rate and source:
+        notes = (RECONCILED_NOTE.format(om_rate=fin.om_rate, source=source),)
+    else:
+        notes = ()
+    return contents, scenario, fin, notes
+
+
+def _scenario(scenario_spec: str, profile: str, case: str, connection: str) -> Report:
     """Deliveries, transmission LCOE, and revenue uplift of a connection scenario."""
+    from .report import Report
+    from .scenario import annual_production, delivered_cost_increase, evaluate_connection, revenue
+
     args = {"scenario_spec": scenario_spec, "profile": profile, "case": case, "connection": connection}
     published = functools.partial(datasets.published, **args)
-    contents = datasets.resolve_scenario(scenario_spec, case)
-    scenario, fin = _apply_profile(contents, profile)
+    contents, scenario, fin, notes = _case_study(args)
     if connection == "dual" and len(scenario.paths) != 2:
         raise ValueError("dual connection requires exactly two paths")
     prices = contents.require("prices")
@@ -270,20 +219,19 @@ def scenario_cmd(scenario_spec: str, profile: str, case: str, connection: str) -
         profile=profile,
         columns=("metric", "value", "reference"),
         rows=tuple(rows),
-        notes=_scenario_notes(args),
+        notes=notes,
     )
 
 
-@report_command("trade")
-@click.option("--scenario", "scenario_spec", default="greenland", show_default=True)
-@click.option("--profile", default="appendix-B-reconciled", type=SCENARIO_PROFILE_CHOICE, show_default=True)
-@click.option("--case", default="low", type=click.Choice(CASES), show_default=True)
-def trade_cmd(scenario_spec: str, profile: str, case: str) -> Report:
+def _trade(scenario_spec: str, profile: str, case: str) -> Report:
     """Residual trade capacity of a dual connection and the trade-inclusive LCOE."""
+    from .report import Report
+    from .scenario import trade_inclusive_lcoe, trade_potential
+    from .transmission import deliverable_energy
+
     args = {"scenario_spec": scenario_spec, "profile": profile, "case": case}
     published = functools.partial(datasets.published, **args)
-    contents = datasets.resolve_scenario(scenario_spec, case)
-    scenario, fin = _apply_profile(contents, profile)
+    _, scenario, fin, notes = _case_study(args)
     trade = trade_potential(scenario)
     corridor = deliverable_energy(scenario.paths[0].link)
     rows = (
@@ -302,16 +250,16 @@ def trade_cmd(scenario_spec: str, profile: str, case: str) -> Report:
         profile=profile,
         columns=("metric", "value", "reference"),
         rows=rows,
-        notes=_scenario_notes(args),
+        notes=notes,
     )
 
 
-@report_command("norned")
-@click.option("--revenue-meur", default=datasets.NORNED["revenue_meur"], show_default=True, help="Observed revenue over the period.")
-@click.option("--days", default=datasets.NORNED["days"], show_default=True)
-@click.option("--profile", default="norned", type=PROFILE_CHOICE, show_default=True)
-def norned_cmd(revenue_meur: float, days: int, profile: str) -> Report:
+def _norned(revenue_meur: float, days: int, profile: str) -> Report:
     """Revenue per delivered kWh of the NorNed interconnector's first months."""
+    from .report import Report
+    from .scenario import revenue_per_delivered_kwh
+    from .transmission import deliverable_energy
+
     prof = get_profile(profile)
     link = prof.apply_to_link(datasets.norned_link())
     hours = days * 24.0
@@ -335,9 +283,11 @@ def norned_cmd(revenue_meur: float, days: int, profile: str) -> Report:
     )
 
 
-@report_command("compare-import")
-def compare_import_cmd() -> Report:
+def _compare_import() -> Report:
     """Point comparison of importing remote renewable power vs local fossil cost."""
+    from .report import Report
+    from .scenario import import_competitiveness
+
     c = datasets.IMPORT_COMPARISON_USD_PER_KWH
     cases = (
         ("cheapest-res", c["remote_gen_low"], c["link_low"], c["local_fossil"]),
@@ -369,27 +319,16 @@ def compare_import_cmd() -> Report:
     )
 
 
-@main.command("simulate")
-@click.option("--scenario", "scenario_spec", default="smoothing", show_default=True, help="Bundled scenario name or path to a scenario file with a network section.")
-@click.option("--hours", default=24, show_default=True)
-@guarded
-def simulate_cmd(scenario_spec: str, hours: int) -> None:
+def _simulate(scenario_spec: str, hours: int) -> str:
     """Hourly dispatch simulation; emits CSV rows per hour and region."""
+    from .dispatch import export_csv, simulate
+
     contents = datasets.resolve_scenario(scenario_spec)
     network = contents.require("network")
-    result = simulate(network, hours)
-    click.echo(export_csv(result), nl=False)
+    return export_csv(simulate(network, hours))
 
 
-@report_command("normalize")
-@click.option("--value", required=True, type=float)
-@click.option("--currency", required=True, type=click.Choice([c.value for c in Currency]))
-@click.option("--price-year", required=True, type=int)
-@click.option("--target-currency", required=True, type=click.Choice([c.value for c in Currency]))
-@click.option("--target-year", required=True, type=int)
-@click.option("--fx", required=True, type=float, help="Target-currency units per source unit.")
-@click.option("--inflation", default=0.0, show_default=True, help="Fraction per year in the target currency.")
-def normalize_cmd(
+def _normalize(
     value: float,
     currency: str,
     price_year: int,
@@ -399,6 +338,9 @@ def normalize_cmd(
     inflation: float,
 ) -> Report:
     """Convert a monetary amount across currencies and price years."""
+    from .finance import ConversionContext, MoneyAmount, normalize_currency
+    from .report import Report
+
     amount = MoneyAmount(value=value, currency=Currency(currency), price_year=price_year)
     ctx = ConversionContext(
         fx_rate=fx, inflation_rate=inflation, target_currency=Currency(target_currency)
@@ -422,5 +364,126 @@ def normalize_cmd(
     )
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Lists an option's default in its help, unless the option has none."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
+@functools.cache
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and program name.
+
+    Each subcommand sets ``command``, the function that takes its options;
+    a report subcommand also takes ``--format`` (``fmt``).
+    """
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Techno-economic analysis of long-distance HVDC interconnections.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name: str, function, report: bool = True):
+        sub = commands.add_parser(
+            name,
+            help=function.__doc__,
+            description=function.__doc__,
+            allow_abbrev=False,
+            formatter_class=_HelpFormatter,
+        )
+        sub.set_defaults(command=function)
+        if report:
+            sub.add_argument("--format", dest="fmt", default="table", choices=FORMATS, help="Output format.")
+        return sub.add_argument
+
+    option = command("lcoe", _lcoe)
+    option("--profile", default="paper-appendix-A", choices=PROFILES, help="Calibration profile.")
+    option("--case", default="all", choices=(*CASES, "all"), help="Submarine cable cost case.")
+    option("--length-km", default=5500.0, type=float, help="Cable length, km.")
+    option("--capacity-mw", default=3000.0, type=float, help="Link rating, MW.")
+
+    option = command("project-table", _project_table)
+    option("--converter-cost", default=150.0, type=float, help="Assumed cost of one converter terminal, MEUR.")
+    option("--projects-csv", help="Project records CSV (default: bundled dataset).")
+
+    option = command("scenario", _scenario)
+    option("--scenario", dest="scenario_spec", metavar="SCENARIO", default="greenland", help="Bundled scenario name or path to a scenario file.")
+    option("--profile", default="appendix-B-reconciled", choices=SCENARIO_PROFILES, help="Calibration profile; custom takes the scenario file's.")
+    option("--case", default="low", choices=CASES, help="Submarine cable cost case.")
+    option("--connection", default="dual", choices=("single", "dual"), help="Paths evaluated.")
+
+    option = command("trade", _trade)
+    option("--scenario", dest="scenario_spec", metavar="SCENARIO", default="greenland", help="Bundled scenario name or path to a scenario file.")
+    option("--profile", default="appendix-B-reconciled", choices=SCENARIO_PROFILES, help="Calibration profile; custom takes the scenario file's.")
+    option("--case", default="low", choices=CASES, help="Submarine cable cost case.")
+
+    option = command("norned", _norned)
+    option("--revenue-meur", default=datasets.NORNED["revenue_meur"], type=float, help="Observed revenue over the period.")
+    option("--days", default=datasets.NORNED["days"], type=int, help="Length of the period, days.")
+    option("--profile", default="norned", choices=PROFILES, help="Calibration profile.")
+
+    command("compare-import", _compare_import)
+
+    option = command("simulate", _simulate, report=False)
+    option("--scenario", dest="scenario_spec", metavar="SCENARIO", default="smoothing", help="Bundled scenario name or path to a scenario file with a network section.")
+    option("--hours", default=24, type=int, help="Hours to dispatch.")
+
+    option = command("normalize", _normalize)
+    currencies = [c.value for c in Currency]
+    option("--value", required=True, type=float, help="Amount to convert.")
+    option("--currency", required=True, choices=currencies, help="Currency of the amount.")
+    option("--price-year", required=True, type=int, help="Price year of the amount.")
+    option("--target-currency", required=True, choices=currencies, help="Currency to convert to.")
+    option("--target-year", required=True, type=int, help="Price year to convert to.")
+    option("--fx", required=True, type=float, help="Target-currency units per source unit.")
+    option("--inflation", default=0.0, type=float, help="Fraction per year in the target currency.")
+    return parser
+
+
+def _run(args: list[str], prog: str) -> int:
+    """Run one command line and return its exit status."""
+    try:
+        options = vars(_parser(prog).parse_args(args))
+    except SystemExit as exc:  # argparse has written the help, or the usage error
+        return exc.code
+    command = options.pop("command")
+    fmt = options.pop("fmt", None)
+    try:
+        output = command(**options)
+        # A report is rendered in its format; simulate's CSV is its output.
+        text = output if fmt is None else _rendered(output, fmt)
+    except (ValueError, OSError) as exc:
+        return _error(str(exc))
+    except ArithmeticError as exc:
+        return _error(f"{_failed_step(exc)}: cannot compute with these inputs ({type(exc).__name__}: {exc})")
+    sys.stdout.write(text)
+    return 0
+
+
+def _error(message: str) -> int:
+    sys.stderr.write(f"Error: {message}\n")
+    return 2
+
+
+class _Main:
+    """The program. ``main()``, the console script, runs ``sys.argv`` and exits
+    with its status; ``main.main(args)`` runs ``args`` in-process."""
+
+    def __call__(self) -> None:
+        self.main()
+
+    def main(self, args: list[str] | None = None, prog_name: str = "gridecon", standalone_mode: bool = True) -> int:
+        """Run ``args`` (default ``sys.argv[1:]``); exit with the status, or
+        return it if not ``standalone_mode``."""
+        code = _run(sys.argv[1:] if args is None else list(args), prog_name)
+        if standalone_mode:
+            sys.exit(code)
+        return code
+
+
+main = _Main()
+
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

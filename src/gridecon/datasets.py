@@ -14,12 +14,17 @@ from __future__ import annotations
 import json
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .checks import lookup
 from .profiles import PROFILES
-from .projects import ProjectRecord, load_project_records
-from .scenario_file import ScenarioFileContents, load_scenario_file, parse_scenario_data
 from .transmission import Segment, SegmentKind, TransmissionLink
+
+# Read only by the loaders below, so that a report that uses neither the
+# project table nor a scenario file does not import them.
+if TYPE_CHECKING:
+    from .projects import ProjectRecord
+    from .scenario_file import ScenarioFileContents
 
 CABLE_COST_CASES_MEUR_PER_KM = {"low": 1.15, "high": 1.8}
 TERMINAL_COST_MEUR = 300.0
@@ -75,6 +80,8 @@ def bundled_path(name: str) -> Path:
 
 
 def load_bundled_projects() -> list[ProjectRecord]:
+    from .projects import load_project_records
+
     return load_project_records(bundled_path("hvdc_projects.csv"))
 
 
@@ -86,6 +93,8 @@ BUNDLED_SCENARIOS = {
 
 def load_bundled_scenario(name: str, case: str = "low") -> ScenarioFileContents:
     """A bundled scenario, every submarine cable segment priced at the cost ``case``."""
+    from .scenario_file import parse_scenario_data
+
     filename = lookup(BUNDLED_SCENARIOS, name, "bundled scenario")
     unit_cost = _cable_unit_cost(case)
     raw = json.loads(bundled_path(filename).read_text(encoding="utf-8"))
@@ -110,6 +119,8 @@ def resolve_scenario(spec: str, case: str = "low") -> ScenarioFileContents:
         )
     if case != "low":
         raise ValueError("case: only applies to the bundled scenario names")
+    from .scenario_file import load_scenario_file
+
     return load_scenario_file(spec)
 
 

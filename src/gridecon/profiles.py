@@ -19,11 +19,14 @@ with and reports carry that name as provenance:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from .checks import lookup
 from .finance import FinancialAssumptions
-from .scenario import ConnectionScenario
 from .transmission import LossComposition, TransmissionLink, UtilizationModel
+
+if TYPE_CHECKING:  # lcoe applies profiles to links only, without the scenario module
+    from .scenario import ConnectionScenario
 
 # Shared by every profile.
 DISCOUNT_RATE = 0.03

@@ -19,8 +19,8 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .dispatch import DispatchNetwork, Interconnector, Region, sinusoid_profile
 from .finance import FinancialAssumptions
 from .scenario import ConnectionPath, ConnectionScenario, GenerationSource, PriceModel
 from .transmission import (
@@ -31,6 +31,11 @@ from .transmission import (
     TransmissionLink,
     UtilizationModel,
 )
+
+# dispatch is imported by the readers of the network section, so that a file
+# without one, and every report, does without it.
+if TYPE_CHECKING:
+    from .dispatch import DispatchNetwork, Interconnector, Region
 
 
 class ScenarioFileError(ValueError):
@@ -280,6 +285,8 @@ _REGION = {
 
 
 def _region(value) -> Region:
+    from .dispatch import Region, sinusoid_profile
+
     region = _fields(value, _REGION, ("name", "generators"))
     peak = region.pop("demand_peak_mw", None)
     if "demand_profile_mw" not in region:
@@ -292,9 +299,24 @@ def _region(value) -> Region:
 
 
 def _interconnector(value) -> Interconnector:
+    from .dispatch import Interconnector
+
     readers = {"from": _text, "to": _text, "capacity_mw": _number, "efficiency": _number}
     ic = _fields(value, readers, ("from", "to", "capacity_mw"))
     return Interconnector(region_a=ic.pop("from"), region_b=ic.pop("to"), **ic)
+
+
+_NETWORK = {
+    "regions": _list(_region),
+    "interconnectors": _list(_interconnector),
+    "unserved_penalty_eur_per_mwh": _number,
+}
+
+
+def _network(value) -> DispatchNetwork:
+    from .dispatch import DispatchNetwork
+
+    return DispatchNetwork(**_fields(value, _NETWORK, ("regions",)))
 
 
 _SECTIONS = {
@@ -316,13 +338,5 @@ _SECTIONS = {
     ),
     # Read after the other sections: its paths name links.
     "scenario": lambda value: value,
-    "network": _record(
-        DispatchNetwork,
-        {
-            "regions": _list(_region),
-            "interconnectors": _list(_interconnector),
-            "unserved_penalty_eur_per_mwh": _number,
-        },
-        ("regions",),
-    ),
+    "network": _network,
 }

@@ -11,8 +11,8 @@ import random
 from contextlib import contextmanager
 
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import invoke
 from dispatch_oracles import (
     energy_balance_residual,
     enumeration_oracle,
@@ -20,7 +20,6 @@ from dispatch_oracles import (
     random_network,
     region,
 )
-from gridecon.cli import main as cli_main
 from gridecon.datasets import (
     REFERENCES,
     load_bundled_projects,
@@ -163,9 +162,7 @@ def test_criterion_5_scenario_costs():
             target = REFERENCES[key][0]
             gap = (scenario_lcoe(case, connection, APPENDIX_A) - target) / target
             assert within_reference("scenario_lcoe_zero_om_gap", gap)
-        output = CliRunner().invoke(
-            cli_main, ["scenario", "--profile", "paper-appendix-A"]
-        ).output
+        output = invoke(["scenario", "--profile", "paper-appendix-A"]).output
         assert "understates" in output and "7-13%" in output
 
 

@@ -8,10 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import gridecon
-from gridecon.cli import OM_GAP_NOTE, main
+from cli_runner import invoke
+from gridecon.cli import OM_GAP_NOTE
 from gridecon.datasets import REFERENCES, bundled_path
 from gridecon.profiles import PROFILES
 from gridecon.projects import CSV_COLUMNS
@@ -43,10 +43,6 @@ HIGH_CASE_INVOCATIONS = {
     "scenario_dual_high.txt": ["scenario", "--case", "high"],
     "trade_high.txt": ["trade", "--case", "high"],
 }
-
-
-def invoke(args):
-    return CliRunner().invoke(main, args)
 
 
 def reference_text(key):
@@ -457,38 +453,62 @@ class TestDeterminismAndGoldens:
         assert result.output == (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
 
-# Runs the given golden invocations in one interpreter and prints which of
-# them differ from their golden files and which of numpy and scipy it loaded.
+# The gridecon modules each report subcommand loads: what building the parser
+# needs, and the subcommand's own evaluators and renderer.
+PARSER_MODULES = {
+    "gridecon", "gridecon.cli", "gridecon.checks", "gridecon.datasets",
+    "gridecon.finance", "gridecon.profiles", "gridecon.transmission",
+}
+REPORT_MODULES = {
+    "lcoe": {"gridecon.report"},
+    "normalize": {"gridecon.report"},
+    "norned": {"gridecon.report", "gridecon.scenario"},
+    "compare-import": {"gridecon.report", "gridecon.scenario"},
+    "project-table": {"gridecon.report", "gridecon.projects"},
+    "scenario": {"gridecon.report", "gridecon.scenario", "gridecon.scenario_file"},
+    "trade": {"gridecon.report", "gridecon.scenario", "gridecon.scenario_file"},
+}
+
+# Runs one golden invocation in a fresh interpreter and prints whether its
+# output differs from the golden file, and which modules it loaded.
 COLD_START_SCRIPT = """
 import contextlib, io, json, sys
 from pathlib import Path
 from gridecon.cli import main
 
-invocations, golden = json.loads(sys.argv[1]), Path(sys.argv[2])
-differ = []
-for name, args in invocations.items():
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        main(args, prog_name="gridecon", standalone_mode=False)
-    if out.getvalue().encode() != (golden / name).read_bytes():
-        differ.append(name)
-loaded = [m for m in ("numpy", "scipy") if m in sys.modules]
-print(json.dumps({"differ": differ, "loaded": loaded}))
+args, golden = json.loads(sys.argv[1]), Path(sys.argv[2])
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main.main(args, prog_name="gridecon", standalone_mode=False)
+print(json.dumps({
+    "exit": code,
+    "differs": out.getvalue().encode() != golden.read_bytes(),
+    "gridecon": sorted(m for m in sys.modules if m.split(".")[0] == "gridecon"),
+    "others": [m for m in ("click", "numpy", "scipy") if m in sys.modules],
+}))
 """
 
 
 def test_reports_load_neither_numpy_nor_scipy():
-    """Only a dispatch solve needs numpy and scipy, so no other command imports them."""
-    reports = {name: args for name, args in GOLDEN_INVOCATIONS.items() if args[0] != "simulate"}
+    """Only a dispatch solve needs numpy and scipy, so no other command imports
+    them; each report loads only the gridecon modules it uses, and never click."""
     src = str(Path(gridecon.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.run(
-        [sys.executable, "-c", COLD_START_SCRIPT, json.dumps(reports), str(GOLDEN_DIR)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert child.returncode == 0, child.stderr
-    result = json.loads(child.stdout.splitlines()[-1])
-    assert result == {"differ": [], "loaded": []}
+    for name, args in GOLDEN_INVOCATIONS.items():
+        if args[0] == "simulate":
+            continue
+        child = subprocess.run(
+            [sys.executable, "-c", COLD_START_SCRIPT, json.dumps(args), str(GOLDEN_DIR / name)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        expected = {
+            "exit": 0,
+            "differs": False,
+            "gridecon": sorted(PARSER_MODULES | REPORT_MODULES[args[0]]),
+            "others": [],
+        }
+        assert json.loads(child.stdout.splitlines()[-1]) == expected, name

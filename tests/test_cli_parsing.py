@@ -1,0 +1,151 @@
+"""Command-line parsing of every subcommand, the console-script entry point,
+and the notes under the scenario reports.
+
+Kept apart from ``test_cli.py``, which the benchmark reads for its golden
+invocations.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gridecon
+from cli_runner import invoke
+from gridecon.cli import OM_GAP_NOTE
+from gridecon.datasets import bundled_path
+
+NORMALIZE = [
+    "normalize", "--value", "126.7", "--currency", "USD", "--price-year", "1997",
+    "--target-currency", "EUR", "--target-year", "2007", "--fx", "0.8587",
+]
+
+# One run of each subcommand that succeeds.
+VALID = {
+    "lcoe": ["lcoe"],
+    "project-table": ["project-table"],
+    "scenario": ["scenario"],
+    "trade": ["trade"],
+    "norned": ["norned"],
+    "compare-import": ["compare-import"],
+    "simulate": ["simulate", "--hours", "2"],
+    "normalize": NORMALIZE,
+}
+
+# Each subcommand with one of its options shortened, and the option named in full.
+ABBREVIATED = {
+    "lcoe": ["lcoe", "--prof", "paper-appendix-A"],
+    "project-table": ["project-table", "--converter", "150"],
+    "scenario": ["scenario", "--conn", "single"],
+    "trade": ["trade", "--scen", "greenland"],
+    "norned": ["norned", "--rev", "50"],
+    "compare-import": ["compare-import", "--form", "csv"],
+    "simulate": ["simulate", "--hour", "2"],
+    "normalize": [*NORMALIZE, "--infl", "0.02"],
+}
+
+# An option that takes a whole number, given a fraction.
+NOT_INTEGER = [
+    ["simulate", "--hours", "1.5"],
+    ["norned", "--days", "1.5"],
+    [*NORMALIZE, "--price-year", "1.5"],
+    [*NORMALIZE, "--target-year", "1.5"],
+]
+
+# A number option given NaN, and the check that rejects it.
+NAN = [
+    (["lcoe", "--length-km", "nan"], "length_km must be finite and > 0, got nan"),
+    (["lcoe", "--capacity-mw", "nan"], "capacity_mw must be finite and >= 0, got nan"),
+    (["project-table", "--converter-cost", "nan"], "converter cost assumption must be finite and >= 0, got nan"),
+    (["norned", "--revenue-meur", "nan"], "revenue_eur must be finite and >= 0, got nan"),
+    ([*NORMALIZE[:2], "nan", *NORMALIZE[3:]], "value must be finite, got nan"),
+    ([*NORMALIZE, "--inflation", "nan"], "inflation_rate must be finite and > -1, got nan"),
+]
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_valid_run_is_zero(command):
+    result = invoke(VALID[command])
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("command", sorted(ABBREVIATED))
+def test_abbreviated_option_is_two(command):
+    args = ABBREVIATED[command]
+    result = invoke(args)
+    assert result.exit_code == 2, result.output
+    assert f"unrecognized arguments: {args[-2]}" in result.output
+
+
+@pytest.mark.parametrize("args", NOT_INTEGER, ids=lambda args: f"{args[0]}{args[-2]}")
+def test_fraction_for_whole_number_is_two(args):
+    result = invoke(args)
+    assert result.exit_code == 2
+    assert f"argument {args[-2]}: invalid int value: '1.5'" in result.output
+
+
+@pytest.mark.parametrize("args, message", NAN, ids=[args[args.index("nan") - 1] for args, _ in NAN])
+def test_nan_is_rejected_by_its_range_check(args, message):
+    result = invoke(args)
+    assert result.exit_code == 2
+    assert result.output == f"Error: {message}\n"
+
+
+def test_no_subcommand_is_two():
+    result = invoke([])
+    assert result.exit_code == 2
+    assert "the following arguments are required: COMMAND" in result.output
+
+
+@pytest.mark.parametrize("command", ["", *sorted(VALID)])
+def test_help_is_zero(command):
+    result = invoke([command, "--help"] if command else ["--help"])
+    assert result.exit_code == 0
+    assert result.output.startswith(f"usage: gridecon {command}".rstrip())
+
+
+def run_console(*args):
+    """``gridecon <args>`` in a fresh process, through the module's ``main()``."""
+    src = str(Path(gridecon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "gridecon.cli", *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_console_entry_point_exit_status_and_streams():
+    """``main()`` reads ``sys.argv``: a report goes to stdout with exit 0, the
+    program's own error to stderr as one line with exit 2."""
+    golden = Path(__file__).parent / "golden" / "compare_import.txt"
+    ok = run_console("compare-import")
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, golden.read_text(encoding="utf-8"), "")
+    rejected = run_console("lcoe", "--length-km", "nan")
+    assert (rejected.returncode, rejected.stdout) == (2, "")
+    assert rejected.stderr == "Error: length_km must be finite and > 0, got nan\n"
+    misspelt = run_console("lcoe", "--prof", "norned")
+    assert (misspelt.returncode, misspelt.stdout) == (2, "")
+    assert "unrecognized arguments: --prof" in misspelt.stderr
+
+
+@pytest.mark.parametrize("command", ["scenario", "trade"])
+def test_bundled_finance_under_custom_gets_reconciliation_note(command):
+    """The bundled case study's own finance carries the reconciled O&M rate."""
+    result = invoke([command, "--scenario", "greenland", "--profile", "custom"])
+    assert result.exit_code == 0, result.output
+    note = "the 0.5%/yr fixed O&M charge of the bundled scenario file is a reconciliation hypothesis"
+    assert f"note: {note}, not a published input\n" in result.output
+    assert OM_GAP_NOTE not in result.output
+
+
+@pytest.mark.parametrize("command", ["scenario", "trade"])
+def test_user_finance_under_custom_gets_no_note(tmp_path, command):
+    data = json.loads(bundled_path("greenland_low.json").read_text(encoding="utf-8"))
+    data["finance"]["om_rate"] = 0.0
+    path = tmp_path / "zero_om.json"
+    path.write_text(json.dumps(data))
+    result = invoke([command, "--scenario", str(path), "--profile", "custom"])
+    assert result.exit_code == 0, result.output
+    assert "note:" not in result.output

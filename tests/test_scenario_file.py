@@ -6,11 +6,10 @@ import operator
 import re
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridecon.cli import main
+from cli_runner import invoke
 from gridecon.datasets import bundled_path, load_bundled_scenario
 from gridecon.dispatch import DEFAULT_UNSERVED_PENALTY
 from gridecon.finance import FinancialAssumptions
@@ -256,7 +255,7 @@ def run_on_file(command: str, data, path):
     path.write_text(json.dumps(data))
     args = [command, "--scenario", str(path)]
     args += ["--hours", "2"] if command == "simulate" else ["--profile", "custom"]
-    return CliRunner().invoke(main, args)
+    return invoke(args)
 
 
 # One row per malformed or out-of-range input that used to be accepted, be
