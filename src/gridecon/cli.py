@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import re
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -371,6 +372,21 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return action.help if action.default is None else super()._get_help_string(action)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reads every negative number as a value.
+
+    argparse takes a token for an option name unless it looks like a
+    negative number, and its own test for that misses the exponent form
+    (``-1e3``, before Python 3.13) and ``-inf``. Here a minus sign followed
+    by a digit, a point or ``inf``/``nan`` starts a value, which then
+    reaches its option's ``type=`` and range check.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+
+
 @functools.cache
 def _parser(prog: str) -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process and program name.
@@ -378,7 +394,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     Each subcommand sets ``command``, the function that takes its options;
     a report subcommand also takes ``--format`` (``fmt``).
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=prog,
         description="Techno-economic analysis of long-distance HVDC interconnections.",
         allow_abbrev=False,

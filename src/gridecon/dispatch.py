@@ -36,6 +36,18 @@ per arc with at most two entries (leaving one region, arriving in another).
 an earlier hour's demand shares that hour's result, so a year of a daily
 profile costs about as much as its distinct hours, at most 24.
 
+Everything in an hour's LP but its demand is built once per network, by
+the first solve, and cached on the network: the arc list, the normalized
+objective, the balance matrix, the bounds template and the maps that decode
+a solution (each region's unit count, the zero-cost units and the link
+pairs with their loss shares). An hour copies the bounds, writes its demand
+into the shedding bounds and the balance right-hand side, solves and
+decodes. A network is frozen, so its problem never goes stale; a
+``dataclasses.replace`` copy is a new network and builds its own. This
+compiled problem is also the block that an LP of coupled hours would
+stack. ``export_csv`` formats each distinct value once, from a dict local
+to the call.
+
 numpy and scipy are imported by the first solve, not by this module, so
 that importing gridecon and every report that does not dispatch stay clear
 of their half-second import.
@@ -44,8 +56,10 @@ of their half-second import.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -134,6 +148,15 @@ class DispatchNetwork:
                     )
         penalty = self.unserved_penalty_eur_per_mwh
         require(0 < penalty < math.inf, "unserved_penalty_eur_per_mwh", "finite and > 0", penalty)
+
+    @functools.cached_property
+    def _problem(self) -> _Problem:
+        """The dispatch LP of this network, built by the first hour solved.
+
+        A frozen network never changes, so the cache never goes stale; a
+        ``dataclasses.replace`` copy is a new network with no cache.
+        """
+        return _Problem(self)
 
 
 def sinusoid_profile(
@@ -263,6 +286,59 @@ def _close_gain_cycle(dist: list[float], pred: list, start: int) -> int:
     )
 
 
+class _Problem:
+    """A network's dispatch LP without its hour: everything but demand.
+
+    Node 0 is the source, region i is node i + 1. One arc (tail, head,
+    capacity, gain, cost) per LP column: generators region by region, each
+    interconnector forward then backward, then one shedding arc per region.
+    """
+
+    def __init__(self, network: DispatchNetwork) -> None:
+        import numpy as np
+        from scipy.sparse import csc_array
+
+        n_regions = len(network.regions)
+        penalty = network.unserved_penalty_eur_per_mwh
+        arcs = [
+            (0, ri + 1, cap, 1.0, cost)
+            for ri, region in enumerate(network.regions)
+            for cap, cost in region.generators
+        ]
+        self.unit_counts = [len(region.generators) for region in network.regions]
+        self.free_units = [(j, head - 1, cap) for j, (_, head, cap, _, cost) in enumerate(arcs) if cost == 0.0]
+        node = {region.name: ri + 1 for ri, region in enumerate(network.regions)}
+        self.links = []
+        for ic in network.interconnectors:
+            a, b = node[ic.region_a], node[ic.region_b]
+            self.links.append((len(arcs), 1.0 - ic.efficiency))
+            arcs.append((a, b, ic.capacity_mw, ic.efficiency, 0.0))
+            arcs.append((b, a, ic.capacity_mw, ic.efficiency, 0.0))
+        self.first_shed = first_shed = len(arcs)
+        arcs.extend((0, ri + 1, math.inf, 1.0, penalty) for ri in range(n_regions))
+        self.arcs = arcs
+
+        self.costs = np.array([cost for *_, cost in arcs], dtype=float)
+        # Normalizing the objective keeps the chosen vertex invariant when all
+        # marginal costs are scaled by a constant.
+        scale = float(self.costs.max())
+        self.objective = self.costs / scale if scale > 0 else self.costs
+        # The balance rows, one column per arc: -1 where it leaves a region,
+        # its gain where it arrives; rows ascend within a column (canonical CSC).
+        rows, entries, starts = [], [], [0]
+        for tail, head, _, gain, _ in arcs:
+            column = sorted(((tail - 1, -1.0), (head - 1, gain))) if tail else [(head - 1, gain)]
+            for row, entry in column:
+                rows.append(row)
+                entries.append(entry)
+            starts.append(len(rows))
+        self.balance = csc_array((entries, rows, starts), shape=(n_regions, len(arcs)))
+        self.capacities = np.array([cap for _, _, cap, _, _ in arcs])
+        # The hour writes its demand into the shedding rows of a copy.
+        self.bounds = np.zeros((len(arcs), 2))
+        self.bounds[:first_shed, 1] = self.capacities[:first_shed]
+
+
 def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
     """Cost-minimal generation and flows for one hour, given each region's demand.
 
@@ -279,50 +355,16 @@ def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
     if linprog is None:
         from scipy.optimize import linprog
     import numpy as np
-    from scipy.sparse import csc_array
 
-    penalty = network.unserved_penalty_eur_per_mwh
-    # One arc (tail, head, capacity, gain, cost) per LP column: generators
-    # region by region, each interconnector forward then backward, then one
-    # shedding arc per region. Node 0 is the source, region i is node i + 1.
-    arcs = [
-        (0, ri + 1, cap, 1.0, cost)
-        for ri, region in enumerate(network.regions)
-        for cap, cost in region.generators
-    ]
-    first_link = len(arcs)
-    node = {region.name: ri + 1 for ri, region in enumerate(network.regions)}
-    for ic in network.interconnectors:
-        a, b = node[ic.region_a], node[ic.region_b]
-        arcs.append((a, b, ic.capacity_mw, ic.efficiency, 0.0))
-        arcs.append((b, a, ic.capacity_mw, ic.efficiency, 0.0))
-    first_shed = len(arcs)
-    arcs.extend((0, ri + 1, math.inf, 1.0, penalty) for ri in range(n_regions))
-
-    costs = np.array([cost for *_, cost in arcs], dtype=float)
-    # The balance rows, one column per arc: -1 where it leaves a region,
-    # its gain where it arrives; rows ascend within a column (canonical CSC).
-    rows, entries, starts = [], [], [0]
-    for tail, head, _, gain, _ in arcs:
-        column = sorted(((tail - 1, -1.0), (head - 1, gain))) if tail else [(head - 1, gain)]
-        for row, entry in column:
-            rows.append(row)
-            entries.append(entry)
-        starts.append(len(rows))
-    balance = csc_array((entries, rows, starts), shape=(n_regions, len(arcs)))
+    problem = network._problem
+    first_shed = problem.first_shed
     # Capping shedding at local demand rules out degenerate optima that
     # route penalty power over cost-tied efficiency-1 links.
-    bounds = np.zeros((len(arcs), 2))
-    bounds[:first_shed, 1] = [cap for _, _, cap, _, _ in arcs[:first_shed]]
+    bounds = problem.bounds.copy()
     bounds[first_shed:, 1] = demand
-
-    # Normalizing the objective keeps the chosen vertex invariant when all
-    # marginal costs are scaled by a constant.
-    scale = float(costs.max())
-    objective = costs / scale if scale > 0 else costs
     solution = linprog(
-        objective,
-        A_eq=balance,
+        problem.objective,
+        A_eq=problem.balance,
         b_eq=np.array(demand),
         bounds=bounds,
         method="highs",
@@ -335,28 +377,30 @@ def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
     x = np.clip(solution.x, 0.0, None)
     xs = x.tolist()
 
-    generation = [[] for _ in range(n_regions)]
+    generation = []
+    start = 0
+    for count in problem.unit_counts:
+        generation.append(tuple(xs[start : start + count]))
+        start += count
     curtailed = [0] * n_regions
-    for (_, head, cap, _, cost), sent in zip(arcs[:first_link], xs):
-        generation[head - 1].append(sent)
-        if cost == 0.0:
-            curtailed[head - 1] += cap - sent
-    link_pairs = range(first_link, first_shed, 2)
-    flows = tuple(xs[j] - xs[j + 1] for j in link_pairs)
-    loss = float(sum((xs[j] + xs[j + 1]) * (1.0 - arcs[j][3]) for j in link_pairs))
-    unserved = tuple(min(xs[first_shed + ri], demand[ri]) for ri in range(n_regions))
+    for j, ri, cap in problem.free_units:
+        curtailed[ri] += cap - xs[j]
+    flows = tuple(xs[j] - xs[j + 1] for j, _ in problem.links)
+    loss = float(sum((xs[j] + xs[j + 1]) * lost for j, lost in problem.links))
+    unserved = tuple(map(min, xs[first_shed:], demand))
     labels = _delivery_price_labels(
-        arcs, [min(sent, arc[2]) for sent, arc in zip(xs, arcs)], 1 + n_regions
+        problem.arcs, np.minimum(x, problem.capacities).tolist(), 1 + n_regions
     )
+    penalty = network.unserved_penalty_eur_per_mwh
     return HourlyDispatch(
         demand_mw=demand,
-        generation_mw=tuple(map(tuple, generation)),
+        generation_mw=tuple(generation),
         flows_mw=flows,
         unserved_mw=unserved,
         curtailed_res_mw=tuple(curtailed),
-        prices_eur_per_mwh=tuple(min(labels[ri + 1], penalty) for ri in range(n_regions)),
+        prices_eur_per_mwh=tuple(min(label, penalty) for label in labels[1:]),
         loss_mw=loss,
-        cost_eur=float(np.dot(costs, x)),
+        cost_eur=float(np.dot(problem.costs, x)),
     )
 
 
@@ -393,6 +437,7 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
     """Dispatch ``hours`` consecutive hours; hours are independent (no storage),
     so an hour whose demand repeats an earlier hour's shares that hour's result."""
     require(1 <= hours < math.inf, "hours", "finite and >= 1", hours)
+    require(isinstance(hours, numbers.Integral), "hours", "a whole number", hours)
     solved: dict[tuple[float, ...], HourlyDispatch] = {}
     hourly = []
     for t in range(hours):
@@ -470,6 +515,7 @@ def reserve_requirements(
     """
     require(0.0 < alpha <= 1.0, "alpha", "in (0, 1]", alpha)
     require(1 <= hours < math.inf, "hours", "finite and >= 1", hours)
+    require(isinstance(hours, numbers.Integral), "hours", "a whole number", hours)
     isolated = {
         region.name: alpha * max(region.demand_at(t) for t in range(hours))
         for region in network.regions
@@ -500,21 +546,27 @@ def export_csv(result: DispatchResult) -> str:
             "price_eur_per_mwh",
         ]
     )
+    # Each distinct value is formatted once. _fmt is a function of the value,
+    # and the keys that compare equal (0, 0.0, -0.0) all render as "0".
+    rendered: dict[float, str] = {}
+
+    def fmt(value: float) -> str:
+        text = rendered.get(value)
+        if text is None:
+            text = rendered[value] = _fmt(value)
+        return text
+
+    names = [region.name for region in result.network.regions]
     for t, hour in enumerate(result.hourly):
-        served = hour.served_mw
-        for ri, region in enumerate(result.network.regions):
-            writer.writerow(
-                [
-                    t,
-                    region.name,
-                    _fmt(hour.demand_mw[ri]),
-                    _fmt(served[ri]),
-                    _fmt(sum(hour.generation_mw[ri])),
-                    _fmt(hour.curtailed_res_mw[ri]),
-                    _fmt(hour.unserved_mw[ri]),
-                    _fmt(hour.prices_eur_per_mwh[ri]),
-                ]
-            )
+        columns = (
+            hour.demand_mw,
+            hour.served_mw,
+            map(sum, hour.generation_mw),
+            hour.curtailed_res_mw,
+            hour.unserved_mw,
+            hour.prices_eur_per_mwh,
+        )
+        writer.writerows((t, name, *map(fmt, values)) for name, *values in zip(names, *columns))
     writer.writerow([])
     writer.writerow(["metric", "value"])
     writer.writerow(["hours", result.n_hours])

@@ -6,6 +6,7 @@ invocations.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -92,6 +93,25 @@ def test_nan_is_rejected_by_its_range_check(args, message):
     result = invoke(args)
     assert result.exit_code == 2
     assert result.output == f"Error: {message}\n"
+
+
+# A negative number in forms that argparse's own test takes for an option.
+NEGATIVE = ["-1e3", "-1E+3", "-.5e-2", "-inf", "-Infinity"]
+
+
+@pytest.mark.parametrize("number", NEGATIVE)
+def test_negative_number_after_its_option_is_its_value(number):
+    spaced = invoke([*NORMALIZE[:2], number, *NORMALIZE[3:]])
+    joined = invoke([f"{NORMALIZE[0]}", f"--value={number}", *NORMALIZE[3:]])
+    assert spaced.exit_code == (0 if math.isfinite(float(number)) else 2)
+    assert spaced == joined
+
+
+@pytest.mark.parametrize("number", NEGATIVE)
+def test_negative_length_is_rejected_by_its_range_check(number):
+    result = invoke(["lcoe", "--length-km", number])
+    assert result.exit_code == 2
+    assert result.output == f"Error: length_km must be finite and > 0, got {float(number)}\n"
 
 
 def test_no_subcommand_is_two():

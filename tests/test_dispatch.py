@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import itertools
 import json
 import math
@@ -16,6 +19,8 @@ from gridecon import dispatch
 from gridecon.datasets import load_bundled_scenario
 from gridecon.dispatch import (
     DispatchNetwork,
+    DispatchResult,
+    HourlyDispatch,
     Interconnector,
     Region,
     curtailment_metrics,
@@ -201,6 +206,11 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(network([region("a", 1, [(1, 1.0)])]), 0)
 
+    @pytest.mark.parametrize("hours", [2.5, 2.0])
+    def test_rejects_fractional_horizon(self, hours):
+        with pytest.raises(ValueError, match=f"^hours must be a whole number, got {hours}$"):
+            simulate(network([region("a", 1, [(1, 1.0)])]), hours)
+
 
 class TestRepeatedHours:
     """simulate solves each distinct demand vector once and reuses the result."""
@@ -259,6 +269,97 @@ class TestRepeatedHours:
         calls = totals["calls"]
         assert calls["dispatch.min_cost_flow"] == calls["dispatch.linprog"] == totals["distinct"] == 13
         assert totals["counters"]["dispatch.linprog.a_eq_nnz"] == 10 * totals["distinct"]
+
+
+class TestCompiledProblem:
+    """Each network builds its LP once, on its first solve, and keeps it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+
+        class Counting(dispatch._Problem):
+            def __init__(self, net):
+                built.append(net)
+                super().__init__(net)
+
+        monkeypatch.setattr(dispatch, "_Problem", Counting)
+        return built
+
+    def test_repeated_solves_build_one_problem(self, builds):
+        net = ring_network("10:41", n_regions=10, n_chords=10)
+        demand = hourly_demand(net, 13)
+        first, *again = [min_cost_flow(net, demand) for _ in range(3)]
+        simulate(net, 24)
+        assert builds == [net]
+        assert all(hour == first for hour in again)
+
+    def test_replaced_network_gets_its_own_problem(self, builds):
+        link = Interconnector("a", "b", 40.0, 0.9)
+        net = network([region("a", 0, [(100, 0.0)]), region("b", 30, [(100, 80.0)])], [link])
+        wide = min_cost_flow(net, (0.0, 30.0))
+        narrow_net = dataclasses.replace(net, interconnectors=(dataclasses.replace(link, capacity_mw=10.0),))
+        narrow = min_cost_flow(narrow_net, (0.0, 30.0))
+        assert builds == [net, narrow_net]
+        assert wide.flows_mw == pytest.approx((30.0 / 0.9,))
+        assert narrow.flows_mw == pytest.approx((10.0,))
+        assert narrow == min_cost_flow(network(narrow_net.regions, narrow_net.interconnectors), (0.0, 30.0))
+        assert min_cost_flow(net, (0.0, 30.0)) == wide
+
+    def test_equal_networks_give_equal_results(self):
+        one = ring_network("20:1", n_regions=20, n_chords=20)
+        other = ring_network("20:1", n_regions=20, n_chords=20)
+        assert one == other and one is not other
+        assert simulate(one, 24).hourly == simulate(other, 24).hourly
+        assert one._problem is not other._problem
+        assert hash(one) == hash(other)
+
+
+class TestExportCsv:
+    """export_csv formats each distinct value once; the text is that of
+    formatting every cell on its own."""
+
+    @staticmethod
+    def plain(result):
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["hour", "region", "demand_mw", "served_mw", "generation_mw",
+                         "curtailed_mw", "unserved_mw", "price_eur_per_mwh"])
+        for t, hour in enumerate(result.hourly):
+            for ri, reg in enumerate(result.network.regions):
+                cells = (hour.demand_mw[ri], hour.served_mw[ri], sum(hour.generation_mw[ri]),
+                         hour.curtailed_res_mw[ri], hour.unserved_mw[ri], hour.prices_eur_per_mwh[ri])
+                writer.writerow([t, reg.name, *map(dispatch._fmt, cells)])
+        writer.writerow([])
+        writer.writerow(["metric", "value"])
+        writer.writerow(["hours", result.n_hours])
+        for metric in ("total_cost_eur", "total_curtailed_mwh", "total_unserved_mwh",
+                       "mean_price_spread_eur_per_mwh"):
+            writer.writerow([metric, dispatch._fmt(getattr(result, metric))])
+        return out.getvalue()
+
+    def test_seeded_ring(self):
+        result = simulate(ring_network("10:58", n_regions=10, n_chords=10), 24)
+        assert export_csv(result) == self.plain(result)
+
+    def test_equal_zeros_and_near_values(self):
+        # 0, 0.0 and -0.0 are one memo key; values that differ below the
+        # sixth decimal are distinct keys with the same text.
+        net = network([region(name, 0, []) for name in "abc"])
+        hour = HourlyDispatch(
+            demand_mw=(0, 0.0, -0.0),
+            generation_mw=((), (0.0, -0.0), (2.5, 1e-7)),
+            flows_mw=(),
+            unserved_mw=(-0.0, 2.5000001, -1e-7),
+            curtailed_res_mw=(0, -0.0, 0.0),
+            prices_eur_per_mwh=(2.5, 2.4999999, 1e-9),
+            loss_mw=0.0,
+            cost_eur=-0.0,
+        )
+        result = DispatchResult(net, (hour, dataclasses.replace(hour, demand_mw=(-0.0, 0, 0.0))))
+        text = export_csv(result)
+        assert text == self.plain(result)
+        assert text.splitlines()[1:4] == ["0,a,0,0,0,0,0,2.5", "0,b,0,-2.5,0,0,2.5,2.5", "0,c,0,0,2.5,0,0,0"]
 
 
 class TestEnergyBalance:
@@ -547,6 +648,10 @@ class TestReserveRequirements:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             reserve_requirements(network([region("a", 1, [(1, 1.0)])]), alpha=0.0)
+
+    def test_rejects_fractional_horizon(self):
+        with pytest.raises(ValueError, match="^hours must be a whole number, got 2.5$"):
+            reserve_requirements(network([region("a", 1, [(1, 1.0)])]), 0.1, hours=2.5)
 
 
 class TestSinusoidProfile:
