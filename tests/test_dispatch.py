@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,13 @@ from dispatch_oracles import (
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REPO = Path(__file__).parents[1]
+
+
+def large_ring(seed):
+    """A seeded ring whose LP is large enough for simulate's thread pool:
+    8 columns per region (3 units, 2 links each way, shedding)."""
+    n_regions = dispatch._THREADED_MIN_ARCS // 8 + 1
+    return ring_network(seed, n_regions, n_chords=n_regions)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +314,12 @@ class TestCompiledProblem:
         assert narrow == min_cost_flow(network(narrow_net.regions, narrow_net.interconnectors), (0.0, 30.0))
         assert min_cost_flow(net, (0.0, 30.0)) == wide
 
+    def test_concurrent_hours_build_one_problem(self, builds, monkeypatch):
+        monkeypatch.setattr(dispatch, "_cpu_count", lambda: 2)
+        net = large_ring("76:5")
+        simulate(net, 24)
+        assert builds == [net]
+
     def test_equal_networks_give_equal_results(self):
         one = ring_network("20:1", n_regions=20, n_chords=20)
         other = ring_network("20:1", n_regions=20, n_chords=20)
@@ -313,6 +327,70 @@ class TestCompiledProblem:
         assert simulate(one, 24).hourly == simulate(other, 24).hourly
         assert one._problem is not other._problem
         assert hash(one) == hash(other)
+
+
+class TestConcurrentHours:
+    """A network of at least dispatch._THREADED_MIN_ARCS LP columns solves its
+    distinct hours on a thread pool, with the results and errors of the
+    serial loop; a smaller one stays on the calling thread."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(dispatch, "_cpu_count", lambda: 2)
+
+    @staticmethod
+    def record_threads(monkeypatch):
+        threads = []
+
+        def recording(net, demand_mw):
+            threads.append(threading.get_ident())
+            return min_cost_flow(net, demand_mw)
+
+        monkeypatch.setattr(dispatch, "min_cost_flow", recording)
+        return threads
+
+    def test_hours_equal_single_hour_solves(self, monkeypatch):
+        net = large_ring("76:3")
+        threads = self.record_threads(monkeypatch)
+        result = simulate(net, 48)
+        assert len(threads) == 24 and threading.get_ident() not in threads
+        for t, hour in enumerate(result.hourly):
+            assert hour == min_cost_flow(net, hourly_demand(net, t))
+
+    def test_earliest_failing_hour_is_named(self, monkeypatch):
+        net = large_ring("76:3")
+        labels = dispatch._delivery_price_labels
+        seen = []
+
+        def recording(arcs, flows, n_nodes):
+            seen.append(flows)
+            return labels(arcs, flows, n_nodes)
+
+        monkeypatch.setattr(dispatch, "_delivery_price_labels", recording)
+        for t in (5, 17):
+            min_cost_flow(net, hourly_demand(net, t))
+        early, late = seen
+        late_failed = threading.Event()
+
+        def fail(arcs, flows, n_nodes):
+            if flows == early:
+                late_failed.wait(timeout=10)  # hour 5 fails after hour 17 has
+            elif flows == late:
+                late_failed.set()
+            else:
+                return labels(arcs, flows, n_nodes)
+            raise ValueError("price labels do not converge")
+
+        monkeypatch.setattr(dispatch, "_delivery_price_labels", fail)
+        with pytest.raises(ValueError, match="^hour 5: price labels do not converge$"):
+            simulate(net, 24)
+        assert late_failed.is_set()
+
+    def test_small_network_solves_on_the_calling_thread(self, monkeypatch):
+        smoothing = load_bundled_scenario("smoothing").require("network")
+        threads = self.record_threads(monkeypatch)
+        simulate(smoothing, 48)
+        assert threads == [threading.get_ident()] * 13
 
 
 class TestExportCsv:
@@ -360,6 +438,16 @@ class TestExportCsv:
         text = export_csv(result)
         assert text == self.plain(result)
         assert text.splitlines()[1:4] == ["0,a,0,0,0,0,0,2.5", "0,b,0,-2.5,0,0,2.5,2.5", "0,c,0,0,2.5,0,0,0"]
+
+    def test_huge_values_print_in_exponent_form(self):
+        # Floats hold integers exactly only below 2**53; 1e300 as an integer
+        # would print 301 digits, most of them noise.
+        net = network([region("a", 5, [(1, 1.0)])], penalty=1e300)
+        text = export_csv(simulate(net, 1))
+        assert text.splitlines()[1] == "0,a,5,1,1,0,4,1e+300"
+        assert "\ntotal_cost_eur,4e+300\n" in text
+        assert dispatch._fmt(2.0**53 - 1) == "9007199254740991"
+        assert dispatch._fmt(2.0**53) == "9.0072e+15"
 
 
 class TestEnergyBalance:
@@ -446,13 +534,20 @@ class TestPricesAreMarginalCosts:
             dispatch._delivery_price_labels(arcs, [0.0, 0.0, 5.0], 3)
 
     def test_simulate_names_the_hour_that_fails(self, monkeypatch):
+        # The second distinct demand fails; it first appears in hour 2.
+        labels = dispatch._delivery_price_labels
+        solves = []
+
         def fail(arcs, flows, n_nodes):
-            raise ValueError("price labels do not converge")
+            solves.append(flows)
+            if len(solves) == 2:
+                raise ValueError("price labels do not converge")
+            return labels(arcs, flows, n_nodes)
 
         monkeypatch.setattr(dispatch, "_delivery_price_labels", fail)
-        net = network([region("a", 5, [(10, 1.0)])])
-        with pytest.raises(ValueError, match="^hour 0: price labels do not converge$"):
-            simulate(net, 2)
+        net = network([region("a", [5, 5] + [6] * 22, [(10, 1.0)])])
+        with pytest.raises(ValueError, match="^hour 2: price labels do not converge$"):
+            simulate(net, 24)
 
     def checked_regions(self, net, demand):
         """Regions whose price matches a steady finite difference; raises on a mismatch."""
