@@ -14,21 +14,26 @@ exact linear program instead; costs are normalized before the solve, which
 keeps the dispatched flows invariant under uniform price scaling. Each LP
 column is one arc of a single arc list (a generator, one direction of an
 interconnector, or a region's shedding). Marginal prices come from
-per-unit-delivered shortest-path labels that walk the same arcs, as the
-residual network of the optimal flow, so a region's price is the cost of
-serving one more MWh there. Where the LP's dual is not unique (a unit
-running exactly at its rating), that is the upper end of the dual range.
+per-unit-delivered shortest-path labels, one per region, over the residual
+network of the optimal flow, so a region's price is the cost of serving one
+more MWh there. Where the LP's dual is not unique (a unit running exactly
+at its rating), that is the upper end of the dual range. Only generators
+and shedding cost anything, and they enter a region from outside the
+network: a label starts at the cheapest of them with spare capacity, and a
+residual link only multiplies it, by ``1 / efficiency`` forward and by
+``efficiency`` back.
 
-The labels are corrected from a FIFO queue of nodes, with no bound on the
-number of passes. A residual cycle of lossy links lowers its labels by a
-constant factor per round, without end, so such a cycle is closed in one
-step at its fixed point, as generalized shortest-path labels are (Ahuja,
-Magnanti & Orlin, *Network Flows*, 1993, ch. 15). Labels that still cannot
-settle raise ``ValueError``, which ``simulate`` prefixes with the hour;
-they are never returned as prices. HiGHS solves at feasibility tolerances
-of 1e-9, not its default 1e-7: flows left at the default tolerance make
-residual cycles that the optimum does not have, and labels that follow
-them to their fixed point undercut the cost of one more MWh.
+The labels are corrected from a FIFO queue of regions, with no bound on
+the number of passes. A residual cycle of lossy links multiplies its labels
+by a constant factor below 1 per round, without end, so such a cycle is
+closed in one step at its fixed point 0, as generalized shortest-path
+labels are (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 15). A
+cycle that cannot close this way raises ``ValueError``, which ``simulate``
+prefixes with the hour; its labels are never returned as prices. HiGHS
+solves at feasibility tolerances of 1e-9, not its default 1e-7: flows left
+at the default tolerance make residual cycles that the optimum does not
+have, and labels that follow them to their fixed point undercut the cost
+of one more MWh.
 
 The balance constraints go to HiGHS as a sparse column matrix, one column
 per arc with at most two entries (leaving one region, arriving in another).
@@ -213,59 +218,62 @@ class HourlyDispatch:
 
 
 def _delivery_price_labels(
-    arcs: list[tuple[int, int, float, float, float]], flows: list[float], n_nodes: int
+    arcs: list[tuple[int | None, int, float, float, float]], flows: list[float], n_regions: int
 ) -> list[float]:
-    """Cheapest cost of delivering one more unit at each node, from source node 0.
+    """Cheapest cost of delivering one more unit in each region.
 
     Label-correcting shortest paths on the residual network of ``arcs``
-    carrying ``flows``, visiting nodes from a FIFO queue. Each residual arc
-    is an affine map of labels, clamped at zero since no cost is negative:
-    traversing an arc forward maps a label p to (p + cost) / gain,
-    traversing it backward refunds to p * gain - cost.
+    carrying ``flows``, visiting regions from a FIFO queue. Each region
+    starts at its cheapest arc from outside (a unit or its shedding) with
+    spare capacity; a later arc must undercut an earlier one by more than
+    ``_EPS_IMPROVE``, as every relaxation must. Links cost nothing, so
+    each residual link only scales a label: sending one more unit forward
+    costs ``1 / efficiency`` of the sender's label, taking back one unit
+    already sent refunds ``efficiency`` of it.
 
-    There is no bound on passes. A residual cycle whose maps compose to
-    p -> M * p + A with M < 1 lowers its labels geometrically, without end.
-    A node queued ``n_nodes`` times lies on or behind such a cycle, so its
-    predecessors lead to it; the cycle's node is then set to the fixed point
-    max(0, A / (1 - M)), once one clamped pass around the cycle confirms
-    that value, and the queue goes on from there. Anything else cannot
-    converge and raises ValueError. In a dispatch network only arcs leaving
-    the source cost anything and none enters it, so every such cycle closes
-    at 0, each node at most once, and the queue ends. The flows must be
-    solved at tight tolerances: a flow left at tolerance level makes a
-    residual cycle that the optimum does not have, and its fixed point
-    undercuts the price.
+    There is no bound on passes. A residual cycle of links multiplies
+    labels by its product M of those factors; with M < 1 it lowers them
+    geometrically, without end, toward its fixed point 0. A region queued
+    again ``n_regions`` times after the seeding lies on or behind such a
+    cycle, so its predecessors lead to it; the cycle's region is then set to 0 and the
+    queue goes on from there. Anything else cannot converge and raises
+    ValueError. The flows must be solved at tight tolerances: a flow left
+    at tolerance level makes a residual cycle that the optimum does not
+    have, and closing it undercuts the price.
     """
-    residual = [[] for _ in range(n_nodes)]
+    dist = [math.inf] * n_regions
+    residual = [[] for _ in range(n_regions)]
     for (tail, head, cap, gain, cost), flow in zip(arcs, flows):
+        if tail is None:
+            if cap - flow > _EPS_FLOW and cost < dist[head] - _EPS_IMPROVE:
+                dist[head] = cost
+            continue
         if cap - flow > _EPS_FLOW:
-            residual[tail].append((head, 1.0 / gain, cost / gain))
-        if flow > _EPS_FLOW and tail:  # node 0's label is 0 by definition
-            residual[head].append((tail, gain, -cost))
-    dist = [math.inf] * n_nodes
-    dist[0] = 0.0
-    pred: list[tuple[int, float, float] | None] = [None] * n_nodes
-    enqueued = [0] * n_nodes
-    queued = [False] * n_nodes
-    queue = deque([0])
+            residual[tail].append((head, 1.0 / gain))
+        if flow > _EPS_FLOW:
+            residual[head].append((tail, gain))
+    pred: list[tuple[int, float] | None] = [None] * n_regions
+    enqueued = [0] * n_regions
+    queued = [True] * n_regions
+    queue = deque(range(n_regions))
     while queue:
         tail = queue.popleft()
         queued[tail] = False
         label = dist[tail]
-        for head, m, a in residual[tail]:
-            cand = max(0.0, label * m + a)
+        for head, m in residual[tail]:
+            cand = label * m
             if cand >= dist[head] - _EPS_IMPROVE:
                 continue
             dist[head] = cand
-            pred[head] = (tail, m, a)
+            pred[head] = (tail, m)
             if queued[head]:
                 continue
             queued[head] = True
             queue.append(head)
             enqueued[head] += 1
-            if enqueued[head] == n_nodes:
+            if enqueued[head] == n_regions:
                 node = _close_gain_cycle(dist, pred, head)
-                enqueued = [0] * n_nodes
+                enqueued = [0] * n_regions
                 if not queued[node]:
                     queued[node] = True
                     queue.append(node)
@@ -273,48 +281,40 @@ def _delivery_price_labels(
 
 
 def _close_gain_cycle(dist: list[float], pred: list, start: int) -> int:
-    """Set a node of the predecessor cycle behind ``start`` to its fixed point.
+    """Set a region of the predecessor cycle behind ``start`` to its fixed point 0.
 
-    Returns that node. Raises ValueError when the predecessors lead to no
-    cycle, or to one that neither shrinks labels nor has a fixed point
-    below the node's label.
+    Returns that region. Raises ValueError when the predecessors lead to
+    no cycle, or to one that does not shrink labels or whose region is
+    already within ``_EPS_IMPROVE`` of 0.
     """
     node = start
     for _ in range(len(dist)):  # past any tail of the predecessor graph
         if pred[node] is None:
             raise ValueError("price labels do not converge: no residual cycle to close")
         node = pred[node][0]
-    maps = []
-    at = node
+    slope, at, arcs = 1.0, node, 0
     while True:
-        at, m, a = pred[at]
-        maps.append((m, a))
+        at, m = pred[at]
+        slope, arcs = slope * m, arcs + 1
         if at == node:
             break
-    maps.reverse()  # in label order, from node around to node
-    slope, offset = 1.0, 0.0
-    for m, a in maps:
-        slope, offset = slope * m, offset * m + a
-    if slope < 1.0:
-        fixed = max(0.0, offset / (1.0 - slope))
-        around = fixed
-        for m, a in maps:
-            around = max(0.0, around * m + a)
-        if abs(around - fixed) <= _EPS_IMPROVE and fixed < dist[node] - _EPS_IMPROVE:
-            dist[node] = fixed
-            return node
+    if slope < 1.0 and 0.0 < dist[node] - _EPS_IMPROVE:
+        dist[node] = 0.0
+        return node
     raise ValueError(
-        f"price labels do not converge: a residual cycle of {len(maps)} arcs "
-        f"maps p to {slope:.6g} * p + {offset:.6g}, with no fixed point below {dist[node]:.6g}"
+        f"price labels do not converge: a residual cycle of {arcs} arcs "
+        f"maps p to {slope:.6g} * p, with no fixed point below {dist[node]:.6g}"
     )
 
 
 class _Problem:
     """A network's dispatch LP without its hour: everything but demand.
 
-    Node 0 is the source, region i is node i + 1. One arc (tail, head,
-    capacity, gain, cost) per LP column: generators region by region, each
-    interconnector forward then backward, then one shedding arc per region.
+    One arc (tail, head, capacity, gain, cost) per LP column, its ends given
+    as region indices: generators region by region, each interconnector
+    forward then backward, then one shedding arc per region. A generator or
+    shedding arc enters its region from outside the network, so its tail is
+    None.
     """
 
     def __init__(self, network: DispatchNetwork) -> None:
@@ -324,21 +324,21 @@ class _Problem:
         n_regions = len(network.regions)
         penalty = network.unserved_penalty_eur_per_mwh
         arcs = [
-            (0, ri + 1, cap, 1.0, cost)
+            (None, ri, cap, 1.0, cost)
             for ri, region in enumerate(network.regions)
             for cap, cost in region.generators
         ]
         self.unit_counts = [len(region.generators) for region in network.regions]
-        self.free_units = [(j, head - 1, cap) for j, (_, head, cap, _, cost) in enumerate(arcs) if cost == 0.0]
-        node = {region.name: ri + 1 for ri, region in enumerate(network.regions)}
+        self.free_units = [(j, head, cap) for j, (_, head, cap, _, cost) in enumerate(arcs) if cost == 0.0]
+        index = {region.name: ri for ri, region in enumerate(network.regions)}
         self.links = []
         for ic in network.interconnectors:
-            a, b = node[ic.region_a], node[ic.region_b]
+            a, b = index[ic.region_a], index[ic.region_b]
             self.links.append((len(arcs), 1.0 - ic.efficiency))
             arcs.append((a, b, ic.capacity_mw, ic.efficiency, 0.0))
             arcs.append((b, a, ic.capacity_mw, ic.efficiency, 0.0))
         self.first_shed = first_shed = len(arcs)
-        arcs.extend((0, ri + 1, math.inf, 1.0, penalty) for ri in range(n_regions))
+        arcs.extend((None, ri, math.inf, 1.0, penalty) for ri in range(n_regions))
         self.arcs = arcs
 
         self.costs = np.array([cost for *_, cost in arcs], dtype=float)
@@ -350,7 +350,7 @@ class _Problem:
         # its gain where it arrives; rows ascend within a column (canonical CSC).
         rows, entries, starts = [], [], [0]
         for tail, head, _, gain, _ in arcs:
-            column = sorted(((tail - 1, -1.0), (head - 1, gain))) if tail else [(head - 1, gain)]
+            column = [(head, gain)] if tail is None else sorted(((tail, -1.0), (head, gain)))
             for row, entry in column:
                 rows.append(row)
                 entries.append(entry)
@@ -411,17 +411,16 @@ def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
     flows = tuple(xs[j] - xs[j + 1] for j, _ in problem.links)
     loss = float(sum((xs[j] + xs[j + 1]) * lost for j, lost in problem.links))
     unserved = tuple(map(min, xs[first_shed:], demand))
-    labels = _delivery_price_labels(
-        problem.arcs, np.minimum(x, problem.capacities).tolist(), 1 + n_regions
+    prices = _delivery_price_labels(
+        problem.arcs, np.minimum(x, problem.capacities).tolist(), n_regions
     )
-    penalty = network.unserved_penalty_eur_per_mwh
     return HourlyDispatch(
         demand_mw=demand,
         generation_mw=tuple(generation),
         flows_mw=flows,
         unserved_mw=unserved,
         curtailed_res_mw=tuple(curtailed),
-        prices_eur_per_mwh=tuple(min(label, penalty) for label in labels[1:]),
+        prices_eur_per_mwh=tuple(prices),
         loss_mw=loss,
         cost_eur=float(np.dot(problem.costs, x)),
     )

@@ -7,19 +7,11 @@ and printing a PASS/FAIL line (run with ``pytest tests/test_acceptance.py
 
 import dataclasses
 import itertools
-import random
 from contextlib import contextmanager
 
 import pytest
 
 from cli_runner import invoke
-from dispatch_oracles import (
-    energy_balance_residual,
-    enumeration_oracle,
-    network,
-    random_network,
-    region,
-)
 from gridecon.datasets import (
     REFERENCES,
     load_bundled_projects,
@@ -27,13 +19,6 @@ from gridecon.datasets import (
     long_submarine_link,
     norned_link,
     within_reference,
-)
-from gridecon.dispatch import (
-    DispatchNetwork,
-    Interconnector,
-    Region,
-    min_cost_flow,
-    reserve_requirements,
 )
 from gridecon.finance import (
     ConversionContext,
@@ -241,106 +226,6 @@ def test_criterion_9b_route_efficiency_monotonicity():
                 for t in (0, 2, 4, 6)
             ]
             assert all(a > b for a, b in zip(by_terminals, by_terminals[1:]))
-
-
-def test_criterion_9c_dispatch_oracle_equivalence():
-    with criterion(9, "dispatch cost equals exhaustive enumeration on <=3-region integer fixtures (1e-9)"):
-        # deterministic sweep over a small two-region family
-        for d1, d2, cap1, cost2, link_cap in itertools.product(
-            range(0, 5, 2), range(0, 5, 2), range(0, 7, 3), (1, 4), range(0, 5, 2)
-        ):
-            net = network(
-                [region("a", d1, [(cap1, 1.0)]), region("b", d2, [(4, float(cost2))])],
-                [Interconnector("a", "b", link_cap, 1.0)],
-            )
-            assert min_cost_flow(net, [d1, d2]).cost_eur == pytest.approx(
-                enumeration_oracle(net, [d1, d2]), abs=1e-9
-            )
-        # randomized three-region integer fixtures
-        rng = random.Random(1234)
-        for _ in range(200):
-            net = random_network(rng, max_regions=3, integer=True, max_links=2)
-            demands = [r.demand_profile_mw[0] for r in net.regions]
-            assert min_cost_flow(net, demands).cost_eur == pytest.approx(
-                enumeration_oracle(net, demands), abs=1e-9
-            )
-
-
-def test_criterion_9d_energy_balance():
-    with criterion(9, "hourly energy balance closes to 1e-6 MW on randomized fixtures"):
-        rng = random.Random(7)
-        for _ in range(200):
-            net = random_network(rng)
-            demands = [r.demand_profile_mw[0] for r in net.regions]
-            assert abs(energy_balance_residual(min_cost_flow(net, demands))) < 1e-6
-
-
-def test_criterion_9e_interconnector_addition():
-    with criterion(9, "raising interconnector capacity never increases cost (200 fixtures)"):
-        rng = random.Random(2024)
-        checked = 0
-        while checked < 200:
-            net = random_network(rng, max_regions=3, max_links=2)
-            if not net.interconnectors:
-                continue
-            checked += 1
-            demands = [r.demand_profile_mw[0] for r in net.regions]
-            base = min_cost_flow(net, demands).cost_eur
-            grown = DispatchNetwork(
-                regions=net.regions,
-                interconnectors=tuple(
-                    Interconnector(ic.region_a, ic.region_b, ic.capacity_mw + 5.0, ic.efficiency)
-                    for ic in net.interconnectors
-                ),
-                unserved_penalty_eur_per_mwh=net.unserved_penalty_eur_per_mwh,
-            )
-            assert min_cost_flow(grown, demands).cost_eur <= base + 1e-6
-
-
-def test_criterion_9f_shared_reserve():
-    with criterion(9, "shared reserve never exceeds the sum of isolated reserves (200 fixtures)"):
-        rng = random.Random(17)
-        from gridecon.dispatch import sinusoid_profile
-
-        for _ in range(200):
-            regions = [
-                region(
-                    f"r{i}",
-                    sinusoid_profile(rng.uniform(1, 1000), trough_fraction=rng.uniform(0, 1)),
-                    [(10, 1.0)],
-                    tz=rng.randrange(24),
-                )
-                for i in range(rng.randint(1, 4))
-            ]
-            req = reserve_requirements(network(regions), alpha=rng.uniform(0.01, 1.0))
-            assert req.shared_mw <= req.isolated_total_mw + 1e-9
-
-
-def test_criterion_9g_cost_scaling_invariance():
-    with criterion(9, "scaling all marginal costs leaves flows and generation unchanged"):
-        rng = random.Random(55)
-        for _ in range(100):
-            net = random_network(rng, max_regions=3, max_links=3)
-            demands = [r.demand_profile_mw[0] for r in net.regions]
-            factor = rng.choice([0.25, 2.5, 10.0])
-            scaled_net = DispatchNetwork(
-                regions=tuple(
-                    Region(
-                        name=r.name,
-                        tz_offset_hours=r.tz_offset_hours,
-                        demand_profile_mw=r.demand_profile_mw,
-                        generators=tuple((cap, cost * factor) for cap, cost in r.generators),
-                    )
-                    for r in net.regions
-                ),
-                interconnectors=net.interconnectors,
-                unserved_penalty_eur_per_mwh=net.unserved_penalty_eur_per_mwh * factor,
-            )
-            base = min_cost_flow(net, demands)
-            scaled = min_cost_flow(scaled_net, demands)
-            assert scaled.cost_eur == pytest.approx(base.cost_eur * factor, rel=1e-9, abs=1e-6)
-            for a, b in zip(base.flows_mw, scaled.flows_mw):
-                assert b == pytest.approx(a, abs=1e-6)
 
 
 def test_criterion_10_import_competitiveness():

@@ -98,6 +98,13 @@ class TestMinCostFlow:
         assert hour.cost_eur == pytest.approx(4.0 + 6.0 * PENALTY)
         assert hour.prices_eur_per_mwh[0] == pytest.approx(PENALTY)
 
+    def test_unit_priced_above_the_penalty_stays_idle(self):
+        net = network([region("a", 5, [(10, 2 * PENALTY)])])
+        hour = min_cost_flow(net, [5])
+        assert hour.generation_mw[0] == pytest.approx((0.0,), abs=1e-9)
+        assert hour.unserved_mw[0] == pytest.approx(5.0)
+        assert hour.prices_eur_per_mwh[0] == PENALTY
+
     def test_import_over_lossy_link(self):
         net = network(
             [region("a", 0, [(10, 0.0)]), region("b", 9, [(20, 100.0)])],
@@ -525,13 +532,38 @@ class TestPricesAreMarginalCosts:
         assert hour.cost_eur == 0.0
         assert hour.prices_eur_per_mwh == (0.0,) * 10
 
-    def test_labels_that_cannot_settle_raise(self):
-        # A flow that is not optimal: moving 5 MW from the costly 1 -> 2 arc
-        # to the free one saves 1 EUR/MWh, a residual cycle that lowers
-        # labels by 1 per round and has no fixed point.
-        arcs = [(0, 1, 10.0, 1.0, 100.0), (1, 2, 10.0, 1.0, 0.0), (1, 2, 10.0, 1.0, 1.0)]
-        with pytest.raises(ValueError, match="price labels do not converge"):
-            dispatch._delivery_price_labels(arcs, [0.0, 0.0, 5.0], 3)
+    def test_ring_hour_closes_one_gain_cycle_at_zero(self, monkeypatch):
+        # Free units cover this hour everywhere. Region 5 is queued 20 times,
+        # once per region, and the lossy cycle behind it closes at region 15.
+        close = dispatch._close_gain_cycle
+        calls = []
+
+        def recording(dist, pred, start):
+            node = close(dist, pred, start)
+            calls.append((start, node))
+            return node
+
+        monkeypatch.setattr(dispatch, "_close_gain_cycle", recording)
+        net = ring_network("20:1", n_regions=20, n_chords=20)
+        hour = min_cost_flow(net, hourly_demand(net, 9))
+        assert calls == [(5, 15)]
+        assert hour.cost_eur == 0.0
+        assert hour.prices_eur_per_mwh == (0.0,) * 20
+
+    @pytest.mark.parametrize(
+        "pred, reason",
+        [
+            # region 2 priced over region 1, region 1 over region 0, which
+            # starts from outside: a chain, no cycle
+            ([None, (0, 1 / 0.9), (1, 0.8)], "no residual cycle to close"),
+            # a cycle of lossless links keeps its labels: no fixed point below them
+            ([(2, 1.0), (0, 1.0), (1, 1.0)], "a residual cycle of 3 arcs maps p to 1 \\* p"),
+        ],
+        ids=["chain", "lossless-cycle"],
+    )
+    def test_gain_cycle_closure_raises_without_a_shrinking_cycle(self, pred, reason):
+        with pytest.raises(ValueError, match=f"^price labels do not converge: {reason}"):
+            dispatch._close_gain_cycle([5.0, 4.5, 3.6], pred, 2)
 
     def test_simulate_names_the_hour_that_fails(self, monkeypatch):
         # The second distinct demand fails; it first appears in hour 2.
@@ -590,10 +622,12 @@ class TestPricesAreMarginalCosts:
 class TestMonotonicityProperties:
     def test_adding_capacity_never_increases_cost(self):
         rng = random.Random(2024)
-        for _ in range(200):
+        checked = 0
+        while checked < 200:
             net = random_network(rng, max_regions=3, max_links=2)
             if not net.interconnectors:
                 continue
+            checked += 1
             demands = [r.demand_profile_mw[0] for r in net.regions]
             base_cost = min_cost_flow(net, demands).cost_eur
             grown = DispatchNetwork(
