@@ -35,19 +35,29 @@ at the default tolerance make residual cycles that the optimum does not
 have, and labels that follow them to their fixed point undercut the cost
 of one more MWh.
 
-The balance constraints go to HiGHS as a sparse column matrix, one column
-per arc with at most two entries (leaving one region, arriving in another).
+Each hour is solved cold, on a HiGHS instance of its own, through the
+HiGHS binding that scipy bundles (``scipy.optimize._highspy._core``): dual
+simplex, presolve off, no output, as ``scipy.optimize.linprog`` sets them.
+``linprog`` itself checks every option on every call and builds bound
+marginals that nothing here reads, which costs about as much as HiGHS.
+Every binding call's status is checked, and the model must end optimal;
+anything else raises ``ValueError("dispatch LP failed: ...")``. HiGHS
+reads a bound of 1e20 or more as infinite and rejects such a model, and a
+run after a rejected load would solve whatever model it held. The balance
+constraints go to HiGHS as a sparse column matrix, one column per arc with
+at most two entries (leaving one region, arriving in another).
 ``simulate`` solves each distinct demand vector once: an hour that repeats
 an earlier hour's demand shares that hour's result, so a year of a daily
 profile costs about as much as its distinct hours, at most 24.
 
 Everything in an hour's LP but its demand is built once per network, by
 the first solve, and cached on the network: the arc list, the normalized
-objective, the balance matrix, the bounds template and the maps that decode
-a solution (each region's unit count, the zero-cost units and the link
-pairs with their loss shares). An hour copies the bounds, writes its demand
-into the shedding bounds and the balance right-hand side, solves and
-decodes. A network is frozen, so its problem never goes stale; a
+objective, the balance matrix (in the binding's own sparse type, which a
+model copies whole), the column bounds, the HiGHS options and the maps that
+decode a solution (each region's unit count, the zero-cost units and the
+link pairs with their loss shares). An hour copies the upper bounds, writes
+its demand into the shedding bounds and the balance rows, loads the model,
+solves and decodes. A network is frozen, so its problem never goes stale; a
 ``dataclasses.replace`` copy is a new network and builds its own. This
 compiled problem is also the block that an LP of coupled hours would
 stack. ``export_csv`` formats each distinct value once, from a dict local
@@ -56,14 +66,14 @@ to the call.
 The distinct hours of a large network are solved concurrently, one thread
 per CPU: HiGHS runs without the GIL, so one hour's solve overlaps the
 Python that builds, decodes and prices another. A network takes this path
-when its LP has at least ``_THREADED_MIN_ARCS`` columns (600, the measured
+when its LP has at least ``_THREADED_MIN_ARCS`` columns (200, the measured
 crossover); below that HiGHS is too small a share of an hour, threads only
 contend for the GIL, and the hours are solved one after the other on the
 calling thread, without importing ``concurrent.futures``. The compiled
 problem is built on the calling thread before the pool starts. Results are
 the same on both paths, and so is the failing hour that an error names. On
-2 CPUs a 24 h run of a 200-region ring (1600 columns) takes about a fifth
-less time threaded.
+2 CPUs a 24 h run of a 200-region ring (1600 columns) takes about two
+fifths less time threaded.
 
 numpy and scipy are imported by the first solve, not by this module, so
 that importing gridecon and every report that does not dispatch stay clear
@@ -87,28 +97,29 @@ DEFAULT_UNSERVED_PENALTY = 10000.0  # EUR/MWh, far above any generator
 
 _EPS_FLOW = 1e-7  # residual capacities below this count as saturated
 _EPS_IMPROVE = 1e-7  # label must improve by this much to relax
-# Tight tolerances leave no flow at tolerance level to form false residual
-# cycles (see the module docstring); presolve costs more than it saves on
-# LPs this small.
+# HiGHS options, set on every hour's solver. Tight tolerances leave no flow
+# at tolerance level to form false residual cycles (see the module
+# docstring); presolve costs more than it saves on LPs this small.
 _HIGHS_OPTIONS = {
     "dual_feasibility_tolerance": 1e-9,
     "primal_feasibility_tolerance": 1e-9,
-    "presolve": False,
+    "presolve": "off",
+    "simplex_strategy": 1,  # dual simplex
+    "output_flag": False,
 }
 # simulate solves the distinct hours of a network with at least this many LP
 # columns on concurrent threads. HiGHS runs without the GIL, but on a small
-# LP it is a small share of an hour (about 0.25 of 2.5 ms on the 7-column
+# LP it is a small share of an hour (about 0.09 of 0.28 ms on the 7-column
 # demo), and threads there only contend for the GIL. Threaded over serial
 # wall time of a 24 h simulate on seeded rings of n regions and n chords
 # (8 n arcs), median of 16 alternating runs per size on 2 CPUs (Python
-# 3.11, scipy 1.17): 80 arcs 1.16 (threads won 2 of 16), 200 arcs 0.95
-# (10), 400 arcs 0.92 (14), 600 arcs 0.84 (15), 800 arcs 0.75 (16), 1600
-# arcs 0.81 (15). From 600 arcs on the gain clears the runs' spread.
-_THREADED_MIN_ARCS = 600
-
-# scipy.optimize.linprog, bound by the first solve. Solves call it through
-# this module global, so that it can be wrapped from outside.
-linprog = None
+# 3.11, scipy 1.17): 80 arcs 1.49 (threads won 3 of 16), 200 arcs 0.84
+# (11), 400 arcs 0.73 (13), 600 arcs 0.67 (16), 800 arcs 0.64 (16), 1600
+# arcs 0.57 (16). Below 400 arcs that sweep is noisy; two more, pooled (32
+# runs per size): 80 arcs 0.98 (19 of 32), 120 arcs 0.86 (23), 160 arcs
+# 0.85 (25), 200 arcs 0.77 (28). From 200 arcs on the gain clears the runs'
+# spread (upper quartile 0.88).
+_THREADED_MIN_ARCS = 200
 
 
 @dataclass(frozen=True)
@@ -319,7 +330,7 @@ class _Problem:
 
     def __init__(self, network: DispatchNetwork) -> None:
         import numpy as np
-        from scipy.sparse import csc_array
+        from scipy.optimize._highspy import _core
 
         n_regions = len(network.regions)
         penalty = network.unserved_penalty_eur_per_mwh
@@ -337,7 +348,7 @@ class _Problem:
             self.links.append((len(arcs), 1.0 - ic.efficiency))
             arcs.append((a, b, ic.capacity_mw, ic.efficiency, 0.0))
             arcs.append((b, a, ic.capacity_mw, ic.efficiency, 0.0))
-        self.first_shed = first_shed = len(arcs)
+        self.first_shed = len(arcs)
         arcs.extend((None, ri, math.inf, 1.0, penalty) for ri in range(n_regions))
         self.arcs = arcs
 
@@ -348,18 +359,61 @@ class _Problem:
         self.objective = self.costs / scale if scale > 0 else self.costs
         # The balance rows, one column per arc: -1 where it leaves a region,
         # its gain where it arrives; rows ascend within a column (canonical CSC).
-        rows, entries, starts = [], [], [0]
+        indptr, indices, data = [0], [], []
         for tail, head, _, gain, _ in arcs:
             column = [(head, gain)] if tail is None else sorted(((tail, -1.0), (head, gain)))
             for row, entry in column:
-                rows.append(row)
-                entries.append(entry)
-            starts.append(len(rows))
-        self.balance = csc_array((entries, rows, starts), shape=(n_regions, len(arcs)))
+                indices.append(row)
+                data.append(entry)
+            indptr.append(len(indices))
+        # Built once in HiGHS's own type: an hour's model copies it whole, where
+        # the binding would convert every entry again.
+        self.balance = balance = _core.HighsSparseMatrix()
+        balance.format_ = _core.MatrixFormat.kColwise
+        balance.num_col_, balance.num_row_ = len(arcs), n_regions
+        balance.start_, balance.index_, balance.value_ = indptr, indices, data
         self.capacities = np.array([cap for _, _, cap, _, _ in arcs])
-        # The hour writes its demand into the shedding rows of a copy.
-        self.bounds = np.zeros((len(arcs), 2))
-        self.bounds[:first_shed, 1] = self.capacities[:first_shed]
+        # An hour's column bounds: 0 to capacity, shedding capped at its demand.
+        # Lists, because the binding converts a list of bounds faster than an
+        # array (only the costs take an array whole).
+        self.lower = [0.0] * len(arcs)
+        self.upper = self.capacities.tolist()
+        self.options = _core.HighsOptions()
+        for name, value in _HIGHS_OPTIONS.items():
+            setattr(self.options, name, value)
+
+
+def _solve_hour(problem: _Problem, demand: tuple[float, ...]) -> list[float]:
+    """The LP column values of one hour, solved cold on a HiGHS instance of its own.
+
+    The demand goes into the balance rows and caps each region's shedding:
+    capping shedding at local demand rules out degenerate optima that route
+    penalty power over cost-tied efficiency-1 links. Every binding call is
+    checked, since HiGHS rejects a model with a bound of 1e20 or more (it
+    reads those as infinite) and would then run whatever model it held.
+    """
+    from scipy.optimize._highspy import _core
+
+    lp = _core.HighsLp()
+    lp.num_col_, lp.num_row_ = len(problem.arcs), len(demand)
+    lp.a_matrix_ = problem.balance
+    lp.col_cost_ = problem.objective
+    lp.col_lower_ = problem.lower
+    upper = problem.upper.copy()
+    upper[problem.first_shed :] = demand
+    lp.col_upper_ = upper
+    lp.row_lower_ = lp.row_upper_ = demand
+    highs = _core._Highs()
+    error = _core.HighsStatus.kError
+    # The LP is feasible by construction, so a failure means inputs too large
+    # (or too far apart in scale) for the solver: an input error.
+    if highs.passOptions(problem.options) == error or highs.passModel(lp) == error:
+        raise ValueError("dispatch LP failed: HiGHS rejected the model")
+    ran = highs.run()
+    status = highs.getModelStatus()
+    if ran == error or status != _core.HighsModelStatus.kOptimal:
+        raise ValueError(f"dispatch LP failed: {highs.modelStatusToString(status)}")
+    return highs.getSolution().col_value
 
 
 def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
@@ -374,30 +428,11 @@ def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
     require(len(demand) == n_regions, "len(demand_mw)", rule, len(demand))
     ok = all(0 <= d < math.inf for d in demand)
     require(ok, "demand_mw", "finite and >= 0 in every region", demand)
-    global linprog
-    if linprog is None:
-        from scipy.optimize import linprog
     import numpy as np
 
     problem = network._problem
     first_shed = problem.first_shed
-    # Capping shedding at local demand rules out degenerate optima that
-    # route penalty power over cost-tied efficiency-1 links.
-    bounds = problem.bounds.copy()
-    bounds[first_shed:, 1] = demand
-    solution = linprog(
-        problem.objective,
-        A_eq=problem.balance,
-        b_eq=np.array(demand),
-        bounds=bounds,
-        method="highs",
-        options=_HIGHS_OPTIONS,
-    )
-    if solution.status != 0:
-        # The LP is feasible by construction, so a failure means inputs too
-        # large (or too far apart in scale) for the solver: an input error.
-        raise ValueError(f"dispatch LP failed: {solution.message}")
-    x = np.clip(solution.x, 0.0, None)
+    x = np.clip(_solve_hour(problem, demand), 0.0, None)
     xs = x.tolist()
 
     generation = []

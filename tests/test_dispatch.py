@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -103,6 +104,21 @@ class TestMinCostFlow:
         hour = min_cost_flow(net, [5])
         assert hour.generation_mw[0] == pytest.approx((0.0,), abs=1e-9)
         assert hour.unserved_mw[0] == pytest.approx(5.0)
+        assert hour.prices_eur_per_mwh[0] == PENALTY
+
+    @pytest.mark.parametrize("demand", [1e20, 1e308])
+    def test_demand_that_highs_reads_as_infinite_fails(self, demand):
+        # HiGHS takes any bound of 1e20 or more for infinity and rejects the
+        # model; a solve must not go on with whatever model it holds.
+        net = network([region("a", 5, [(10, 1.0)])])
+        with pytest.raises(ValueError, match="^dispatch LP failed"):
+            min_cost_flow(net, [demand])
+
+    def test_demand_just_below_highs_infinity_is_shed(self):
+        net = network([region("a", 5, [(10, 1.0)])])
+        hour = min_cost_flow(net, [1e19])
+        assert hour.generation_mw[0] == pytest.approx((10.0,))
+        assert hour.unserved_mw[0] == 1e19
         assert hour.prices_eur_per_mwh[0] == PENALTY
 
     def test_import_over_lossy_link(self):
@@ -256,9 +272,9 @@ class TestRepeatedHours:
         assert export_csv(result).splitlines()[:49] == first_day
 
     def test_benchmark_tracer_counts_one_solve_per_distinct_hour(self):
-        # The benchmark's tracer must see the memo: one min_cost_flow and one
-        # linprog span per distinct demand vector, each LP with 10 nonzeros on
-        # the 2-region demo. Run in a child: the tracer rewires gridecon's modules.
+        # The benchmark's tracer must see the memo: one min_cost_flow span per
+        # distinct demand vector, and tracing leaves the output as it is. Run
+        # in a child: the tracer rewires gridecon's modules.
         code = textwrap.dedent(
             """
             import json
@@ -281,9 +297,19 @@ class TestRepeatedHours:
         assert child.returncode == 0, child.stderr
         totals = json.loads(child.stdout)
         assert totals["same"]
-        calls = totals["calls"]
-        assert calls["dispatch.min_cost_flow"] == calls["dispatch.linprog"] == totals["distinct"] == 13
-        assert totals["counters"]["dispatch.linprog.a_eq_nnz"] == 10 * totals["distinct"]
+        assert totals["calls"]["dispatch.min_cost_flow"] == totals["distinct"] == 13
+
+    def test_one_highs_solve_per_distinct_hour(self, smoothing, monkeypatch):
+        solve = dispatch._solve_hour
+        demands = []
+
+        def counting(problem, demand):
+            demands.append(demand)
+            return solve(problem, demand)
+
+        monkeypatch.setattr(dispatch, "_solve_hour", counting)
+        simulate(smoothing, 48)
+        assert len(demands) == len(set(demands)) == 13
 
 
 class TestCompiledProblem:
@@ -455,6 +481,59 @@ class TestExportCsv:
         assert "\ntotal_cost_eur,4e+300\n" in text
         assert dispatch._fmt(2.0**53 - 1) == "9007199254740991"
         assert dispatch._fmt(2.0**53) == "9.0072e+15"
+
+
+class TestLargeRingOutput:
+    """The export of a 24 h simulate of a 200-region, 200-chord ring (1600 LP
+    columns, solved on the thread pool), pinned byte for byte. Ring 101:10
+    has an hour whose optimal curtailment is not unique (ROADMAP item 2)."""
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            ("101:0", "0027d09b553c0ddd363f0512ccf6e34058c5cd3d989d127cd8372d408b50f909"),
+            ("101:10", "53fc77db4f4a89878361d87e4abb099e0bbae109392b67c4c80cd74f7ee57bfc"),
+        ],
+    )
+    def test_export_digest(self, seed, digest):
+        text = export_csv(simulate(ring_network(seed, 200, 200), 24))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestHighsBinding:
+    """Every name the dispatch solve uses of scipy's bundled HiGHS binding, a
+    private module: a scipy release that moves one fails here by name."""
+
+    @pytest.fixture(scope="class")
+    def core(self):
+        from scipy.optimize._highspy import _core
+
+        return _core
+
+    USED = {
+        "_core": ["_Highs", "HighsLp", "HighsSparseMatrix", "HighsOptions", "HighsSolution",
+                  "MatrixFormat", "HighsStatus", "HighsModelStatus"],
+        "_Highs": ["passOptions", "passModel", "run", "getModelStatus", "modelStatusToString",
+                   "getSolution"],
+        "HighsLp": ["num_col_", "num_row_", "a_matrix_", "col_cost_", "col_lower_", "col_upper_",
+                    "row_lower_", "row_upper_"],
+        "HighsSparseMatrix": ["format_", "num_col_", "num_row_", "start_", "index_", "value_"],
+        "HighsSolution": ["col_value"],
+        "MatrixFormat": ["kColwise"],
+        "HighsStatus": ["kError"],
+        "HighsModelStatus": ["kOptimal"],
+    }
+
+    @pytest.mark.parametrize("owner", USED)
+    def test_names_exist(self, core, owner):
+        scope = core if owner == "_core" else getattr(core, owner)
+        assert [name for name in self.USED[owner] if not hasattr(scope, name)] == []
+
+    def test_options_take_their_values(self, core):
+        options = core.HighsOptions()
+        for name, value in dispatch._HIGHS_OPTIONS.items():
+            setattr(options, name, value)
+            assert getattr(options, name) == value
 
 
 class TestEnergyBalance:
