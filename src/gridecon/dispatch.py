@@ -35,45 +35,65 @@ at the default tolerance make residual cycles that the optimum does not
 have, and labels that follow them to their fixed point undercut the cost
 of one more MWh.
 
-Each hour is solved cold, on a HiGHS instance of its own, through the
-HiGHS binding that scipy bundles (``scipy.optimize._highspy._core``): dual
-simplex, presolve off, no output, as ``scipy.optimize.linprog`` sets them.
-``linprog`` itself checks every option on every call and builds bound
-marginals that nothing here reads, which costs about as much as HiGHS.
-Every binding call's status is checked, and the model must end optimal;
-anything else raises ``ValueError("dispatch LP failed: ...")``. HiGHS
-reads a bound of 1e20 or more as infinite and rejects such a model, and a
-run after a rejected load would solve whatever model it held. The balance
-constraints go to HiGHS as a sparse column matrix, one column per arc with
-at most two entries (leaving one region, arriving in another).
-``simulate`` solves each distinct demand vector once: an hour that repeats
-an earlier hour's demand shares that hour's result, so a year of a daily
-profile costs about as much as its distinct hours, at most 24.
+Each hour is solved through the HiGHS binding that scipy bundles
+(``scipy.optimize._highspy._core``): dual simplex, presolve off, no output,
+as ``scipy.optimize.linprog`` sets them. ``linprog`` itself checks every
+option on every call and builds bound marginals that nothing here reads,
+which costs about as much as HiGHS. Every binding call's status is checked,
+and the model must end optimal; anything else raises ``ValueError("dispatch
+LP failed: ...")``. HiGHS reads a bound of 1e20 or more as infinite and
+rejects such a model, and a run after a rejected load would solve whatever
+model it held. The balance constraints go to HiGHS as a sparse column
+matrix, one column per arc with at most two entries (leaving one region,
+arriving in another). ``simulate`` solves each distinct demand vector once:
+an hour that repeats an earlier hour's demand shares that hour's result, so
+a year of a daily profile costs about as much as its distinct hours, at
+most 24.
 
 Everything in an hour's LP but its demand is built once per network, by
 the first solve, and cached on the network: the arc list, the normalized
 objective, the balance matrix (in the binding's own sparse type, which a
-model copies whole), the column bounds, the HiGHS options and the maps that
-decode a solution (each region's unit count, the zero-cost units and the
-link pairs with their loss shares). An hour copies the upper bounds, writes
-its demand into the shedding bounds and the balance rows, loads the model,
-solves and decodes. A network is frozen, so its problem never goes stale; a
+model copies whole), the column bounds, the HiGHS options, the reference
+basis (below) and the maps that decode a solution (each region's unit
+count, the zero-cost units and the link pairs with their loss shares). An
+hour copies the upper bounds, writes its demand into the shedding bounds
+and the balance rows, loads the model, solves from the reference basis and
+decodes. A network is frozen, so its problem never goes stale; a
 ``dataclasses.replace`` copy is a new network and builds its own. This
 compiled problem is also the block that an LP of coupled hours would
 stack. ``export_csv`` formats each distinct value once, from a dict local
 to the call.
 
+The hours of one network differ only in demand, and demand enters the LP
+only as bounds (the balance rows and the shedding caps), never as a cost or
+a matrix entry. So a basis of one hour is a basis of every other, and an
+optimal one stays dual feasible: from it, dual simplex reoptimizes after the
+change of right-hand side in a few pivots, where a cold start pivots all the
+way from the slack basis (Bixby, *Operations Research* 50(1), 2002). Each
+network solves one reference hour cold, in which every region draws the
+mean of its 24-hour profile, keeps its optimal basis, and starts every hour
+from it: on a 24 h run of a 200-region ring, HiGHS takes about 2.8k simplex
+iterations instead of 13.7k. The start is that one basis, never the
+previous hour's. Each thread keeps one HiGHS instance, and loading an
+hour's model clears whatever the instance held before the basis is set, so
+an hour's result depends on its network and demand alone: ``simulate``
+equals ``min_cost_flow`` hour by hour, in any order and on any thread. A
+network whose reference hour HiGHS cannot solve (say, a mean demand that it
+reads as infinite) keeps no basis, and its hours start cold. The instance
+is reused because building one takes about 0.1 ms, as long as HiGHS takes
+to solve an hour of the 2-region demo.
+
 The distinct hours of a large network are solved concurrently, one thread
 per CPU: HiGHS runs without the GIL, so one hour's solve overlaps the
 Python that builds, decodes and prices another. A network takes this path
-when its LP has at least ``_THREADED_MIN_ARCS`` columns (200, the measured
+when its LP has at least ``_THREADED_MIN_ARCS`` columns (400, the measured
 crossover); below that HiGHS is too small a share of an hour, threads only
 contend for the GIL, and the hours are solved one after the other on the
 calling thread, without importing ``concurrent.futures``. The compiled
-problem is built on the calling thread before the pool starts. Results are
-the same on both paths, and so is the failing hour that an error names. On
-2 CPUs a 24 h run of a 200-region ring (1600 columns) takes about two
-fifths less time threaded.
+problem, its reference basis with it, is built on the calling thread before
+the pool starts. Results are the same on both paths, and so is the failing
+hour that an error names. On 2 CPUs a 24 h run of a 200-region ring (1600
+columns) takes about a third less time threaded.
 
 numpy and scipy are imported by the first solve, not by this module, so
 that importing gridecon and every report that does not dispatch stay clear
@@ -88,6 +108,7 @@ import io
 import math
 import numbers
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -109,17 +130,22 @@ _HIGHS_OPTIONS = {
 }
 # simulate solves the distinct hours of a network with at least this many LP
 # columns on concurrent threads. HiGHS runs without the GIL, but on a small
-# LP it is a small share of an hour (about 0.09 of 0.28 ms on the 7-column
-# demo), and threads there only contend for the GIL. Threaded over serial
-# wall time of a 24 h simulate on seeded rings of n regions and n chords
-# (8 n arcs), median of 16 alternating runs per size on 2 CPUs (Python
-# 3.11, scipy 1.17): 80 arcs 1.49 (threads won 3 of 16), 200 arcs 0.84
-# (11), 400 arcs 0.73 (13), 600 arcs 0.67 (16), 800 arcs 0.64 (16), 1600
-# arcs 0.57 (16). Below 400 arcs that sweep is noisy; two more, pooled (32
-# runs per size): 80 arcs 0.98 (19 of 32), 120 arcs 0.86 (23), 160 arcs
-# 0.85 (25), 200 arcs 0.77 (28). From 200 arcs on the gain clears the runs'
-# spread (upper quartile 0.88).
-_THREADED_MIN_ARCS = 200
+# LP it is a small share of an hour, and threads there only contend for the
+# GIL; since hours start from the reference basis, HiGHS takes about a third
+# of the time it took cold, so the crossover has moved up. Threaded over
+# serial wall time of a 24 h simulate on seeded rings of n regions and n
+# chords (8 n arcs), median of 16 alternating runs per size on 2 CPUs
+# (Python 3.11, scipy 1.17): 80 arcs 1.34 (threads won 2 of 16), 160 arcs
+# 1.02 (6), 200 arcs 0.94 (11), 304 arcs 0.89 (13), 400 arcs 0.85 (12), 600
+# arcs 0.73 (14), 800 arcs 0.69 (16), 1600 arcs 0.68 (14). Two more sweeps
+# of 32 runs per size, pooled where their sizes overlap: 200 arcs 1.02 (15
+# of 32), 304 arcs 0.89 (23), 400 arcs 0.77 (55 of 64), 600 arcs 0.80 (59
+# of 64), 800 arcs 0.74 (31 of 32). 400 arcs is the first size whose gain
+# clears the runs' spread (upper quartile 0.87); at 200 arcs no sweep's
+# does any longer.
+_THREADED_MIN_ARCS = 400
+# Each thread's HiGHS instance (see _thread_highs).
+_thread = threading.local()
 
 
 @dataclass(frozen=True)
@@ -325,7 +351,8 @@ class _Problem:
     as region indices: generators region by region, each interconnector
     forward then backward, then one shedding arc per region. A generator or
     shedding arc enters its region from outside the network, so its tail is
-    None.
+    None. ``basis`` is the optimal HiGHS basis of the reference hour that
+    every hour starts from, or None.
     """
 
     def __init__(self, network: DispatchNetwork) -> None:
@@ -381,16 +408,52 @@ class _Problem:
         self.options = _core.HighsOptions()
         for name, value in _HIGHS_OPTIONS.items():
             setattr(self.options, name, value)
+        # Every hour starts from the optimal basis of a reference hour, in
+        # which each region draws the mean of its profile; None (every hour
+        # cold) if HiGHS cannot solve that hour. The reference hour itself
+        # solves cold, since the basis is still None.
+        self.basis = None
+        reference = tuple(sum(r.demand_profile_mw) / 24 for r in network.regions)
+        highs = _thread_highs()
+        if _run(highs, self, reference) is None:
+            self.basis = highs.getBasis()
 
 
 def _solve_hour(problem: _Problem, demand: tuple[float, ...]) -> list[float]:
-    """The LP column values of one hour, solved cold on a HiGHS instance of its own.
+    """The LP column values of one hour, solved from the network's reference basis.
 
-    The demand goes into the balance rows and caps each region's shedding:
-    capping shedding at local demand rules out degenerate optima that route
-    penalty power over cost-tied efficiency-1 links. Every binding call is
-    checked, since HiGHS rejects a model with a bound of 1e20 or more (it
-    reads those as infinite) and would then run whatever model it held.
+    The calling thread's HiGHS instance is loaded with the hour's model,
+    which clears whatever it held, and starts from ``problem.basis`` (cold
+    when that is None), so the result depends on the network and the demand
+    alone, never on the hours solved before. The demand goes into the
+    balance rows and caps each region's shedding: capping shedding at local
+    demand rules out degenerate optima that route penalty power over
+    cost-tied efficiency-1 links.
+    """
+    highs = _thread_highs()
+    failure = _run(highs, problem, demand)
+    if failure:
+        raise ValueError(f"dispatch LP failed: {failure}")
+    return highs.getSolution().col_value
+
+
+def _thread_highs():
+    """The calling thread's HiGHS instance, built on its first solve."""
+    highs = getattr(_thread, "highs", None)
+    if highs is None:
+        from scipy.optimize._highspy import _core
+
+        highs = _thread.highs = _core._Highs()
+    return highs
+
+
+def _run(highs, problem: _Problem, demand: tuple[float, ...]) -> str | None:
+    """Load ``problem`` at ``demand`` into ``highs``, solve it from
+    ``problem.basis`` (cold when None) and return None, or why it failed.
+
+    Every binding call is checked, since HiGHS rejects a model with a bound
+    of 1e20 or more (it reads those as infinite) and would then run
+    whatever model it held.
     """
     from scipy.optimize._highspy import _core
 
@@ -403,17 +466,18 @@ def _solve_hour(problem: _Problem, demand: tuple[float, ...]) -> list[float]:
     upper[problem.first_shed :] = demand
     lp.col_upper_ = upper
     lp.row_lower_ = lp.row_upper_ = demand
-    highs = _core._Highs()
     error = _core.HighsStatus.kError
     # The LP is feasible by construction, so a failure means inputs too large
     # (or too far apart in scale) for the solver: an input error.
     if highs.passOptions(problem.options) == error or highs.passModel(lp) == error:
-        raise ValueError("dispatch LP failed: HiGHS rejected the model")
+        return "HiGHS rejected the model"
+    if problem.basis is not None and highs.setBasis(problem.basis) == error:
+        return "HiGHS rejected the basis"
     ran = highs.run()
     status = highs.getModelStatus()
     if ran == error or status != _core.HighsModelStatus.kOptimal:
-        raise ValueError(f"dispatch LP failed: {highs.modelStatusToString(status)}")
-    return highs.getSolution().col_value
+        return highs.modelStatusToString(status)
+    return None
 
 
 def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:

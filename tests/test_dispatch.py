@@ -426,6 +426,61 @@ class TestConcurrentHours:
         assert threads == [threading.get_ident()] * 13
 
 
+class TestReferenceBasis:
+    """Every hour starts from its network's reference basis, on the calling
+    thread's HiGHS instance, so an hour's result depends only on the network
+    and its demand."""
+
+    def test_hours_do_not_depend_on_what_was_solved_before(self):
+        net, other = large_ring("76:3"), ring_network("10:41", n_regions=10, n_chords=10)
+        expected = simulate(net, 24).hourly
+        for t in reversed(range(24)):
+            min_cost_flow(other, hourly_demand(other, t))
+            assert min_cost_flow(net, hourly_demand(net, t)) == expected[t]
+
+    def test_reference_basis_saves_simplex_iterations(self):
+        net = ring_network("101:0", 200, 200)
+
+        def solve_day():
+            hours, iterations = [], 0
+            for t in range(24):
+                hours.append(min_cost_flow(net, hourly_demand(net, t)))
+                iterations += dispatch._thread.highs.getInfo().simplex_iteration_count
+            return export_csv(DispatchResult(net, tuple(hours))), iterations
+
+        assert net._problem.basis is not None
+        warm_text, warm = solve_day()
+        net._problem.basis = None
+        cold_text, cold = solve_day()
+        assert warm < cold / 2
+        assert warm_text == cold_text
+
+    def test_network_whose_reference_hour_highs_rejects_solves_cold(self):
+        # The reference hour's demand in "a" is the profile's mean, 1e20 MW:
+        # HiGHS reads that as infinite. Hours 0-4 come out as a cold solve
+        # gave them; hour 5 itself fails.
+        profile = list(sinusoid_profile(420.0, 0.5, 3))
+        profile[5] = 2.4e21
+        a = Region("a", 0, tuple(profile), ((150.0, 0.0), (100.0, 40.0)))
+        b = Region("b", 0, sinusoid_profile(200.0, 0.4, 2), ((250.0, 0.0), (100.0, 90.0)))
+        net = DispatchNetwork((a, b), (Interconnector("a", "b", 80.0, 0.9),))
+        assert net._problem.basis is None
+        assert export_csv(simulate(net, 5)).splitlines()[1:11] == [
+            "0,a,389.246,322,250,0,67.2462,10000",
+            "0,b,191.962,191.962,271.962,0,0,90",
+            "1,a,405.933,322,250,0,83.9327,10000",
+            "1,b,197.956,197.956,277.956,0,0,90",
+            "2,a,416.422,322,250,0,94.4222,10000",
+            "2,b,200,200,280,0,0,90",
+            "3,a,420,322,250,0,98,10000",
+            "3,b,197.956,197.956,277.956,0,0,90",
+            "4,a,416.422,322,250,0,94.4222,10000",
+            "4,b,191.962,191.962,271.962,0,0,90",
+        ]
+        with pytest.raises(ValueError, match="^hour 5: dispatch LP failed: HiGHS rejected the model$"):
+            simulate(net, 6)
+
+
 class TestExportCsv:
     """export_csv formats each distinct value once; the text is that of
     formatting every cell on its own."""
@@ -512,9 +567,9 @@ class TestHighsBinding:
 
     USED = {
         "_core": ["_Highs", "HighsLp", "HighsSparseMatrix", "HighsOptions", "HighsSolution",
-                  "MatrixFormat", "HighsStatus", "HighsModelStatus"],
-        "_Highs": ["passOptions", "passModel", "run", "getModelStatus", "modelStatusToString",
-                   "getSolution"],
+                  "HighsBasis", "MatrixFormat", "HighsStatus", "HighsModelStatus"],
+        "_Highs": ["passOptions", "passModel", "setBasis", "run", "getModelStatus",
+                   "modelStatusToString", "getSolution", "getBasis"],
         "HighsLp": ["num_col_", "num_row_", "a_matrix_", "col_cost_", "col_lower_", "col_upper_",
                     "row_lower_", "row_upper_"],
         "HighsSparseMatrix": ["format_", "num_col_", "num_row_", "start_", "index_", "value_"],
