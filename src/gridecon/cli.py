@@ -11,7 +11,8 @@ this module imports only what building the parser needs (the names it
 offers as choices and defaults); each subcommand imports its evaluators
 itself. ``lcoe``, ``norned``, ``compare-import`` and ``normalize`` never load
 the scenario-file reader, the project table or dispatch, and only
-``simulate`` loads dispatch (and, on its first solve, numpy and scipy).
+``simulate`` loads dispatch (and, on its first solve, numpy and scipy's
+HiGHS extension, without the half-second import of ``scipy.optimize``).
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ served is shed at a penalty price well above any generator.
 The per-hour problem is a min-cost flow with lossy arcs (a unit sent
 arrives as ``efficiency`` units). Successive shortest augmenting paths are
 not exact once arcs have unequal gains, so the flow is solved as a small
-exact linear program instead; costs are normalized before the solve, which
-keeps the dispatched flows invariant under uniform price scaling. Each LP
+exact linear program instead; costs are divided by the unserved penalty
+before the solve, which keeps the dispatched flows invariant under uniform
+price scaling, and a unit priced above the penalty, which never runs, goes
+in at twice the penalty so that it cannot shrink the others. Each LP
 column is one arc of a single arc list (a generator, one direction of an
 interconnector, or a region's shedding). Marginal prices come from
 per-unit-delivered shortest-path labels, one per region, over the residual
@@ -36,7 +38,8 @@ have, and labels that follow them to their fixed point undercut the cost
 of one more MWh.
 
 Each hour is solved through the HiGHS binding that scipy bundles
-(``scipy.optimize._highspy._core``): dual simplex, presolve off, no output,
+(``scipy.optimize._highspy._core``, loaded by ``gridecon._highs`` from its
+file, without ``scipy.optimize``): dual simplex, presolve off, no output,
 as ``scipy.optimize.linprog`` sets them. ``linprog`` itself checks every
 option on every call and builds bound marginals that nothing here reads,
 which costs about as much as HiGHS. Every binding call's status is checked,
@@ -95,9 +98,13 @@ the pool starts. Results are the same on both paths, and so is the failing
 hour that an error names. On 2 CPUs a 24 h run of a 200-region ring (1600
 columns) takes about a third less time threaded.
 
-numpy and scipy are imported by the first solve, not by this module, so
-that importing gridecon and every report that does not dispatch stay clear
-of their half-second import.
+numpy and the HiGHS extension are imported by the first solve, not by this
+module, so importing gridecon and every report that does not dispatch stay
+clear of them. The first solve never imports ``scipy.optimize``, whose
+package init (linalg, sparse, special and more) took about 0.7 s of a cold
+``gridecon simulate --hours 24``: only the light ``scipy`` package and the
+extension file load, and that process takes about 0.36 s instead of 1.1 s
+(2 CPUs, Python 3.11, scipy 1.17).
 """
 
 from __future__ import annotations
@@ -357,7 +364,8 @@ class _Problem:
 
     def __init__(self, network: DispatchNetwork) -> None:
         import numpy as np
-        from scipy.optimize._highspy import _core
+
+        from ._highs import core
 
         n_regions = len(network.regions)
         penalty = network.unserved_penalty_eur_per_mwh
@@ -380,10 +388,13 @@ class _Problem:
         self.arcs = arcs
 
         self.costs = np.array([cost for *_, cost in arcs], dtype=float)
-        # Normalizing the objective keeps the chosen vertex invariant when all
-        # marginal costs are scaled by a constant.
-        scale = float(self.costs.max())
-        self.objective = self.costs / scale if scale > 0 else self.costs
+        # Normalizing the objective by the penalty keeps the chosen vertex
+        # invariant when all marginal costs are scaled by a constant. A unit
+        # priced above the penalty never runs, since shedding is cheaper; it is
+        # capped just above shedding, or its price would push every other cost
+        # below HiGHS's dual tolerance. With no such unit the penalty is the
+        # largest cost, as every region has a shedding arc.
+        self.objective = np.minimum(self.costs / penalty, 2.0)
         # The balance rows, one column per arc: -1 where it leaves a region,
         # its gain where it arrives; rows ascend within a column (canonical CSC).
         indptr, indices, data = [0], [], []
@@ -395,8 +406,8 @@ class _Problem:
             indptr.append(len(indices))
         # Built once in HiGHS's own type: an hour's model copies it whole, where
         # the binding would convert every entry again.
-        self.balance = balance = _core.HighsSparseMatrix()
-        balance.format_ = _core.MatrixFormat.kColwise
+        self.balance = balance = core.HighsSparseMatrix()
+        balance.format_ = core.MatrixFormat.kColwise
         balance.num_col_, balance.num_row_ = len(arcs), n_regions
         balance.start_, balance.index_, balance.value_ = indptr, indices, data
         self.capacities = np.array([cap for _, _, cap, _, _ in arcs])
@@ -405,7 +416,7 @@ class _Problem:
         # array (only the costs take an array whole).
         self.lower = [0.0] * len(arcs)
         self.upper = self.capacities.tolist()
-        self.options = _core.HighsOptions()
+        self.options = core.HighsOptions()
         for name, value in _HIGHS_OPTIONS.items():
             setattr(self.options, name, value)
         # Every hour starts from the optimal basis of a reference hour, in
@@ -441,9 +452,9 @@ def _thread_highs():
     """The calling thread's HiGHS instance, built on its first solve."""
     highs = getattr(_thread, "highs", None)
     if highs is None:
-        from scipy.optimize._highspy import _core
+        from ._highs import core
 
-        highs = _thread.highs = _core._Highs()
+        highs = _thread.highs = core._Highs()
     return highs
 
 
@@ -455,9 +466,9 @@ def _run(highs, problem: _Problem, demand: tuple[float, ...]) -> str | None:
     of 1e20 or more (it reads those as infinite) and would then run
     whatever model it held.
     """
-    from scipy.optimize._highspy import _core
+    from ._highs import core
 
-    lp = _core.HighsLp()
+    lp = core.HighsLp()
     lp.num_col_, lp.num_row_ = len(problem.arcs), len(demand)
     lp.a_matrix_ = problem.balance
     lp.col_cost_ = problem.objective
@@ -466,7 +477,7 @@ def _run(highs, problem: _Problem, demand: tuple[float, ...]) -> str | None:
     upper[problem.first_shed :] = demand
     lp.col_upper_ = upper
     lp.row_lower_ = lp.row_upper_ = demand
-    error = _core.HighsStatus.kError
+    error = core.HighsStatus.kError
     # The LP is feasible by construction, so a failure means inputs too large
     # (or too far apart in scale) for the solver: an input error.
     if highs.passOptions(problem.options) == error or highs.passModel(lp) == error:
@@ -475,7 +486,7 @@ def _run(highs, problem: _Problem, demand: tuple[float, ...]) -> str | None:
         return "HiGHS rejected the basis"
     ran = highs.run()
     status = highs.getModelStatus()
-    if ran == error or status != _core.HighsModelStatus.kOptimal:
+    if ran == error or status != core.HighsModelStatus.kOptimal:
         return highs.modelStatusToString(status)
     return None
 

@@ -476,6 +476,11 @@ import contextlib, io, json, sys
 from pathlib import Path
 from gridecon.cli import main
 
+THIRD_PARTY = (
+    "click", "numpy", "scipy", "scipy.optimize", "scipy.optimize._highspy._core",
+    "scipy.linalg", "scipy.sparse",
+)
+
 args, golden = json.loads(sys.argv[1]), Path(sys.argv[2])
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -484,31 +489,50 @@ print(json.dumps({
     "exit": code,
     "differs": out.getvalue().encode() != golden.read_bytes(),
     "gridecon": sorted(m for m in sys.modules if m.split(".")[0] == "gridecon"),
-    "others": [m for m in ("click", "numpy", "scipy") if m in sys.modules],
+    "others": [m for m in THIRD_PARTY if m in sys.modules],
 }))
 """
+
+
+def cold_start(name: str) -> dict:
+    """What COLD_START_SCRIPT reports for the golden invocation ``name``."""
+    src = str(Path(gridecon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", COLD_START_SCRIPT, json.dumps(GOLDEN_INVOCATIONS[name]), str(GOLDEN_DIR / name)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
 
 
 def test_reports_load_neither_numpy_nor_scipy():
     """Only a dispatch solve needs numpy and scipy, so no other command imports
     them; each report loads only the gridecon modules it uses, and never click."""
-    src = str(Path(gridecon.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for name, args in GOLDEN_INVOCATIONS.items():
         if args[0] == "simulate":
             continue
-        child = subprocess.run(
-            [sys.executable, "-c", COLD_START_SCRIPT, json.dumps(args), str(GOLDEN_DIR / name)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert child.returncode == 0, child.stderr
         expected = {
             "exit": 0,
             "differs": False,
             "gridecon": sorted(PARSER_MODULES | REPORT_MODULES[args[0]]),
             "others": [],
         }
-        assert json.loads(child.stdout.splitlines()[-1]) == expected, name
+        assert cold_start(name) == expected, name
+
+
+def test_simulate_loads_the_highs_extension_without_scipy_optimize():
+    """A cold simulate loads numpy and scipy's HiGHS extension, but never runs
+    scipy.optimize's package init, which would pull in linalg and sparse."""
+    expected = {
+        "exit": 0,
+        "differs": False,
+        "gridecon": sorted(PARSER_MODULES | {
+            "gridecon._highs", "gridecon.dispatch", "gridecon.scenario", "gridecon.scenario_file",
+        }),
+        "others": ["numpy", "scipy", "scipy.optimize._highspy._core"],
+    }
+    assert cold_start("simulate_24h.txt") == expected

@@ -106,6 +106,19 @@ class TestMinCostFlow:
         assert hour.unserved_mw[0] == pytest.approx(5.0)
         assert hour.prices_eur_per_mwh[0] == PENALTY
 
+    def test_unit_priced_far_above_the_penalty_changes_nothing(self):
+        # A unit that never runs (shedding is cheaper) must not push every other
+        # cost below HiGHS's dual tolerance: however high windland's 60 EUR unit
+        # is repriced above the penalty, the demo prints the same.
+        demo = load_bundled_scenario("smoothing").require("network")
+        windland, *others = demo.regions
+        texts = []
+        for price in (1e5, 1e12, 1e300):
+            units = tuple((cap, price if cost == 60.0 else cost) for cap, cost in windland.generators)
+            repriced = dataclasses.replace(windland, generators=units)
+            texts.append(export_csv(simulate(dataclasses.replace(demo, regions=(repriced, *others)), 24)))
+        assert texts[1:] == texts[:1] * 2
+
     @pytest.mark.parametrize("demand", [1e20, 1e308])
     def test_demand_that_highs_reads_as_infinite_fails(self, demand):
         # HiGHS takes any bound of 1e20 or more for infinity and rejects the
@@ -557,13 +570,14 @@ class TestLargeRingOutput:
 
 class TestHighsBinding:
     """Every name the dispatch solve uses of scipy's bundled HiGHS binding, a
-    private module: a scipy release that moves one fails here by name."""
+    private module, loaded as dispatch loads it: a scipy release that moves
+    the extension file or one of these names fails here by name."""
 
     @pytest.fixture(scope="class")
     def core(self):
-        from scipy.optimize._highspy import _core
+        from gridecon._highs import core
 
-        return _core
+        return core
 
     USED = {
         "_core": ["_Highs", "HighsLp", "HighsSparseMatrix", "HighsOptions", "HighsSolution",
@@ -589,6 +603,118 @@ class TestHighsBinding:
         for name, value in dispatch._HIGHS_OPTIONS.items():
             setattr(options, name, value)
             assert getattr(options, name) == value
+
+
+class TestHighsLoader:
+    """dispatch loads scipy's HiGHS extension by its file, without running
+    scipy.optimize's package init. Each case runs in a fresh interpreter,
+    since the import system's state is what it checks."""
+
+    PRELUDE = """
+        import json, sys, threading
+        NAME = "scipy.optimize._highspy._core"
+
+        def demo():
+            from gridecon.datasets import load_bundled_scenario
+
+            return load_bundled_scenario("smoothing").require("network")
+    """
+
+    def run(self, code):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        script = textwrap.dedent(self.PRELUDE) + textwrap.dedent(code)
+        child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        return json.loads(child.stdout)
+
+    def test_scipy_optimize_imported_after_dispatch_reuses_the_extension(self):
+        seen = self.run(
+            """
+            from gridecon import dispatch
+            from gridecon._highs import core
+
+            dispatch.simulate(demo(), 24)
+            before = "scipy.optimize" in sys.modules
+            from scipy.optimize import linprog
+
+            res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-3.0])
+            print(json.dumps({"before": before, "status": res.status, "x": res.x.tolist(),
+                              "same": sys.modules[NAME] is core}))
+            """
+        )
+        assert seen == {"before": False, "status": 0, "x": [3.0, 0.0], "same": True}
+
+    def test_dispatch_reuses_the_extension_scipy_optimize_loaded(self):
+        seen = self.run(
+            """
+            import scipy.optimize
+
+            loaded = sys.modules[NAME]
+            from gridecon import dispatch
+            from gridecon._highs import core
+
+            dispatch.simulate(demo(), 24)
+            print(json.dumps({"same": core is loaded,
+                              "instance": type(dispatch._thread.highs) is loaded._Highs}))
+            """
+        )
+        assert seen == {"same": True, "instance": True}
+
+    def test_extension_missing_from_its_directory_fails_naming_it(self):
+        seen = self.run(
+            """
+            import os
+            import scipy
+
+            scipy.__file__ = os.path.join(os.path.dirname(scipy.__file__), "moved", "__init__.py")
+            try:
+                import gridecon._highs
+            except ImportError as exc:
+                print(json.dumps({"error": str(exc), "loaded": NAME in sys.modules}))
+            """
+        )
+        assert seen["error"].endswith(os.path.join("scipy", "moved", "optimize", "_highspy"))
+        assert seen["error"].startswith("scipy's HiGHS extension _core not found in ")
+        assert not seen["loaded"]
+
+    def test_two_threads_solving_first_load_the_extension_once(self):
+        seen = self.run(
+            """
+            import dataclasses, importlib.machinery
+
+            loader = importlib.machinery.ExtensionFileLoader
+            create, created = loader.create_module, []
+
+            def counting(self, spec):
+                if spec.name == NAME:
+                    created.append(threading.get_ident())
+                return create(self, spec)
+
+            loader.create_module = counting
+            sys.setswitchinterval(1e-6)
+            from gridecon.dispatch import min_cost_flow
+
+            net = demo()
+            fresh = [dataclasses.replace(net) for _ in range(2)]
+            start, errors = threading.Barrier(2), []
+
+            def first_solve(network):
+                start.wait(timeout=60)
+                try:
+                    min_cost_flow(network, [r.demand_at(0) for r in network.regions])
+                except Exception as exc:
+                    errors.append(repr(exc))
+
+            threads = [threading.Thread(target=first_solve, args=(n,)) for n in fresh]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            print(json.dumps({"alive": any(t.is_alive() for t in threads), "errors": errors,
+                              "created": len(created)}))
+            """
+        )
+        assert seen == {"alive": False, "errors": [], "created": 1}
 
 
 class TestEnergyBalance:
