@@ -15,27 +15,30 @@ before the solve, which keeps the dispatched flows invariant under uniform
 price scaling, and a unit priced above the penalty, which never runs, goes
 in at twice the penalty so that it cannot shrink the others. Each LP
 column is one arc of a single arc list (a generator, one direction of an
-interconnector, or a region's shedding). Marginal prices come from
-per-unit-delivered shortest-path labels, one per region, over the residual
-network of the optimal flow, so a region's price is the cost of serving one
-more MWh there. Where the LP's dual is not unique (a unit running exactly
-at its rating), that is the upper end of the dual range. Only generators
-and shedding cost anything, and they enter a region from outside the
-network: a label starts at the cheapest of them with spare capacity, and a
-residual link only multiplies it, by ``1 / efficiency`` forward and by
-``efficiency`` back.
+interconnector, or a region's shedding).
 
-The labels are corrected from a FIFO queue of regions, with no bound on
-the number of passes. A residual cycle of lossy links multiplies its labels
-by a constant factor below 1 per round, without end, so such a cycle is
-closed in one step at its fixed point 0, as generalized shortest-path
-labels are (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 15). A
-cycle that cannot close this way raises ``ValueError``, which ``simulate``
-prefixes with the hour; its labels are never returned as prices. HiGHS
-solves at feasibility tolerances of 1e-9, not its default 1e-7: flows left
-at the default tolerance make residual cycles that the optimum does not
-have, and labels that follow them to their fixed point undercut the cost
-of one more MWh.
+A region's price is the cost of serving one more MWh there. Every dual
+constraint of the LP ties at most two regions, with coefficients of
+opposite sign (a link leaves one region and arrives in another; a unit or
+shedding enters one), so the optimal row duals form a lattice, and its
+greatest element is that cost in every region at once (Hochbaum & Naor,
+*SIAM J. Comput.* 23(6), 1994). The price is that greatest dual times the
+penalty, which undoes the objective's normalization. An hour is
+nondegenerate when exactly one column per region lies strictly inside its
+bounds (by more than ``_EPS_FLOW``, shedding capped at demand): its dual is
+unique, and it is the row dual that HiGHS returns with the flows. Otherwise
+(a unit running exactly at its rating, a region without demand) the dual
+can be a range, and a second LP on the same HiGHS instance takes its upper
+end. This residual-cone LP keeps the balance matrix and the objective,
+lets each column move only up from its lower bound, down from its upper
+bound or either way inside them, never counts shedding as at its cap (the
+cap grows with demand), and sets every balance row to 1. Its optimum is the
+cost of one more MWh in every region, and its only optimal dual is the
+greatest dual of the hour; its failure raises ``ValueError`` as the hour's
+own does. HiGHS solves at feasibility tolerances of 1e-9, not its default
+1e-7: the tolerances decide where the dual simplex stops, and at 1e-7 the
+pinned 24 h export of a 200-region ring (seed ``101:10``) changes, so they
+keep every vertex and golden file where it is.
 
 Each hour is solved through the HiGHS binding that scipy bundles
 (``scipy.optimize._highspy._core``, loaded by ``gridecon._highs`` from its
@@ -124,17 +127,15 @@ import math
 import numbers
 import os
 import threading
-from collections import deque
 from dataclasses import dataclass
 
 from .checks import require
 
 DEFAULT_UNSERVED_PENALTY = 10000.0  # EUR/MWh, far above any generator
 
-_EPS_FLOW = 1e-7  # residual capacities below this count as saturated
-_EPS_IMPROVE = 1e-7  # label must improve by this much to relax
-# HiGHS options, set on every hour's solver. Tight tolerances leave no flow
-# at tolerance level to form false residual cycles (see the module
+_EPS_FLOW = 1e-7  # a column this close to a bound counts as at that bound
+# HiGHS options, set on every hour's solver. Tight tolerances keep each
+# hour's vertex, and so every golden file, where it is (see the module
 # docstring); presolve costs more than it saves on LPs this small.
 _HIGHS_OPTIONS = {
     "dual_feasibility_tolerance": 1e-9,
@@ -269,96 +270,6 @@ class HourlyDispatch:
         return tuple(d - u for d, u in zip(self.demand_mw, self.unserved_mw))
 
 
-def _delivery_price_labels(
-    arcs: list[tuple[int | None, int, float, float, float]], flows: list[float], n_regions: int
-) -> list[float]:
-    """Cheapest cost of delivering one more unit in each region.
-
-    Label-correcting shortest paths on the residual network of ``arcs``
-    carrying ``flows``, visiting regions from a FIFO queue. Each region
-    starts at its cheapest arc from outside (a unit or its shedding) with
-    spare capacity; a later arc must undercut an earlier one by more than
-    ``_EPS_IMPROVE``, as every relaxation must. Links cost nothing, so
-    each residual link only scales a label: sending one more unit forward
-    costs ``1 / efficiency`` of the sender's label, taking back one unit
-    already sent refunds ``efficiency`` of it.
-
-    There is no bound on passes. A residual cycle of links multiplies
-    labels by its product M of those factors; with M < 1 it lowers them
-    geometrically, without end, toward its fixed point 0. A region queued
-    again ``n_regions`` times after the seeding lies on or behind such a
-    cycle, so its predecessors lead to it; the cycle's region is then set to 0 and the
-    queue goes on from there. Anything else cannot converge and raises
-    ValueError. The flows must be solved at tight tolerances: a flow left
-    at tolerance level makes a residual cycle that the optimum does not
-    have, and closing it undercuts the price.
-    """
-    dist = [math.inf] * n_regions
-    residual = [[] for _ in range(n_regions)]
-    for (tail, head, cap, gain, cost), flow in zip(arcs, flows):
-        if tail is None:
-            if cap - flow > _EPS_FLOW and cost < dist[head] - _EPS_IMPROVE:
-                dist[head] = cost
-            continue
-        if cap - flow > _EPS_FLOW:
-            residual[tail].append((head, 1.0 / gain))
-        if flow > _EPS_FLOW:
-            residual[head].append((tail, gain))
-    pred: list[tuple[int, float] | None] = [None] * n_regions
-    enqueued = [0] * n_regions
-    queued = [True] * n_regions
-    queue = deque(range(n_regions))
-    while queue:
-        tail = queue.popleft()
-        queued[tail] = False
-        label = dist[tail]
-        for head, m in residual[tail]:
-            cand = label * m
-            if cand >= dist[head] - _EPS_IMPROVE:
-                continue
-            dist[head] = cand
-            pred[head] = (tail, m)
-            if queued[head]:
-                continue
-            queued[head] = True
-            queue.append(head)
-            enqueued[head] += 1
-            if enqueued[head] == n_regions:
-                node = _close_gain_cycle(dist, pred, head)
-                enqueued = [0] * n_regions
-                if not queued[node]:
-                    queued[node] = True
-                    queue.append(node)
-    return dist
-
-
-def _close_gain_cycle(dist: list[float], pred: list, start: int) -> int:
-    """Set a region of the predecessor cycle behind ``start`` to its fixed point 0.
-
-    Returns that region. Raises ValueError when the predecessors lead to
-    no cycle, or to one that does not shrink labels or whose region is
-    already within ``_EPS_IMPROVE`` of 0.
-    """
-    node = start
-    for _ in range(len(dist)):  # past any tail of the predecessor graph
-        if pred[node] is None:
-            raise ValueError("price labels do not converge: no residual cycle to close")
-        node = pred[node][0]
-    slope, at, arcs = 1.0, node, 0
-    while True:
-        at, m = pred[at]
-        slope, arcs = slope * m, arcs + 1
-        if at == node:
-            break
-    if slope < 1.0 and 0.0 < dist[node] - _EPS_IMPROVE:
-        dist[node] = 0.0
-        return node
-    raise ValueError(
-        f"price labels do not converge: a residual cycle of {arcs} arcs "
-        f"maps p to {slope:.6g} * p, with no fixed point below {dist[node]:.6g}"
-    )
-
-
 class _Problem:
     """A network's dispatch LP without its hour: everything but demand.
 
@@ -395,6 +306,7 @@ class _Problem:
         arcs.extend((None, ri, math.inf, 1.0, penalty) for ri in range(n_regions))
         self.arcs = arcs
 
+        self.penalty = penalty
         self.costs = np.array([cost for *_, cost in arcs], dtype=float)
         # Normalizing the objective by the penalty keeps the chosen vertex
         # invariant when all marginal costs are scaled by a constant. A unit
@@ -420,10 +332,9 @@ class _Problem:
         balance.start_, balance.index_, balance.value_ = indptr, indices, data
         self.capacities = np.array([cap for _, _, cap, _, _ in arcs])
         # An hour's column bounds: 0 to capacity, shedding capped at its demand.
-        # Lists, because the binding converts a list of bounds faster than an
-        # array (only the costs take an array whole).
+        # They go to HiGHS as lists, because the binding converts a list of
+        # bounds faster than an array (only the costs take an array whole).
         self.lower = [0.0] * len(arcs)
-        self.upper = self.capacities.tolist()
         self.options = core.HighsOptions()
         for name, value in _HIGHS_OPTIONS.items():
             setattr(self.options, name, value)
@@ -434,12 +345,19 @@ class _Problem:
         self.basis = None
         reference = tuple(sum(r.demand_profile_mw) / 24 for r in network.regions)
         highs = _thread_highs()
-        if _run(highs, self, reference) is None:
+        upper = self.upper_at(reference).tolist()
+        if _run(highs, self, reference, self.lower, upper) is None:
             self.basis = highs.getBasis()
 
+    def upper_at(self, demand: tuple[float, ...]):
+        """The column upper bounds of an hour: shedding capped at its demand."""
+        upper = self.capacities.copy()
+        upper[self.first_shed :] = demand
+        return upper
 
-def _solve_hour(problem: _Problem, demand: tuple[float, ...]) -> list[float]:
-    """The LP column values of one hour, solved from the network's reference basis.
+
+def _solve_hour(problem: _Problem, demand: tuple[float, ...]):
+    """The LP column values of one hour, clipped at 0, and each region's price.
 
     The calling thread's HiGHS instance is loaded with the hour's model,
     which clears whatever it held, and starts from ``problem.basis`` (cold
@@ -448,12 +366,50 @@ def _solve_hour(problem: _Problem, demand: tuple[float, ...]) -> list[float]:
     balance rows and caps each region's shedding: capping shedding at local
     demand rules out degenerate optima that route penalty power over
     cost-tied efficiency-1 links.
+
+    A price is the greatest optimal row dual times the penalty. When exactly
+    one column per region lies strictly inside its bounds, the vertex is
+    nondegenerate and its dual, the one HiGHS returns, is unique; otherwise
+    it comes from the cone LP of ``_cone_duals``.
     """
+    import numpy as np
+
     highs = _thread_highs()
-    failure = _run(highs, problem, demand)
+    upper = problem.upper_at(demand)
+    failure = _run(highs, problem, demand, problem.lower, upper.tolist(), problem.basis)
     if failure:
         raise ValueError(f"dispatch LP failed: {failure}")
-    return highs.getSolution().col_value
+    solution = highs.getSolution()
+    x = np.maximum(solution.col_value, 0.0)
+    duals = solution.row_dual
+    at_lower = x <= _EPS_FLOW
+    at_upper = x >= upper - _EPS_FLOW
+    if np.count_nonzero(at_lower | at_upper) != len(x) - len(demand):
+        duals = _cone_duals(highs, problem, at_lower, at_upper)
+    penalty = problem.penalty
+    return x, [dual * penalty for dual in duals]
+
+
+def _cone_duals(highs, problem: _Problem, at_lower, at_upper) -> list[float]:
+    """The greatest optimal row duals of a degenerate hour.
+
+    The LP moves each column only into the residual cone of the hour's
+    optimal flows (up from its lower bound, down from its upper bound, either
+    way inside) and adds one MWh of demand in every region. Shedding can
+    always grow, since its cap grows with demand. The optimal duals of this
+    LP are those of the hour that maximize their sum: the greatest one alone.
+    Loading it replaces the hour's model and solution on ``highs``.
+    """
+    import numpy as np
+
+    lower = np.where(at_lower, 0.0, -np.inf)
+    upper = np.where(at_upper, 0.0, np.inf)
+    upper[problem.first_shed :] = np.inf
+    ones = [1.0] * len(problem.unit_counts)  # one row per region
+    failure = _run(highs, problem, ones, lower.tolist(), upper.tolist())
+    if failure:
+        raise ValueError(f"dispatch LP failed: {failure}")
+    return highs.getSolution().row_dual
 
 
 def _thread_highs():
@@ -466,9 +422,10 @@ def _thread_highs():
     return highs
 
 
-def _run(highs, problem: _Problem, demand: tuple[float, ...]) -> str | None:
-    """Load ``problem`` at ``demand`` into ``highs``, solve it from
-    ``problem.basis`` (cold when None) and return None, or why it failed.
+def _run(highs, problem: _Problem, rows, lower, upper, basis=None) -> str | None:
+    """Load ``problem`` into ``highs`` with the balance rows equal to ``rows``
+    and the column bounds ``lower`` and ``upper``, solve it from ``basis``
+    (cold when None) and return None, or why it failed.
 
     Every binding call is checked, since HiGHS rejects a model with a bound
     of 1e20 or more (it reads those as infinite) and would then run
@@ -477,20 +434,18 @@ def _run(highs, problem: _Problem, demand: tuple[float, ...]) -> str | None:
     from ._highs import core
 
     lp = core.HighsLp()
-    lp.num_col_, lp.num_row_ = len(problem.arcs), len(demand)
+    lp.num_col_, lp.num_row_ = len(problem.arcs), len(rows)
     lp.a_matrix_ = problem.balance
     lp.col_cost_ = problem.objective
-    lp.col_lower_ = problem.lower
-    upper = problem.upper.copy()
-    upper[problem.first_shed :] = demand
+    lp.col_lower_ = lower
     lp.col_upper_ = upper
-    lp.row_lower_ = lp.row_upper_ = demand
+    lp.row_lower_ = lp.row_upper_ = rows
     error = core.HighsStatus.kError
     # The LP is feasible by construction, so a failure means inputs too large
     # (or too far apart in scale) for the solver: an input error.
     if highs.passOptions(problem.options) == error or highs.passModel(lp) == error:
         return "HiGHS rejected the model"
-    if problem.basis is not None and highs.setBasis(problem.basis) == error:
+    if basis is not None and highs.setBasis(basis) == error:
         return "HiGHS rejected the basis"
     ran = highs.run()
     status = highs.getModelStatus()
@@ -515,7 +470,7 @@ def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
 
     problem = network._problem
     first_shed = problem.first_shed
-    x = np.clip(_solve_hour(problem, demand), 0.0, None)
+    x, prices = _solve_hour(problem, demand)
     xs = x.tolist()
 
     generation = []
@@ -529,9 +484,6 @@ def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
     flows = tuple(xs[j] - xs[j + 1] for j, _ in problem.links)
     loss = float(sum((xs[j] + xs[j + 1]) * lost for j, lost in problem.links))
     unserved = tuple(map(min, xs[first_shed:], demand))
-    prices = _delivery_price_labels(
-        problem.arcs, np.minimum(x, problem.capacities).tolist(), n_regions
-    )
     return HourlyDispatch(
         demand_mw=demand,
         generation_mw=tuple(generation),

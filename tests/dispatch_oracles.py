@@ -1,5 +1,6 @@
 """Shared dispatch fixtures and independent oracles for the test suite."""
 
+import collections
 import itertools
 import math
 import random
@@ -156,3 +157,86 @@ def ring_network(seed, n_regions, n_chords):
 
 def hourly_demand(net, hour):
     return tuple(r.demand_at(hour) for r in net.regions)
+
+
+def delivery_price_labels(net, columns):
+    """Cheapest cost of delivering one more MWh in each region, by label-correcting
+    shortest paths on the residual network of the LP column values ``columns``.
+
+    An independent price oracle, which reads no dual. Each region starts at
+    its cheapest arc from outside (a unit or its shedding) with spare
+    capacity. Links cost nothing, so a residual link only scales a label:
+    sending one more unit forward costs ``1 / efficiency`` of the sender's
+    label, taking back one unit already sent refunds ``efficiency`` of it.
+    Regions are corrected from a FIFO queue; a relaxation must improve a
+    label by more than 1e-7, and a column within 1e-7 of a bound is at it. A residual cycle of lossy links would lower
+    its labels geometrically without end, so a region queued ``n`` times
+    after the seeding has its predecessor cycle closed at the fixed point 0
+    (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 15). Columns must
+    be solved at tight tolerances: a flow left at tolerance level makes a
+    residual cycle that the optimum does not have.
+    """
+    eps = 1e-7
+    # One arc (tail, head, capacity, gain, cost) per LP column, in dispatch's
+    # column order; units and shedding come from outside, so their tail is None.
+    arcs = [(None, ri, cap, 1.0, cost) for ri, r in enumerate(net.regions) for cap, cost in r.generators]
+    for ic in net.interconnectors:
+        a, b = region_index(net, ic.region_a), region_index(net, ic.region_b)
+        arcs += [(a, b, ic.capacity_mw, ic.efficiency, 0.0), (b, a, ic.capacity_mw, ic.efficiency, 0.0)]
+    n = len(net.regions)
+    arcs += [(None, ri, math.inf, 1.0, net.unserved_penalty_eur_per_mwh) for ri in range(n)]
+    dist = [math.inf] * n
+    residual = [[] for _ in range(n)]
+    for (tail, head, cap, gain, cost), flow in zip(arcs, columns):
+        flow = min(max(flow, 0.0), cap)
+        if tail is None:
+            if cap - flow > eps and cost < dist[head] - eps:
+                dist[head] = cost
+            continue
+        if cap - flow > eps:
+            residual[tail].append((head, 1.0 / gain))
+        if flow > eps:
+            residual[head].append((tail, gain))
+    pred = [None] * n
+    enqueued = [0] * n
+    queued = [True] * n
+    queue = collections.deque(range(n))
+    while queue:
+        tail = queue.popleft()
+        queued[tail] = False
+        for head, m in residual[tail]:
+            cand = dist[tail] * m
+            if cand >= dist[head] - eps:
+                continue
+            dist[head] = cand
+            pred[head] = (tail, m)
+            if queued[head]:
+                continue
+            queued[head] = True
+            queue.append(head)
+            enqueued[head] += 1
+            if enqueued[head] == n:
+                node = _close_gain_cycle(dist, pred, head, eps)
+                enqueued = [0] * n
+                if not queued[node]:
+                    queued[node] = True
+                    queue.append(node)
+    return dist
+
+
+def _close_gain_cycle(dist, pred, start, eps):
+    """Set a region of the predecessor cycle behind ``start`` to 0 and return it;
+    raise AssertionError unless that cycle shrinks labels toward 0."""
+    node = start
+    for _ in range(len(dist)):  # past any tail of the predecessor graph
+        assert pred[node] is not None, "price labels: no residual cycle to close"
+        node = pred[node][0]
+    slope, at = 1.0, node
+    while True:
+        at, m = pred[at]
+        slope *= m
+        if at == node:
+            break
+    assert slope < 1.0 and dist[node] > eps, f"price labels: cycle maps p to {slope} * p"
+    dist[node] = 0.0
+    return node

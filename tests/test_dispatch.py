@@ -35,6 +35,7 @@ from gridecon.dispatch import (
 
 from dispatch_oracles import (
     PENALTY,
+    delivery_price_labels,
     energy_balance_residual,
     enumeration_oracle,
     hourly_demand,
@@ -415,30 +416,21 @@ class TestConcurrentHours:
 
     def test_earliest_failing_hour_is_named(self, monkeypatch):
         net = large_ring("76:3")
-        labels = dispatch._delivery_price_labels
-        seen = []
-
-        def recording(arcs, flows, n_nodes):
-            seen.append(flows)
-            return labels(arcs, flows, n_nodes)
-
-        monkeypatch.setattr(dispatch, "_delivery_price_labels", recording)
-        for t in (5, 17):
-            min_cost_flow(net, hourly_demand(net, t))
-        early, late = seen
+        solve = dispatch._solve_hour
+        early, late = hourly_demand(net, 5), hourly_demand(net, 17)
         late_failed = threading.Event()
 
-        def fail(arcs, flows, n_nodes):
-            if flows == early:
+        def fail(problem, demand):
+            if demand == early:
                 late_failed.wait(timeout=10)  # hour 5 fails after hour 17 has
-            elif flows == late:
+            elif demand == late:
                 late_failed.set()
             else:
-                return labels(arcs, flows, n_nodes)
-            raise ValueError("price labels do not converge")
+                return solve(problem, demand)
+            raise ValueError("dispatch LP failed: injected")
 
-        monkeypatch.setattr(dispatch, "_delivery_price_labels", fail)
-        with pytest.raises(ValueError, match="^hour 5: price labels do not converge$"):
+        monkeypatch.setattr(dispatch, "_solve_hour", fail)
+        with pytest.raises(ValueError, match="^hour 5: dispatch LP failed: injected$"):
             simulate(net, 24)
         assert late_failed.is_set()
 
@@ -627,7 +619,7 @@ class TestHighsBinding:
         "HighsLp": ["num_col_", "num_row_", "a_matrix_", "col_cost_", "col_lower_", "col_upper_",
                     "row_lower_", "row_upper_"],
         "HighsSparseMatrix": ["format_", "num_col_", "num_row_", "start_", "index_", "value_"],
-        "HighsSolution": ["col_value"],
+        "HighsSolution": ["col_value", "row_dual"],
         "MatrixFormat": ["kColwise"],
         "HighsStatus": ["kError"],
         "HighsModelStatus": ["kOptimal"],
@@ -818,6 +810,60 @@ class TestPriceComplementarySlackness:
         assert checks > 1000
 
 
+class TestPricesMatchLabelOracle:
+    """Prices against the residual-network label queue, which reads no dual,
+    on nondegenerate hours (HiGHS's own dual) and degenerate ones (the cone
+    LP) alike."""
+
+    @staticmethod
+    def with_extremes(rng, net):
+        """``net`` and an hour's demand, each at random with one region's
+        demand set to zero and with a region added behind a link of capacity
+        0 whose only unit is priced above the penalty, so that it sheds all
+        its demand."""
+        demands = [r.demand_profile_mw[0] for r in net.regions]
+        if rng.random() < 0.3:
+            demands[rng.randrange(len(demands))] = 0.0
+        if rng.random() < 0.3:
+            shed = region("shed", 1, [(5.0, 3 * PENALTY)])
+            link = Interconnector(rng.choice(net.regions).name, "shed", 0.0)
+            net = network(net.regions + (shed,), net.interconnectors + (link,))
+            demands.append(rng.uniform(0, 5))
+        return net, demands
+
+    def test_prices_equal_delivery_labels(self, monkeypatch):
+        solve, cone = dispatch._solve_hour, dispatch._cone_duals
+        columns, cone_solves = [], []
+
+        def recording_solve(problem, demand):
+            x, prices = solve(problem, demand)
+            columns.append(x)
+            return x, prices
+
+        def recording_cone(*args):
+            cone_solves.append(len(columns))  # the hour it prices
+            return cone(*args)
+
+        monkeypatch.setattr(dispatch, "_solve_hour", recording_solve)
+        monkeypatch.setattr(dispatch, "_cone_duals", recording_cone)
+        rng = random.Random(2100)
+        settings = [
+            {},
+            {"max_regions": 3, "integer": True, "max_links": 2},
+            {"max_regions": 6, "max_links": 10},
+        ]
+        shed_everything = 0
+        for kwargs in settings:
+            for _ in range(400):
+                net, demands = self.with_extremes(rng, random_network(rng, **kwargs))
+                hour = min_cost_flow(net, demands)
+                labels = delivery_price_labels(net, columns[-1])
+                assert hour.prices_eur_per_mwh == pytest.approx(labels, rel=1e-9, abs=1e-9)
+                shed_everything += any(0 < u == d for u, d in zip(hour.unserved_mw, demands))
+        assert len(cone_solves) >= 100 and len(columns) - len(cone_solves) >= 100
+        assert shed_everything >= 100
+
+
 class TestPricesAreMarginalCosts:
     """A region's price is the cost of one more MWh there: the right finite
     difference of the hour's cost, wherever the difference is steady."""
@@ -832,54 +878,45 @@ class TestPricesAreMarginalCosts:
         assert hour.cost_eur == 0.0
         assert hour.prices_eur_per_mwh == (0.0,) * 10
 
-    def test_ring_hour_closes_one_gain_cycle_at_zero(self, monkeypatch):
-        # Free units cover this hour everywhere. Region 5 is queued 20 times,
-        # once per region, and the lossy cycle behind it closes at region 15.
-        close = dispatch._close_gain_cycle
-        calls = []
-
-        def recording(dist, pred, start):
-            node = close(dist, pred, start)
-            calls.append((start, node))
-            return node
-
-        monkeypatch.setattr(dispatch, "_close_gain_cycle", recording)
+    def test_free_hour_of_a_20_region_ring_is_priced_at_zero(self):
+        # Free units cover this hour everywhere, over a residual cycle of
+        # lossy links that a label queue can only close at its fixed point 0.
         net = ring_network("20:1", n_regions=20, n_chords=20)
         hour = min_cost_flow(net, hourly_demand(net, 9))
-        assert calls == [(5, 15)]
         assert hour.cost_eur == 0.0
         assert hour.prices_eur_per_mwh == (0.0,) * 20
 
-    @pytest.mark.parametrize(
-        "pred, reason",
-        [
-            # region 2 priced over region 1, region 1 over region 0, which
-            # starts from outside: a chain, no cycle
-            ([None, (0, 1 / 0.9), (1, 0.8)], "no residual cycle to close"),
-            # a cycle of lossless links keeps its labels: no fixed point below them
-            ([(2, 1.0), (0, 1.0), (1, 1.0)], "a residual cycle of 3 arcs maps p to 1 \\* p"),
-        ],
-        ids=["chain", "lossless-cycle"],
-    )
-    def test_gain_cycle_closure_raises_without_a_shrinking_cycle(self, pred, reason):
-        with pytest.raises(ValueError, match=f"^price labels do not converge: {reason}"):
-            dispatch._close_gain_cycle([5.0, 4.5, 3.6], pred, 2)
-
     def test_simulate_names_the_hour_that_fails(self, monkeypatch):
         # The second distinct demand fails; it first appears in hour 2.
-        labels = dispatch._delivery_price_labels
+        solve = dispatch._solve_hour
         solves = []
 
-        def fail(arcs, flows, n_nodes):
-            solves.append(flows)
+        def fail(problem, demand):
+            solves.append(demand)
             if len(solves) == 2:
-                raise ValueError("price labels do not converge")
-            return labels(arcs, flows, n_nodes)
+                raise ValueError("dispatch LP failed: injected")
+            return solve(problem, demand)
 
-        monkeypatch.setattr(dispatch, "_delivery_price_labels", fail)
+        monkeypatch.setattr(dispatch, "_solve_hour", fail)
         net = network([region("a", [5, 5] + [6] * 22, [(10, 1.0)])])
-        with pytest.raises(ValueError, match="^hour 2: price labels do not converge$"):
+        with pytest.raises(ValueError, match="^hour 2: dispatch LP failed: injected$"):
             simulate(net, 24)
+
+    def test_cone_lp_failure_names_its_hour(self, monkeypatch):
+        # Hours 0 and 1 run the unit inside its bounds, a nondegenerate
+        # vertex; hour 2 has no demand, so no column is inside its bounds and
+        # the price takes the cone LP, the one solve that starts cold.
+        net = network([region("a", [5, 5] + [0] * 22, [(10, 1.0)])])
+        run = dispatch._run
+        assert net._problem.basis is not None
+
+        def fail_cold(highs, problem, rows, lower, upper, basis=None):
+            return "Infeasible" if basis is None else run(highs, problem, rows, lower, upper, basis)
+
+        monkeypatch.setattr(dispatch, "_run", fail_cold)
+        assert simulate(net, 2).hourly[0].prices_eur_per_mwh == (1.0,)
+        with pytest.raises(ValueError, match="^hour 2: dispatch LP failed: Infeasible$"):
+            simulate(net, 3)
 
     def checked_regions(self, net, demand):
         """Regions whose price matches a steady finite difference; raises on a mismatch."""
