@@ -38,9 +38,12 @@ FORMATS = ("table", "csv", "markdown")
 SCENARIO_PROFILES = (*PROFILES, "custom")
 CASES = tuple(datasets.CABLE_COST_CASES_MEUR_PER_KM)
 
+# (computed - published) / published at zero O&M, as the interval (-0.13, -0.07)
+_ZERO_OM_GAP = datasets.REFERENCES["scenario_lcoe_zero_om_gap"][0]
 OM_GAP_NOTE = (
     "zero-O&M profile understates the published reference costs by roughly "
-    "7-13%; profile appendix-B-reconciled (0.5%/yr fixed O&M) closes the gap"
+    f"{-_ZERO_OM_GAP[1] * 100:.0f}-{-_ZERO_OM_GAP[0]:.0%}; profile appendix-B-reconciled "
+    f"({PROFILES['appendix-B-reconciled'].om_rate:.1%}/yr fixed O&M) closes the gap"
 )
 RECONCILED_NOTE = (
     "the {om_rate:.1%}/yr fixed O&M charge of {source} is a reconciliation "

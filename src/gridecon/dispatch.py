@@ -43,11 +43,13 @@ keep every vertex and golden file where it is.
 Each hour is solved through the HiGHS binding that scipy bundles
 (``scipy.optimize._highspy._core``, loaded by ``gridecon._highs`` from its
 file, without ``scipy.optimize``): dual simplex, presolve off, no output,
-as ``scipy.optimize.linprog`` sets them. ``linprog`` itself checks every
-option on every call and builds bound marginals that nothing here reads,
-which costs about as much as HiGHS. Every binding call's status is checked,
-and the model must end optimal; anything else raises ``ValueError("dispatch
-LP failed: ...")``. HiGHS reads a bound of 1e20 or more as infinite and
+as ``scipy.optimize.linprog`` sets them, without ``linprog``'s check of
+every option on every call and its bound marginals, which nothing here
+reads. ``_run`` is the one place that drives a HiGHS instance: it builds
+the calling thread's instance and sets its options once, loads an LP,
+starts and solves it, checks every binding call's status and requires the
+model to end optimal; anything else raises ``ValueError("dispatch LP
+failed: ...")``. HiGHS reads a bound of 1e20 or more as infinite and
 rejects such a model, and a run after a rejected load would solve whatever
 model it held. The balance constraints go to HiGHS as a sparse column
 matrix, one column per arc with at most two entries (leaving one region,
@@ -56,27 +58,24 @@ an hour that repeats an earlier hour's demand shares that hour's result, so
 a year of a daily profile costs about as much as its distinct hours, at
 most 24.
 
-Everything in an hour's LP but its demand is built once per network, by
-the first solve, and cached on the network: the arc list, the normalized
-objective, the balance matrix (in the binding's own sparse type, which a
-model copies whole), the column bounds, the HiGHS options, the reference
-basis (below) and the maps that decode a solution (each region's unit
-count, the zero-cost units and the link pairs with their loss shares). An
-hour copies the upper bounds, writes its demand into the shedding bounds
-and the balance rows, loads the model, solves from the reference basis and
-decodes. A network is frozen, so its problem never goes stale; a
-``dataclasses.replace`` copy is a new network and builds its own. This
-compiled problem is also the block that an LP of coupled hours would
-stack.
+Everything in an hour's LP but its demand is built once per network, by the
+first solve, and cached on the network: the normalized objective, the
+balance matrix (in the binding's own sparse type, which a model copies
+whole), the column bounds, the reference basis (below) and the maps that
+decode a solution (each region's unit count, the zero-cost units and the
+link pairs with their loss shares). An hour copies the upper bounds, writes
+its demand into the shedding bounds and the balance rows, loads the model,
+solves from the reference basis and decodes. A network is frozen, so its
+problem never goes stale; a ``dataclasses.replace`` copy is a new network
+and builds its own. This compiled problem is also the block that an LP of
+coupled hours would stack.
 
 ``export_csv`` follows ``simulate``'s memo. It renders each distinct hour's
 region rows once, without the hour column, and writes every hour as its
 number in front of those rows; each distinct value is formatted once. The
 rows are keyed by the identity of the ``HourlyDispatch``, which ``simulate``
 shares among the repeats of a demand vector, so no hour is hashed. An equal
-hour that is a separate object is only rendered again, to the same text. A
-year of the 2-region demo exports in about 13 ms instead of 86 ms (2 CPUs,
-Python 3.11).
+hour that is a separate object is only rendered again, to the same text.
 
 The hours of one network differ only in demand, and demand enters the LP
 only as bounds (the balance rows and the shedding caps), never as a cost or
@@ -86,16 +85,15 @@ change of right-hand side in a few pivots, where a cold start pivots all the
 way from the slack basis (Bixby, *Operations Research* 50(1), 2002). Each
 network solves one reference hour cold, in which every region draws the
 mean of its 24-hour profile, keeps its optimal basis, and starts every hour
-from it: on a 24 h run of a 200-region ring, HiGHS takes about 2.8k simplex
-iterations instead of 13.7k. The start is that one basis, never the
-previous hour's. Each thread keeps one HiGHS instance, and loading an
+from it. The start is that one basis, never the previous hour's. Each
+thread keeps one HiGHS instance, whose options never change, and loading an
 hour's model clears whatever the instance held before the basis is set, so
 an hour's result depends on its network and demand alone: ``simulate``
 equals ``min_cost_flow`` hour by hour, in any order and on any thread. A
 network whose reference hour HiGHS cannot solve (say, a mean demand that it
 reads as infinite) keeps no basis, and its hours start cold. The instance
-is reused because building one takes about 0.1 ms, as long as HiGHS takes
-to solve an hour of the 2-region demo.
+is reused because building one takes about as long as HiGHS takes to solve
+an hour of the 2-region demo.
 
 The distinct hours of a large network are solved concurrently, one thread
 per CPU: HiGHS runs without the GIL, so one hour's solve overlaps the
@@ -106,16 +104,13 @@ contend for the GIL, and the hours are solved one after the other on the
 calling thread, without importing ``concurrent.futures``. The compiled
 problem, its reference basis with it, is built on the calling thread before
 the pool starts. Results are the same on both paths, and so is the failing
-hour that an error names. On 2 CPUs a 24 h run of a 200-region ring (1600
-columns) takes about a third less time threaded.
+hour that an error names.
 
 numpy and the HiGHS extension are imported by the first solve, not by this
 module, so importing gridecon and every report that does not dispatch stay
 clear of them. The first solve never imports ``scipy.optimize``, whose
-package init (linalg, sparse, special and more) took about 0.7 s of a cold
-``gridecon simulate --hours 24``: only the light ``scipy`` package and the
-extension file load, and that process takes about 0.36 s instead of 1.1 s
-(2 CPUs, Python 3.11, scipy 1.17).
+package init loads linalg, sparse, special and more: only the light
+``scipy`` package and the extension file load (see ``gridecon._highs``).
 """
 
 from __future__ import annotations
@@ -134,8 +129,8 @@ from .checks import require
 DEFAULT_UNSERVED_PENALTY = 10000.0  # EUR/MWh, far above any generator
 
 _EPS_FLOW = 1e-7  # a column this close to a bound counts as at that bound
-# HiGHS options, set on every hour's solver. Tight tolerances keep each
-# hour's vertex, and so every golden file, where it is (see the module
+# HiGHS options, set once on each thread's instance. Tight tolerances keep
+# each hour's vertex, and so every golden file, where it is (see the module
 # docstring); presolve costs more than it saves on LPs this small.
 _HIGHS_OPTIONS = {
     "dual_feasibility_tolerance": 1e-9,
@@ -147,20 +142,10 @@ _HIGHS_OPTIONS = {
 # simulate solves the distinct hours of a network with at least this many LP
 # columns on concurrent threads. HiGHS runs without the GIL, but on a small
 # LP it is a small share of an hour, and threads there only contend for the
-# GIL; since hours start from the reference basis, HiGHS takes about a third
-# of the time it took cold, so the crossover has moved up. Threaded over
-# serial wall time of a 24 h simulate on seeded rings of n regions and n
-# chords (8 n arcs), median of 16 alternating runs per size on 2 CPUs
-# (Python 3.11, scipy 1.17): 80 arcs 1.34 (threads won 2 of 16), 160 arcs
-# 1.02 (6), 200 arcs 0.94 (11), 304 arcs 0.89 (13), 400 arcs 0.85 (12), 600
-# arcs 0.73 (14), 800 arcs 0.69 (16), 1600 arcs 0.68 (14). Two more sweeps
-# of 32 runs per size, pooled where their sizes overlap: 200 arcs 1.02 (15
-# of 32), 304 arcs 0.89 (23), 400 arcs 0.77 (55 of 64), 600 arcs 0.80 (59
-# of 64), 800 arcs 0.74 (31 of 32). 400 arcs is the first size whose gain
-# clears the runs' spread (upper quartile 0.87); at 200 arcs no sweep's
-# does any longer.
+# GIL. 400 is the smallest size at which threads beat serial by more than
+# the spread of the runs, in sweeps of 24 h simulates of seeded rings.
 _THREADED_MIN_ARCS = 400
-# Each thread's HiGHS instance (see _thread_highs).
+# Each thread's HiGHS instance, built by its first _run.
 _thread = threading.local()
 
 
@@ -304,7 +289,7 @@ class _Problem:
             arcs.append((b, a, ic.capacity_mw, ic.efficiency, 0.0))
         self.first_shed = len(arcs)
         arcs.extend((None, ri, math.inf, 1.0, penalty) for ri in range(n_regions))
-        self.arcs = arcs
+        self.n_arcs = len(arcs)
 
         self.penalty = penalty
         self.costs = np.array([cost for *_, cost in arcs], dtype=float)
@@ -335,19 +320,14 @@ class _Problem:
         # They go to HiGHS as lists, because the binding converts a list of
         # bounds faster than an array (only the costs take an array whole).
         self.lower = [0.0] * len(arcs)
-        self.options = core.HighsOptions()
-        for name, value in _HIGHS_OPTIONS.items():
-            setattr(self.options, name, value)
         # Every hour starts from the optimal basis of a reference hour, in
-        # which each region draws the mean of its profile; None (every hour
-        # cold) if HiGHS cannot solve that hour. The reference hour itself
-        # solves cold, since the basis is still None.
-        self.basis = None
+        # which each region draws the mean of its profile, solved cold; None
+        # (every hour cold) if HiGHS cannot solve that hour.
         reference = tuple(sum(r.demand_profile_mw) / 24 for r in network.regions)
-        highs = _thread_highs()
-        upper = self.upper_at(reference).tolist()
-        if _run(highs, self, reference, self.lower, upper) is None:
-            self.basis = highs.getBasis()
+        try:
+            self.basis = _run(self, reference, self.lower, self.upper_at(reference).tolist()).getBasis()
+        except ValueError:
+            self.basis = None
 
     def upper_at(self, demand: tuple[float, ...]):
         """The column upper bounds of an hour: shedding capped at its demand."""
@@ -374,23 +354,19 @@ def _solve_hour(problem: _Problem, demand: tuple[float, ...]):
     """
     import numpy as np
 
-    highs = _thread_highs()
     upper = problem.upper_at(demand)
-    failure = _run(highs, problem, demand, problem.lower, upper.tolist(), problem.basis)
-    if failure:
-        raise ValueError(f"dispatch LP failed: {failure}")
-    solution = highs.getSolution()
+    solution = _run(problem, demand, problem.lower, upper.tolist(), problem.basis).getSolution()
     x = np.maximum(solution.col_value, 0.0)
     duals = solution.row_dual
     at_lower = x <= _EPS_FLOW
     at_upper = x >= upper - _EPS_FLOW
     if np.count_nonzero(at_lower | at_upper) != len(x) - len(demand):
-        duals = _cone_duals(highs, problem, at_lower, at_upper)
+        duals = _cone_duals(problem, at_lower, at_upper)
     penalty = problem.penalty
     return x, [dual * penalty for dual in duals]
 
 
-def _cone_duals(highs, problem: _Problem, at_lower, at_upper) -> list[float]:
+def _cone_duals(problem: _Problem, at_lower, at_upper) -> list[float]:
     """The greatest optimal row duals of a degenerate hour.
 
     The LP moves each column only into the residual cone of the hour's
@@ -398,7 +374,8 @@ def _cone_duals(highs, problem: _Problem, at_lower, at_upper) -> list[float]:
     way inside) and adds one MWh of demand in every region. Shedding can
     always grow, since its cap grows with demand. The optimal duals of this
     LP are those of the hour that maximize their sum: the greatest one alone.
-    Loading it replaces the hour's model and solution on ``highs``.
+    Loading it replaces the hour's model and solution on the thread's
+    HiGHS instance.
     """
     import numpy as np
 
@@ -406,52 +383,49 @@ def _cone_duals(highs, problem: _Problem, at_lower, at_upper) -> list[float]:
     upper = np.where(at_upper, 0.0, np.inf)
     upper[problem.first_shed :] = np.inf
     ones = [1.0] * len(problem.unit_counts)  # one row per region
-    failure = _run(highs, problem, ones, lower.tolist(), upper.tolist())
-    if failure:
-        raise ValueError(f"dispatch LP failed: {failure}")
-    return highs.getSolution().row_dual
+    return _run(problem, ones, lower.tolist(), upper.tolist()).getSolution().row_dual
 
 
-def _thread_highs():
-    """The calling thread's HiGHS instance, built on its first solve."""
-    highs = getattr(_thread, "highs", None)
-    if highs is None:
-        from ._highs import core
+def _run(problem: _Problem, rows, lower, upper, basis=None):
+    """The calling thread's HiGHS instance, loaded with ``problem`` with the
+    balance rows equal to ``rows`` and the column bounds ``lower`` and
+    ``upper``, and solved to optimality from ``basis`` (cold when None).
 
-        highs = _thread.highs = core._Highs()
-    return highs
-
-
-def _run(highs, problem: _Problem, rows, lower, upper, basis=None) -> str | None:
-    """Load ``problem`` into ``highs`` with the balance rows equal to ``rows``
-    and the column bounds ``lower`` and ``upper``, solve it from ``basis``
-    (cold when None) and return None, or why it failed.
-
-    Every binding call is checked, since HiGHS rejects a model with a bound
-    of 1e20 or more (it reads those as infinite) and would then run
-    whatever model it held.
+    The instance is built, with ``_HIGHS_OPTIONS``, on the thread's first
+    call. Every binding call is checked, since HiGHS rejects a model with a
+    bound of 1e20 or more (it reads those as infinite) and would then run
+    whatever model it held; any failure raises ``ValueError``.
     """
     from ._highs import core
 
+    error = core.HighsStatus.kError
+    highs = getattr(_thread, "highs", None)
+    if highs is None:
+        options = core.HighsOptions()
+        for name, value in _HIGHS_OPTIONS.items():
+            setattr(options, name, value)
+        highs = core._Highs()
+        if highs.passOptions(options) == error:
+            raise ValueError("dispatch LP failed: HiGHS rejected the options")
+        _thread.highs = highs
     lp = core.HighsLp()
-    lp.num_col_, lp.num_row_ = len(problem.arcs), len(rows)
+    lp.num_col_, lp.num_row_ = problem.n_arcs, len(rows)
     lp.a_matrix_ = problem.balance
     lp.col_cost_ = problem.objective
     lp.col_lower_ = lower
     lp.col_upper_ = upper
     lp.row_lower_ = lp.row_upper_ = rows
-    error = core.HighsStatus.kError
     # The LP is feasible by construction, so a failure means inputs too large
     # (or too far apart in scale) for the solver: an input error.
-    if highs.passOptions(problem.options) == error or highs.passModel(lp) == error:
-        return "HiGHS rejected the model"
+    if highs.passModel(lp) == error:
+        raise ValueError("dispatch LP failed: HiGHS rejected the model")
     if basis is not None and highs.setBasis(basis) == error:
-        return "HiGHS rejected the basis"
+        raise ValueError("dispatch LP failed: HiGHS rejected the basis")
     ran = highs.run()
     status = highs.getModelStatus()
     if ran == error or status != core.HighsModelStatus.kOptimal:
-        return highs.modelStatusToString(status)
-    return None
+        raise ValueError(f"dispatch LP failed: {highs.modelStatusToString(status)}")
+    return highs
 
 
 def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
@@ -543,7 +517,7 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
     threads = min(_cpu_count(), len(distinct))
     # The problem is built here, before any thread reads it: functools.cached_property
     # has no lock from Python 3.12 on.
-    if threads > 1 and len(network._problem.arcs) >= _THREADED_MIN_ARCS:
+    if threads > 1 and network._problem.n_arcs >= _THREADED_MIN_ARCS:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(threads) as pool:

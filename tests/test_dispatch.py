@@ -615,7 +615,7 @@ class TestHighsBinding:
         "_core": ["_Highs", "HighsLp", "HighsSparseMatrix", "HighsOptions", "HighsSolution",
                   "HighsBasis", "MatrixFormat", "HighsStatus", "HighsModelStatus"],
         "_Highs": ["passOptions", "passModel", "setBasis", "run", "getModelStatus",
-                   "modelStatusToString", "getSolution", "getBasis"],
+                   "modelStatusToString", "getSolution", "getBasis", "getOptionValue"],
         "HighsLp": ["num_col_", "num_row_", "a_matrix_", "col_cost_", "col_lower_", "col_upper_",
                     "row_lower_", "row_upper_"],
         "HighsSparseMatrix": ["format_", "num_col_", "num_row_", "start_", "index_", "value_"],
@@ -635,6 +635,38 @@ class TestHighsBinding:
         for name, value in dispatch._HIGHS_OPTIONS.items():
             setattr(options, name, value)
             assert getattr(options, name) == value
+
+    def test_each_threads_instance_keeps_the_options(self, core, monkeypatch):
+        # Checked on the instance of the thread that solved each hour: after
+        # serial and threaded hours, a model HiGHS rejects and a cone LP.
+        solve, cone = dispatch._solve_hour, dispatch._cone_duals
+        threads, cones = set(), []
+
+        def checking(problem, demand):
+            try:
+                return solve(problem, demand)
+            finally:
+                highs = dispatch._thread.highs
+                for name, value in dispatch._HIGHS_OPTIONS.items():
+                    assert highs.getOptionValue(name) == (core.HighsStatus.kOk, value), name
+                threads.add(threading.get_ident())
+
+        def counting_cone(*args):
+            cones.append(args)
+            return cone(*args)
+
+        monkeypatch.setattr(dispatch, "_solve_hour", checking)
+        monkeypatch.setattr(dispatch, "_cone_duals", counting_cone)
+        monkeypatch.setattr(dispatch, "_cpu_count", lambda: 2)
+        simulate(load_bundled_scenario("smoothing").require("network"), 24)
+        simulate(large_ring("76:3"), 24)
+        assert threading.get_ident() in threads and len(threads) > 1
+        one_region = network([region("a", 5, [(10, 1.0)])])
+        with pytest.raises(ValueError, match="^dispatch LP failed: HiGHS rejected the model$"):
+            min_cost_flow(one_region, [1e20])
+        assert cones == []
+        assert min_cost_flow(one_region, [0.0]).prices_eur_per_mwh == (1.0,)
+        assert len(cones) == 1
 
 
 class TestHighsLoader:
@@ -910,8 +942,10 @@ class TestPricesAreMarginalCosts:
         run = dispatch._run
         assert net._problem.basis is not None
 
-        def fail_cold(highs, problem, rows, lower, upper, basis=None):
-            return "Infeasible" if basis is None else run(highs, problem, rows, lower, upper, basis)
+        def fail_cold(problem, rows, lower, upper, basis=None):
+            if basis is None:
+                raise ValueError("dispatch LP failed: Infeasible")
+            return run(problem, rows, lower, upper, basis)
 
         monkeypatch.setattr(dispatch, "_run", fail_cold)
         assert simulate(net, 2).hourly[0].prices_eur_per_mwh == (1.0,)
