@@ -72,10 +72,18 @@ coupled hours would stack.
 
 ``export_csv`` follows ``simulate``'s memo. It renders each distinct hour's
 region rows once, without the hour column, and writes every hour as its
-number in front of those rows; each distinct value is formatted once. The
-rows are keyed by the identity of the ``HourlyDispatch``, which ``simulate``
-shares among the repeats of a demand vector, so no hour is hashed. An equal
-hour that is a separate object is only rendered again, to the same text.
+number in front of those rows. The rows are keyed by the identity of the
+``HourlyDispatch``, which ``simulate`` shares among the repeats of a demand
+vector, so no hour is hashed. An equal hour that is a separate object is
+only rendered again, to the same text. The distinct values of all the cells
+are rounded in one ``"%.6f"`` pass and printed in one ``"%g"`` pass; only
+the integral ones are rewritten as integers, one Python step per distinct
+value, and each row is joined with ``str.join``. The text is that of
+rounding and formatting each cell on its own: ``round(v, 6)`` and ``"%.6f"
+% v`` come from the same correctly rounded conversion (``_Py_dg_dtoa``,
+mode 3), so ``float("%.6f" % v) == round(v, 6)`` for every finite double,
+and ``"%g"`` is ``format(v, "g")``. The integral test calls ``int``, so an
+infinite or NaN cell still raises from ``_fmt``.
 
 The hours of one network differ only in demand, and demand enters the LP
 only as bounds (the balance rows and the shedding caps), never as a cost or
@@ -118,6 +126,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
 import numbers
 import os
@@ -648,47 +657,40 @@ def export_csv(result: DispatchResult) -> str:
     )
     # Each distinct hour's rows are rendered once, without the hour column.
     # result.hourly keeps every hour alive, so no id() is reused in this call.
-    formatted = _Formatted()
-    names = [region.name for region in result.network.regions]
-    region_rows: dict[int, _Rows] = {}
-    for t, hour in enumerate(result.hourly):
-        rows = region_rows.get(id(hour))
-        if rows is None:
-            rows = region_rows[id(hour)] = _Rows()
-            columns = (
+    columns: dict[int, tuple[tuple[float, ...], ...]] = {}
+    for hour in result.hourly:
+        if id(hour) not in columns:
+            columns[id(hour)] = (
                 hour.demand_mw,
                 hour.served_mw,
-                map(sum, hour.generation_mw),
+                tuple(map(sum, hour.generation_mw)),
                 hour.curtailed_res_mw,
                 hour.unserved_mw,
                 hour.prices_eur_per_mwh,
             )
-            cells = (map(formatted.__getitem__, column) for column in columns)
-            csv.writer(rows, lineterminator="\n").writerows(zip(names, *cells))
-        # Every row ends in the line terminator, so joining on the hour's
-        # prefix puts it at the start of each row but the first.
+    # Each distinct value is formatted once, all of them in one batch. 0, 0.0
+    # and -0.0 are one key, and all three render as "0".
+    cells = itertools.chain.from_iterable(itertools.chain.from_iterable(columns.values()))
+    values = list(dict.fromkeys(cells))
+    text = dict(zip(values, _fmt(values))).__getitem__
+    # Cells never need quoting. Each name is quoted once, as in any row of
+    # two or more fields (csv quotes an empty field only when it is alone).
+    quoted = _Rows()
+    csv.writer(quoted, lineterminator="\n").writerows((region.name, "") for region in result.network.regions)
+    names = [row[: -len(",\n")] for row in quoted]
+    rows = {
+        key: list(map(",".join, zip(names, *(map(text, column) for column in hour))))
+        for key, hour in columns.items()
+    }
+    for t, hour in enumerate(result.hourly):
         prefix = f"{t},"
-        out.write(prefix + prefix.join(rows))
+        out.write(prefix + f"\n{prefix}".join(rows[id(hour)]) + "\n")
     writer.writerow([])
     writer.writerow(["metric", "value"])
     writer.writerow(["hours", result.n_hours])
-    writer.writerow(["total_cost_eur", _fmt(result.total_cost_eur)])
-    writer.writerow(["total_curtailed_mwh", _fmt(result.total_curtailed_mwh)])
-    writer.writerow(["total_unserved_mwh", _fmt(result.total_unserved_mwh)])
-    writer.writerow(["mean_price_spread_eur_per_mwh", _fmt(result.mean_price_spread_eur_per_mwh)])
+    summary = ("total_cost_eur", "total_curtailed_mwh", "total_unserved_mwh", "mean_price_spread_eur_per_mwh")
+    writer.writerows(zip(summary, _fmt([getattr(result, metric) for metric in summary])))
     return out.getvalue()
-
-
-class _Formatted(dict):
-    """Each distinct value's cell text, formatted on its first lookup.
-
-    _fmt is a function of the value, and the keys that compare equal (0, 0.0,
-    -0.0) all render as "0".
-    """
-
-    def __missing__(self, value: float) -> str:
-        text = self[value] = _fmt(value)
-        return text
 
 
 class _Rows(list):
@@ -697,11 +699,24 @@ class _Rows(list):
     write = list.append
 
 
-def _fmt(value: float) -> str:
-    rounded = round(value, 6)
-    # int() raises on inf and nan, so a non-finite value never reaches a cell.
-    # Floats hold every integer exactly only below 2**53; past it, all the
-    # digits of int(rounded) would claim a precision the value does not have.
-    if rounded == int(rounded) and abs(rounded) < 2**53:
-        return str(int(rounded))
-    return format(rounded, "g")
+def _fmt(values: list[float]) -> list[str]:
+    """Each value's cell text: the value rounded to 6 decimals, written as an
+    integer when it is one (below 2**53) and in ``%g`` form otherwise.
+
+    All the values are rounded by one ``"%.6f"`` and printed by one ``"%g"``
+    operation, not one call per value. ``"%.6f" % v`` and ``round(v, 6)``
+    come from the same correctly rounded decimal conversion, so
+    ``float("%.6f" % v) == round(v, 6)`` for every finite double, and
+    ``"%g" % v`` is ``format(v, "g")``.
+    """
+    k = len(values)
+    rounded = list(map(float, (("%.6f " * k) % tuple(values)).split()))
+    texts = (("%g " * k) % tuple(rounded)).split()
+    for i, r in enumerate(rounded):
+        # int() raises on inf and nan, so a non-finite value never reaches a
+        # cell. Floats hold every integer exactly only below 2**53; past it,
+        # all the digits of int(r) would claim a precision the value does
+        # not have.
+        if r == int(r) and abs(r) < 2**53:
+            texts[i] = str(int(r))
+    return texts

@@ -14,10 +14,10 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridecon import dispatch
+from gridecon import cli, dispatch
 from gridecon.datasets import load_bundled_scenario
 from gridecon.dispatch import (
     DispatchNetwork,
@@ -496,9 +496,19 @@ class TestReferenceBasis:
             simulate(net, 6)
 
 
+def cell_text(value):
+    """One cell's text by the per-value rule that export_csv's batch
+    formatter replaced, kept here verbatim as its oracle."""
+    rounded = round(value, 6)
+    if rounded == int(rounded) and abs(rounded) < 2**53:
+        return str(int(rounded))
+    return format(rounded, "g")
+
+
 class TestExportCsv:
-    """export_csv formats each distinct value once and renders each distinct
-    hour's rows once; the text is that of formatting every cell on its own."""
+    """export_csv formats each distinct value once, in one batch, and renders
+    each distinct hour's rows once; the text is that of formatting every cell
+    on its own."""
 
     @staticmethod
     def plain(result):
@@ -510,18 +520,21 @@ class TestExportCsv:
             for ri, reg in enumerate(result.network.regions):
                 cells = (hour.demand_mw[ri], hour.served_mw[ri], sum(hour.generation_mw[ri]),
                          hour.curtailed_res_mw[ri], hour.unserved_mw[ri], hour.prices_eur_per_mwh[ri])
-                writer.writerow([t, reg.name, *map(dispatch._fmt, cells)])
+                writer.writerow([t, reg.name, *map(cell_text, cells)])
         writer.writerow([])
         writer.writerow(["metric", "value"])
         writer.writerow(["hours", result.n_hours])
         for metric in ("total_cost_eur", "total_curtailed_mwh", "total_unserved_mwh",
                        "mean_price_spread_eur_per_mwh"):
-            writer.writerow([metric, dispatch._fmt(getattr(result, metric))])
+            writer.writerow([metric, cell_text(getattr(result, metric))])
         return out.getvalue()
 
     def test_seeded_ring(self):
-        result = simulate(ring_network("10:58", n_regions=10, n_chords=10), 24)
-        assert export_csv(result) == self.plain(result)
+        # A small ring solved serially and a 200-region ring solved on the
+        # thread pool.
+        for net in (ring_network("10:58", n_regions=10, n_chords=10), ring_network("101:10", 200, 200)):
+            result = simulate(net, 24)
+            assert export_csv(result) == self.plain(result)
 
     def test_equal_zeros_and_near_values(self):
         # 0, 0.0 and -0.0 are one memo key; values that differ below the
@@ -579,8 +592,54 @@ class TestExportCsv:
         text = export_csv(simulate(net, 1))
         assert text.splitlines()[1] == "0,a,5,1,1,0,4,1e+300"
         assert "\ntotal_cost_eur,4e+300\n" in text
-        assert dispatch._fmt(2.0**53 - 1) == "9007199254740991"
-        assert dispatch._fmt(2.0**53) == "9.0072e+15"
+        assert dispatch._fmt([2.0**53 - 1]) == ["9007199254740991"]
+        assert dispatch._fmt([2.0**53]) == ["9.0072e+15"]
+
+    def test_non_finite_cell_raises_from_the_formatter(self):
+        # No summary total sees demand, so only the cell formatter can stop
+        # this inf from being written.
+        net = network([region("a", 1, [(1, 1.0)])])
+        hour = HourlyDispatch(
+            demand_mw=(math.inf,),
+            generation_mw=((1.0,),),
+            flows_mw=(),
+            unserved_mw=(0.0,),
+            curtailed_res_mw=(0.0,),
+            prices_eur_per_mwh=(1.0,),
+            loss_mw=0.0,
+            cost_eur=1.0,
+        )
+        result = DispatchResult(net, (hour,))
+        assert math.isfinite(result.total_curtailed_mwh) and math.isfinite(result.total_cost_eur)
+        with pytest.raises(OverflowError) as caught:
+            export_csv(result)
+        assert cli._failed_step(caught.value) == "dispatch._fmt"
+
+
+# Zero's sign, the rounding boundary at the sixth decimal, the last integer a
+# float holds exactly, huge values, and a value rounded twice: to 1.234565
+# (stored just below it), then by %g to 1.23456.
+EDGE_VALUES = [-0.0, 5e-7, -5e-7, 4.9999999e-7, -4.9999999e-7, 2.0**53 - 1, 2.0**53, 1e300, -1e300, 1.2345649]
+
+
+class TestFormatter:
+    """dispatch._fmt rounds and formats a batch of values in one pass each;
+    every value's text is that of the per-value rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+    @example([])
+    @example(EDGE_VALUES)
+    def test_any_finite_floats(self, values):
+        assert dispatch._fmt(values) == list(map(cell_text, values))
+
+    @pytest.mark.parametrize("value, error", [(math.inf, OverflowError), (-math.inf, OverflowError),
+                                              (math.nan, ValueError)])
+    def test_non_finite_values_raise(self, value, error):
+        with pytest.raises(error):
+            cell_text(value)
+        with pytest.raises(error):
+            dispatch._fmt([1.0, value, 2.5])
 
 
 class TestLargeRingOutput:
