@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import math
 import re
 import sys
 from pathlib import Path
@@ -65,19 +64,6 @@ def _failed_step(exc: BaseException) -> str:
     return step
 
 
-def _rendered(report: Report, fmt: str) -> str:
-    from .report import render
-
-    for row in report.rows:
-        for column, value in zip(report.columns, row):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(
-                    f"report row {row[0]!r}, column {column!r}: {value} is not a finite "
-                    "number; the inputs are too large to compute with"
-                )
-    return render(report, fmt)
-
-
 def _lcoe(profile: str, case: str, length_km: float, capacity_mw: float) -> Report:
     """Levelized cost per delivered kWh of a long point-to-point cable."""
     from .report import Report
@@ -114,9 +100,10 @@ def _lcoe(profile: str, case: str, length_km: float, capacity_mw: float) -> Repo
 
 def _project_table(converter_cost: float, projects_csv: str | None) -> Report:
     """Implied cable cost per km of the benchmark submarine projects."""
-    from .projects import implied_cable_cost_per_km, load_project_records
+    from .projects import implied_cable_cost_per_km, load_project_records, require_converter_cost
     from .report import Report, format_sig
 
+    require_converter_cost(converter_cost)
     records = (
         load_project_records(projects_csv)
         if projects_csv
@@ -471,9 +458,11 @@ def _run(args: list[str], prog: str) -> int:
     command = options.pop("command")
     fmt = options.pop("fmt", None)
     try:
-        output = command(**options)
-        # A report is rendered in its format; simulate's CSV is its output.
-        text = output if fmt is None else _rendered(output, fmt)
+        text = command(**options)
+        if fmt is not None:  # a report is rendered in its format; simulate's CSV is its output
+            from .report import render
+
+            text = render(text, fmt)
     except (ValueError, OSError) as exc:
         return _error(str(exc))
     except ArithmeticError as exc:

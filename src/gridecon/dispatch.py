@@ -522,7 +522,13 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
     require(isinstance(hours, numbers.Integral), "hours", "a whole number", hours)
     demands = [tuple(region.demand_at(t) for region in network.regions) for t in range(hours)]
     distinct = list(dict.fromkeys(demands))
-    solve = functools.partial(min_cost_flow, network)
+
+    def solve(demand: tuple) -> HourlyDispatch:
+        try:
+            return min_cost_flow(network, demand)
+        except ValueError as exc:
+            raise ValueError(f"hour {demands.index(demand)}: {exc}") from exc
+
     threads = min(_cpu_count(), len(distinct))
     # The problem is built here, before any thread reads it: functools.cached_property
     # has no lock from Python 3.12 on.
@@ -530,27 +536,10 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(threads) as pool:
-            solved = _collect(demands, distinct, pool.map(solve, distinct))
+            solved = dict(zip(distinct, pool.map(solve, distinct)))
     else:
-        solved = _collect(demands, distinct, map(solve, distinct))
+        solved = dict(zip(distinct, map(solve, distinct)))
     return DispatchResult(network=network, hourly=tuple(map(solved.__getitem__, demands)))
-
-
-def _collect(demands: list, distinct: list, results) -> dict:
-    """``results`` (one per distinct demand, in order) keyed by demand.
-
-    A failed solve raises ValueError naming the first hour of its demand;
-    results come in the order of ``distinct``, which is the order of first
-    appearance, so that is the earliest failing hour.
-    """
-    solved = {}
-    try:
-        for demand, hour in zip(distinct, results):
-            solved[demand] = hour
-    except ValueError as exc:
-        t = demands.index(distinct[len(solved)])
-        raise ValueError(f"hour {t}: {exc}") from exc
-    return solved
 
 
 def _cpu_count() -> int:

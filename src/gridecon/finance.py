@@ -1,9 +1,11 @@
-"""Capital annuitization and currency normalization.
+"""Capital annuitization, levelized cost and currency normalization.
 
 Every cost computation in the package funnels through these primitives:
 capex is converted to a constant annual payment with a capital recovery
-factor, and monetary values carry an explicit currency and price year so
-figures from different sources can be compared on one basis.
+factor, every cost per delivered kWh is that payment over the delivered
+energy (``levelized_cost``), and monetary values carry an explicit currency
+and price year so figures from different sources can be compared on one
+basis.
 """
 
 from __future__ import annotations
@@ -89,6 +91,12 @@ def annualized_cost(capex: float, fin: FinancialAssumptions) -> float:
     require(0 <= capex, "capex", ">= 0", capex)
     crf = capital_recovery_factor(fin.discount_rate, fin.lifetime_years)
     return capex * (crf + fin.om_rate)
+
+
+def levelized_cost(capex: float, fin: FinancialAssumptions, delivered_gwh: float) -> float:
+    """Annualized cost of ``capex`` (MEUR) per delivered kWh, EUR/kWh."""
+    require(0 < delivered_gwh, "delivered_gwh", "> 0", delivered_gwh)
+    return annualized_cost(capex, fin) / delivered_gwh
 
 
 def normalize_currency(

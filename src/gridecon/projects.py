@@ -86,6 +86,11 @@ class ProjectRecord:
         return CostBand(self.total_cost_meur - spread, self.total_cost_meur + spread)
 
 
+def require_converter_cost(assumption: float) -> None:
+    """Reject a converter cost assumption (MEUR) that is negative or not finite."""
+    require(0 <= assumption < math.inf, "converter cost assumption", "finite and >= 0", assumption)
+
+
 def implied_cable_cost_per_km(
     record: ProjectRecord, converter_cost_assumption_meur: float = 150.0
 ) -> CostBand:
@@ -98,9 +103,7 @@ def implied_cable_cost_per_km(
     converter assumption.
     """
     assumption = converter_cost_assumption_meur
-    require(
-        0 <= assumption < math.inf, "converter cost assumption", "finite and >= 0", assumption
-    )
+    require_converter_cost(assumption)
     if record.known_cable_cost_meur is not None:
         per_km = record.known_cable_cost_meur / record.length_km
         return CostBand(per_km, per_km)

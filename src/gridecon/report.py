@@ -14,16 +14,12 @@ import math
 from dataclasses import dataclass, field
 
 
-def format_sig(value: float, sig: int = 3) -> str:
-    """Round to ``sig`` significant figures, keeping all integer digits."""
-    if isinstance(value, str):
-        return value
+def format_sig(value: float) -> str:
+    """Round a finite number to three significant figures, keeping all integer digits."""
     if value == 0:
         return "0"
-    if not math.isfinite(value):
-        return str(value)
     magnitude = math.floor(math.log10(abs(value)))
-    decimals = max(0, sig - 1 - magnitude)
+    decimals = max(0, 2 - magnitude)
     rounded = round(value, decimals)
     if decimals == 0:
         return str(int(rounded))
@@ -39,10 +35,15 @@ class Report:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     def rendered_rows(self) -> list[list[str]]:
-        return [[_cell(value) for value in row] for row in self.rows]
+        """Every row's cells as text; a float cell that is not finite raises
+        ValueError naming its row and column."""
+        return [
+            [_cell(row, column, value) for column, value in zip(self.columns, row)]
+            for row in self.rows
+        ]
 
 
-def _cell(value) -> str:
+def _cell(row: tuple, column: str, value) -> str:
     if isinstance(value, str):
         return value
     if value is None:
@@ -51,6 +52,11 @@ def _cell(value) -> str:
         return "yes" if value else "no"
     if isinstance(value, int):
         return str(value)
+    if not math.isfinite(value):
+        raise ValueError(
+            f"report row {row[0]!r}, column {column!r}: {value} is not a finite "
+            "number; the inputs are too large to compute with"
+        )
     return format_sig(value)
 
 

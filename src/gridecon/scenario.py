@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .checks import require
-from .finance import FinancialAssumptions, annualized_cost
+from .finance import FinancialAssumptions, levelized_cost
 from .transmission import (
     HOURS_PER_YEAR,
     TransmissionLink,
@@ -148,7 +148,7 @@ def evaluate_connection(
         production_gwh=annual_production(scenario.source),
         delivered_per_path_gwh=delivered,
         total_capex_meur=capex,
-        scenario_lcoe_eur_per_kwh=_per_delivered_kwh(capex, fin, total_delivered),
+        scenario_lcoe_eur_per_kwh=levelized_cost(capex, fin, total_delivered),
         total_delivered_gwh=total_delivered,
     )
 
@@ -156,16 +156,11 @@ def evaluate_connection(
 def trade_inclusive_lcoe(scenario: ConnectionScenario, fin: FinancialAssumptions) -> float:
     """Levelized transmission cost per delivered kWh of source energy plus trade, EUR/kWh."""
     delivered = trade_potential(scenario).total_delivered_gwh
-    return _per_delivered_kwh(_capex(scenario), fin, delivered)
+    return levelized_cost(_capex(scenario), fin, delivered)
 
 
 def _capex(scenario: ConnectionScenario) -> float:
     return sum(link_capex(path.link) for path in scenario.paths)
-
-
-def _per_delivered_kwh(capex: float, fin: FinancialAssumptions, delivered_gwh: float) -> float:
-    """Annualized cost of ``capex`` per delivered kWh; 0 when nothing is delivered."""
-    return annualized_cost(capex, fin) / delivered_gwh if delivered_gwh > 0 else 0.0
 
 
 def revenue(scenario: ConnectionScenario, prices: PriceModel) -> RevenueResult:
@@ -242,8 +237,7 @@ def revenue_per_delivered_kwh(
     """Revenue divided by the energy the link delivers over the period."""
     require(0 <= revenue_eur < math.inf, "revenue_eur", "finite and >= 0", revenue_eur)
     delivered_gwh = deliverable_energy(link, period_hours)
-    if delivered_gwh <= 0:
-        raise ValueError("link delivers no energy over the period")
+    require(0 < delivered_gwh, "delivered_gwh", "> 0", delivered_gwh)
     return revenue_eur / (delivered_gwh * 1e6)
 
 

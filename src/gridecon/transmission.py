@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .checks import require
-from .finance import FinancialAssumptions, annualized_cost
+from .finance import FinancialAssumptions, levelized_cost
 
 HOURS_PER_YEAR = 8760
 
@@ -171,5 +171,4 @@ def transmission_lcoe(
     link: TransmissionLink, fin: FinancialAssumptions, delivered_gwh: float
 ) -> float:
     """Levelized transmission cost in EUR per delivered kWh."""
-    require(0 < delivered_gwh, "delivered_gwh", "> 0", delivered_gwh)
-    return annualized_cost(link_capex(link), fin) / delivered_gwh
+    return levelized_cost(link_capex(link), fin, delivered_gwh)

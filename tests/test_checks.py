@@ -23,6 +23,7 @@ from gridecon.finance import (
     MoneyAmount,
     annualized_cost,
     capital_recovery_factor,
+    levelized_cost,
     normalize_currency,
 )
 from gridecon.profiles import get_profile
@@ -94,6 +95,8 @@ ROWS = [
      "rate", "finite and > -1", -1.0),
     ("annualized_cost.capex", lambda v: annualized_cost(v, FIN),
      "capex", ">= 0", -1.0),
+    ("levelized_cost.delivered_gwh", lambda v: levelized_cost(100.0, FIN, v),
+     "delivered_gwh", "> 0", 0.0),
     ("normalize_currency.target_year",
      lambda v: normalize_currency(
          MoneyAmount(10.0, Currency.EUR, 2007), ConversionContext(1.0, 0.02, Currency.EUR), v
@@ -194,6 +197,7 @@ ROWS = [
 # accept +inf.
 ACCEPT_INF = {
     "annualized_cost.capex",
+    "levelized_cost.delivered_gwh",
     "delivered_from_injection.injected_gwh",
     "transmission_lcoe.delivered_gwh",
 }

@@ -13,11 +13,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridecon
 from cli_runner import invoke
-from gridecon.cli import OM_GAP_NOTE
+from gridecon.cli import FORMATS, OM_GAP_NOTE
 from gridecon.datasets import bundled_path
+from gridecon.projects import CSV_COLUMNS
+from test_scenario_file import NON_FINITE_CELL, NUMBERS
 
 NORMALIZE = [
     "normalize", "--value", "126.7", "--currency", "USD", "--price-year", "1997",
@@ -112,6 +116,52 @@ def test_negative_length_is_rejected_by_its_range_check(number):
     result = invoke(["lcoe", "--length-km", number])
     assert result.exit_code == 2
     assert result.output == f"Error: length_km must be finite and > 0, got {float(number)}\n"
+
+
+def header_only_csv(directory: Path) -> str:
+    """A project CSV with the header and no record."""
+    path = directory / "header_only.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-5"])
+def test_converter_cost_is_checked_without_records(tmp_path, value):
+    result = invoke(["project-table", "--converter-cost", value, "--projects-csv", header_only_csv(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output == f"Error: converter cost assumption must be finite and >= 0, got {float(value)}\n"
+
+
+# Each report subcommand's numeric options; {csv} stands for a header-only project CSV.
+NUMERIC_OPTIONS = {
+    ("lcoe",): ("--length-km", "--capacity-mw"),
+    ("project-table",): ("--converter-cost",),
+    ("project-table", "--projects-csv", "{csv}"): ("--converter-cost",),
+    ("norned",): ("--revenue-meur", "--days"),
+    tuple(NORMALIZE): ("--value", "--price-year", "--target-year", "--fx", "--inflation"),
+}
+
+
+@st.composite
+def numeric_option_runs(draw):
+    """A report subcommand with some of its numeric options set to edge values."""
+    base = draw(st.sampled_from(sorted(NUMERIC_OPTIONS)))
+    args = [*base, "--format", draw(st.sampled_from(FORMATS))]
+    for option in draw(st.lists(st.sampled_from(NUMERIC_OPTIONS[base]), min_size=1, unique=True)):
+        args += [option, str(draw(st.sampled_from(NUMBERS)))]
+    return args
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(args=numeric_option_runs())
+def test_numeric_options_exit_zero_or_two(tmp_path_factory, args):
+    """No traceback, and no inf or nan cell in a report that exits 0. A drawn
+    option comes after the base arguments, so it overrides normalize's own."""
+    csv = header_only_csv(tmp_path_factory.getbasetemp())
+    result = invoke([arg.format(csv=csv) for arg in args])
+    assert result.exit_code in {0, 2}, (args, result.output, repr(result.exception))
+    if result.exit_code == 0:
+        assert not NON_FINITE_CELL.search(result.output), result.output
 
 
 def test_no_subcommand_is_two():

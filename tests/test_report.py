@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 
 from gridecon.report import Report, format_sig, render
@@ -65,3 +68,12 @@ def test_rendering_is_deterministic():
     report = make_report([("a", 1.0), ("b", 0.123456)])
     assert render(report, "table") == render(report, "table")
     assert render(report, "csv") == render(report, "csv")
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "markdown"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_cell_names_its_row_and_column(fmt, value):
+    report = make_report([("a", 1.0), ("b", value)])
+    message = f"report row 'b', column 'value': {value} is not a finite number"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        render(report, fmt)

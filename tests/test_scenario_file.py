@@ -343,6 +343,17 @@ def test_malformed_value_exits_two_naming_its_key(tmp_path, name, key_path, valu
     assert expected in result.output
 
 
+def test_production_that_underflows_to_zero_exits_two(tmp_path):
+    """A link that delivers nothing has no cost per delivered kWh, not 0."""
+    data = bundled_data(GREENLAND)
+    data["generation"].update(capacity_mw=1e-300, capacity_factor=1e-300)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    result = invoke(["scenario", "--scenario", str(path), "--profile", "custom", "--connection", "single"])
+    assert result.exit_code == 2, result.output
+    assert result.output == "Error: delivered_gwh must be > 0, got 0.0\n"
+
+
 # Values swapped in for existing ones: in-range edge values, non-finite and
 # huge numbers, and wrong types.
 NUMBERS = [
