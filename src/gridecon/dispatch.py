@@ -54,9 +54,12 @@ rejects such a model, and a run after a rejected load would solve whatever
 model it held. The balance constraints go to HiGHS as a sparse column
 matrix, one column per arc with at most two entries (leaving one region,
 arriving in another). ``simulate`` solves each distinct demand vector once:
-an hour that repeats an earlier hour's demand shares that hour's result, so
-a year of a daily profile costs about as much as its distinct hours, at
-most 24.
+an hour that repeats an earlier hour's demand shares that hour's result.
+Demand has a period of 24 hours, since ``Region.demand_at`` reads a 24-hour
+profile at ``(hour + tz_offset_hours) % 24``, so hour ``t`` has the demand
+of hour ``t % 24``. ``simulate`` therefore builds and solves only the first
+``min(hours, 24)`` hours and tiles their results over the horizon by tuple
+repetition: a year costs at most 24 solves and no Python step per hour.
 
 Everything in an hour's LP but its demand is built once per network, by the
 first solve, and cached on the network: the normalized objective, the
@@ -72,18 +75,23 @@ coupled hours would stack.
 
 ``export_csv`` follows ``simulate``'s memo. It renders each distinct hour's
 region rows once, without the hour column, and writes every hour as its
-number in front of those rows. The rows are keyed by the identity of the
-``HourlyDispatch``, which ``simulate`` shares among the repeats of a demand
+number in front of those rows; every piece of the text is joined once, at
+the end. The hours are grouped by the identity of their ``HourlyDispatch``
+(``_Hours``), which ``simulate`` shares among the repeats of a demand
 vector, so no hour is hashed. An equal hour that is a separate object is
-only rendered again, to the same text. The distinct values of all the cells
-are rounded in one ``"%.6f"`` pass and printed in one ``"%g"`` pass; only
-the integral ones are rewritten as integers, one Python step per distinct
-value, and each row is joined with ``str.join``. The text is that of
-rounding and formatting each cell on its own: ``round(v, 6)`` and ``"%.6f"
-% v`` come from the same correctly rounded conversion (``_Py_dg_dtoa``,
-mode 3), so ``float("%.6f" % v) == round(v, 6)`` for every finite double,
-and ``"%g"`` is ``format(v, "g")``. The integral test calls ``int``, so an
-infinite or NaN cell still raises from ``_fmt``.
+only rendered again, to the same text. The totals of a ``DispatchResult``
+use the same grouping, and ``export_csv`` builds it once for its rows and
+its summary.
+
+The distinct values of all the cells are rounded in one ``"%.6f"`` pass
+and printed in one ``"%g"`` pass; only the integral ones are rewritten as
+integers, one Python step per distinct value, and each row is joined with
+``str.join``. The text is that of rounding and formatting each cell on its
+own: ``round(v, 6)`` and ``"%.6f" % v`` come from the same correctly
+rounded conversion (``_Py_dg_dtoa``, mode 3), so
+``float("%.6f" % v) == round(v, 6)`` for every finite double, and ``"%g"``
+is ``format(v, "g")``. The integral test calls ``int``, so an infinite or
+NaN cell still raises from ``_fmt``.
 
 The hours of one network differ only in demand, and demand enters the LP
 only as bounds (the balance rows and the shedding caps), never as a cost or
@@ -125,11 +133,11 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import itertools
 import math
 import numbers
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -494,40 +502,90 @@ class DispatchResult:
 
     @property
     def total_curtailed_mwh(self) -> float:
-        return sum(sum(h.curtailed_res_mw) for h in self.hourly)
+        return _Hours(self.hourly).total_curtailed_mwh()
 
     @property
     def total_unserved_mwh(self) -> float:
-        return sum(sum(h.unserved_mw) for h in self.hourly)
+        return _Hours(self.hourly).total_unserved_mwh()
 
     @property
     def mean_price_spread_eur_per_mwh(self) -> float:
+        return _Hours(self.hourly).mean_price_spread_eur_per_mwh()
+
+
+class _Hours:
+    """A result's hours grouped by the ``HourlyDispatch`` object they share:
+    ``distinct`` holds each object once, in order of first appearance, and
+    ``index`` each hour's position in ``distinct``.
+
+    Hours are grouped by identity, as ``simulate`` shares one object among
+    the repeats of a demand vector, so no hour is hashed; an equal hour that
+    is a separate object is a group of its own. The hours keep every object
+    alive, so no ``id`` is reused while they are read. Every step over the
+    hours is a C-level ``map`` or ``zip``, and so is every total's: a total
+    computes its per-hour value once per distinct hour and adds the hours up
+    in order with a plain ``sum``, as a sum over every hour would.
+    """
+
+    def __init__(self, hourly: tuple[HourlyDispatch, ...]) -> None:
+        ids = list(map(id, hourly))
+        objects = dict(zip(ids, hourly))
+        position = dict(zip(objects, itertools.count()))
+        self.distinct = list(objects.values())
+        self.index = list(map(position.__getitem__, ids))
+
+    def _sum(self, per_distinct: list[float]) -> float:
+        return sum(map(per_distinct.__getitem__, self.index))
+
+    def total_curtailed_mwh(self) -> float:
+        return self._sum([sum(h.curtailed_res_mw) for h in self.distinct])
+
+    def total_unserved_mwh(self) -> float:
+        return self._sum([sum(h.unserved_mw) for h in self.distinct])
+
+    def mean_price_spread_eur_per_mwh(self) -> float:
         import numpy as np
 
-        prices = np.array([h.prices_eur_per_mwh for h in self.hourly])
-        return float(np.mean(prices.max(axis=1) - prices.min(axis=1)))
+        # numpy's max and min of each row, as over every hour: Python's could
+        # flip the sign of a zero spread.
+        prices = np.array([h.prices_eur_per_mwh for h in self.distinct])
+        spread = prices.max(axis=1) - prices.min(axis=1)
+        return float(np.mean(spread[self.index]))
+
+
+def _first_day(network: DispatchNetwork, hours: int) -> list[tuple[float, ...]]:
+    """The demand vector of each of the first ``min(hours, 24)`` hours.
+
+    ``Region.demand_at`` reads a 24-hour profile at ``(hour + offset) % 24``,
+    so hour ``t`` of any horizon has the demand of hour ``t % 24``.
+    """
+    return [tuple(region.demand_at(t) for region in network.regions) for t in range(min(hours, 24))]
 
 
 def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
     """Dispatch ``hours`` consecutive hours; hours are independent (no storage),
     so an hour whose demand repeats an earlier hour's shares that hour's result.
 
-    Each distinct demand vector is solved once: on one thread per CPU, at
-    most one per vector, when the network's LP has at least
+    Demand repeats every 24 hours (``Region.demand_at``), so only the first
+    day is built and solved, each distinct demand vector once: on one thread
+    per CPU, at most one per vector, when the network's LP has at least
     ``_THREADED_MIN_ARCS`` columns, else one after the other on the calling
     thread. Either way the results are the same, and a failure names the
-    earliest hour whose demand fails.
+    earliest hour whose demand fails. The rest of the horizon repeats that
+    day's results.
     """
     require(1 <= hours < math.inf, "hours", "finite and >= 1", hours)
     require(isinstance(hours, numbers.Integral), "hours", "a whole number", hours)
-    demands = [tuple(region.demand_at(t) for region in network.regions) for t in range(hours)]
-    distinct = list(dict.fromkeys(demands))
+    # No tuple holds more hours than this.
+    require(hours <= sys.maxsize, "hours", f"<= {sys.maxsize}", hours)
+    day = _first_day(network, hours)
+    distinct = list(dict.fromkeys(day))
 
     def solve(demand: tuple) -> HourlyDispatch:
         try:
             return min_cost_flow(network, demand)
         except ValueError as exc:
-            raise ValueError(f"hour {demands.index(demand)}: {exc}") from exc
+            raise ValueError(f"hour {day.index(demand)}: {exc}") from exc
 
     threads = min(_cpu_count(), len(distinct))
     # The problem is built here, before any thread reads it: functools.cached_property
@@ -539,7 +597,9 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
             solved = dict(zip(distinct, pool.map(solve, distinct)))
     else:
         solved = dict(zip(distinct, map(solve, distinct)))
-    return DispatchResult(network=network, hourly=tuple(map(solved.__getitem__, demands)))
+    first_day = tuple(map(solved.__getitem__, day))
+    days, rest = divmod(hours, 24)
+    return DispatchResult(network=network, hourly=first_day * days + first_day[:rest])
 
 
 def _cpu_count() -> int:
@@ -610,18 +670,18 @@ def reserve_requirements(
     Isolated regions each hold alpha times their own peak. With the
     headroom credit the system holds alpha times the coincident system
     peak, which is never more than the sum of the individual requirements.
+    Demand repeats every 24 hours, so the peaks of the horizon are those of
+    its first day, whose demand is read once.
     """
     require(0.0 < alpha <= 1.0, "alpha", "in (0, 1]", alpha)
     require(1 <= hours < math.inf, "hours", "finite and >= 1", hours)
     require(isinstance(hours, numbers.Integral), "hours", "a whole number", hours)
+    day = _first_day(network, hours)
     isolated = {
-        region.name: alpha * max(region.demand_at(t) for t in range(hours))
-        for region in network.regions
+        region.name: alpha * max(demand) for region, demand in zip(network.regions, zip(*day))
     }
     if link_headroom_credit:
-        system_peak = max(
-            sum(region.demand_at(t) for region in network.regions) for t in range(hours)
-        )
+        system_peak = max(map(sum, day))
         shared = min(alpha * system_peak, sum(isolated.values()))
     else:
         shared = sum(isolated.values())
@@ -630,7 +690,8 @@ def reserve_requirements(
 
 def export_csv(result: DispatchResult) -> str:
     """Hour-by-region rows followed by a summary block, RFC-4180 style."""
-    out = io.StringIO()
+    # Every piece of the text is joined once, at the end.
+    out = _Rows()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
         [
@@ -645,21 +706,21 @@ def export_csv(result: DispatchResult) -> str:
         ]
     )
     # Each distinct hour's rows are rendered once, without the hour column.
-    # result.hourly keeps every hour alive, so no id() is reused in this call.
-    columns: dict[int, tuple[tuple[float, ...], ...]] = {}
-    for hour in result.hourly:
-        if id(hour) not in columns:
-            columns[id(hour)] = (
-                hour.demand_mw,
-                hour.served_mw,
-                tuple(map(sum, hour.generation_mw)),
-                hour.curtailed_res_mw,
-                hour.unserved_mw,
-                hour.prices_eur_per_mwh,
-            )
+    hours = _Hours(result.hourly)
+    columns = [
+        (
+            hour.demand_mw,
+            hour.served_mw,
+            tuple(map(sum, hour.generation_mw)),
+            hour.curtailed_res_mw,
+            hour.unserved_mw,
+            hour.prices_eur_per_mwh,
+        )
+        for hour in hours.distinct
+    ]
     # Each distinct value is formatted once, all of them in one batch. 0, 0.0
     # and -0.0 are one key, and all three render as "0".
-    cells = itertools.chain.from_iterable(itertools.chain.from_iterable(columns.values()))
+    cells = itertools.chain.from_iterable(itertools.chain.from_iterable(columns))
     values = list(dict.fromkeys(cells))
     text = dict(zip(values, _fmt(values))).__getitem__
     # Cells never need quoting. Each name is quoted once, as in any row of
@@ -667,23 +728,25 @@ def export_csv(result: DispatchResult) -> str:
     quoted = _Rows()
     csv.writer(quoted, lineterminator="\n").writerows((region.name, "") for region in result.network.regions)
     names = [row[: -len(",\n")] for row in quoted]
-    rows = {
-        key: list(map(",".join, zip(names, *(map(text, column) for column in hour))))
-        for key, hour in columns.items()
-    }
-    for t, hour in enumerate(result.hourly):
+    rows = [list(map(",".join, zip(names, *(map(text, column) for column in hour)))) for hour in columns]
+    for t, i in enumerate(hours.index):
         prefix = f"{t},"
-        out.write(prefix + f"\n{prefix}".join(rows[id(hour)]) + "\n")
+        out += (prefix, f"\n{prefix}".join(rows[i]), "\n")
     writer.writerow([])
     writer.writerow(["metric", "value"])
     writer.writerow(["hours", result.n_hours])
-    summary = ("total_cost_eur", "total_curtailed_mwh", "total_unserved_mwh", "mean_price_spread_eur_per_mwh")
-    writer.writerows(zip(summary, _fmt([getattr(result, metric) for metric in summary])))
-    return out.getvalue()
+    summary = {
+        "total_cost_eur": result.total_cost_eur,
+        "total_curtailed_mwh": hours.total_curtailed_mwh(),
+        "total_unserved_mwh": hours.total_unserved_mwh(),
+        "mean_price_spread_eur_per_mwh": hours.mean_price_spread_eur_per_mwh(),
+    }
+    writer.writerows(zip(summary, _fmt(list(summary.values()))))
+    return "".join(out)
 
 
 class _Rows(list):
-    """A file for ``csv.writer`` that keeps each written row as one string."""
+    """A file for ``csv.writer`` that keeps each write as one string."""
 
     write = list.append
 

@@ -143,6 +143,11 @@ class TestExitCodes:
                 ["lcoe", "--length-km", "1e308"],
                 "linear loss composition gives non-positive efficiency for 1e+308 km / 2 terminals",
             ),
+            # Rejected before any hour is built.
+            (
+                ["simulate", "--hours", "1" + "0" * 20],
+                f"hours must be <= {sys.maxsize}, got 1{'0' * 20}",
+            ),
         ],
         ids=[
             "negative-converter-cost",
@@ -151,6 +156,7 @@ class TestExitCodes:
             "nan-revenue",
             "overflowing-revenue",
             "huge-length",
+            "horizon-past-maxsize",
         ],
     )
     def test_rejected_value_is_two(self, args, message):

@@ -13,6 +13,7 @@ import textwrap
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -266,6 +267,13 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"^hours must be a whole number, got {hours}$"):
             simulate(network([region("a", 1, [(1, 1.0)])]), hours)
 
+    def test_rejects_horizon_past_the_largest_tuple(self):
+        # No tuple holds more than sys.maxsize hours; the bound is checked
+        # before any demand is built.
+        hours = sys.maxsize + 1
+        with pytest.raises(ValueError, match=f"^hours must be <= {sys.maxsize}, got {hours}$"):
+            simulate(network([region("a", 1, [(1, 1.0)])]), hours)
+
 
 class TestRepeatedHours:
     """simulate solves each distinct demand vector once and reuses the result."""
@@ -290,10 +298,41 @@ class TestRepeatedHours:
 
     def test_year_repeats_the_first_day(self, smoothing):
         result = simulate(smoothing, 8760)
-        assert all(hour == result.hourly[t % 24] for t, hour in enumerate(result.hourly))
+        assert all(hour is result.hourly[t % 24] for t, hour in enumerate(result.hourly))
         golden = GOLDEN_DIR / "simulate_24h.txt"
         first_day = golden.read_text(encoding="utf-8").splitlines()[:49]
         assert export_csv(result).splitlines()[:49] == first_day
+
+    @pytest.mark.parametrize("hours", [1, 23, 24, 25, 47, 49, 8760])
+    def test_hours_share_the_object_of_their_first_demand(self, hours):
+        # Every hour is the object solved for the first hour with its demand,
+        # on the tiled horizon and on a part of a day alike.
+        net = ring_network("25:1", n_regions=6, n_chords=3)
+        result = simulate(net, hours)
+        demands = [hourly_demand(net, t) for t in range(hours)]
+        first = {}
+        for t, demand in enumerate(demands):
+            first.setdefault(demand, t)
+        assert result.n_hours == hours
+        assert all(hour is result.hourly[first[d]] for hour, d in zip(result.hourly, demands))
+        assert all(hour.demand_mw == d for hour, d in zip(result.hourly, demands))
+
+    def test_a_year_reads_one_day_of_demand(self, monkeypatch):
+        # Demand repeats every 24 h, so a year reads at most one day of it.
+        net = ring_network("25:2", n_regions=5, n_chords=2)
+        calls = []
+        demand_at = Region.demand_at
+
+        def counting(region, hour):
+            calls.append(hour)
+            return demand_at(region, hour)
+
+        monkeypatch.setattr(Region, "demand_at", counting)
+        simulate(net, 8760)
+        assert len(calls) <= 24 * len(net.regions)
+        calls.clear()
+        reserve_requirements(net, 0.1, hours=8760)
+        assert len(calls) <= 24 * len(net.regions)
 
     def test_benchmark_tracer_counts_one_solve_per_distinct_hour(self):
         # The benchmark's tracer must see the memo: one min_cost_flow span per
@@ -521,12 +560,20 @@ class TestExportCsv:
                 cells = (hour.demand_mw[ri], hour.served_mw[ri], sum(hour.generation_mw[ri]),
                          hour.curtailed_res_mw[ri], hour.unserved_mw[ri], hour.prices_eur_per_mwh[ri])
                 writer.writerow([t, reg.name, *map(cell_text, cells)])
+        # The totals by their per-hour formulas, not DispatchResult's own.
+        hourly = result.hourly
+        prices = np.array([h.prices_eur_per_mwh for h in hourly])
+        totals = {
+            "total_cost_eur": sum(h.cost_eur for h in hourly),
+            "total_curtailed_mwh": sum(sum(h.curtailed_res_mw) for h in hourly),
+            "total_unserved_mwh": sum(sum(h.unserved_mw) for h in hourly),
+            "mean_price_spread_eur_per_mwh": float(np.mean(prices.max(axis=1) - prices.min(axis=1))),
+        }
         writer.writerow([])
         writer.writerow(["metric", "value"])
-        writer.writerow(["hours", result.n_hours])
-        for metric in ("total_cost_eur", "total_curtailed_mwh", "total_unserved_mwh",
-                       "mean_price_spread_eur_per_mwh"):
-            writer.writerow([metric, cell_text(getattr(result, metric))])
+        writer.writerow(["hours", len(hourly)])
+        for metric, value in totals.items():
+            writer.writerow([metric, cell_text(value)])
         return out.getvalue()
 
     def test_seeded_ring(self):
@@ -560,6 +607,18 @@ class TestExportCsv:
         # Every hour of the demo repeats one of 13 distinct results.
         smoothing = load_bundled_scenario("smoothing").require("network")
         result = simulate(smoothing, hours)
+        assert export_csv(result) == self.plain(result)
+
+    @pytest.mark.parametrize("hours", [1, 23, 25])
+    def test_smoothing_part_days(self, hours):
+        # Less than a day, and a day and an hour.
+        smoothing = load_bundled_scenario("smoothing").require("network")
+        result = simulate(smoothing, hours)
+        assert export_csv(result) == self.plain(result)
+
+    def test_seeded_ring_year(self):
+        # 24 distinct hours of 20 regions, each repeated 365 times.
+        result = simulate(ring_network("25:4", n_regions=20, n_chords=10), 8760)
         assert export_csv(result) == self.plain(result)
 
     def test_equal_hours_that_are_distinct_objects_and_quoted_names(self):
@@ -1203,6 +1262,25 @@ class TestReserveRequirements:
             alpha = rng.uniform(0.01, 1.0)
             req = reserve_requirements(network(regions), alpha=alpha)
             assert req.shared_mw <= req.isolated_total_mw + 1e-9
+
+    @pytest.mark.parametrize("hours", [1, 5, 24, 25, 8760])
+    @pytest.mark.parametrize("credit", [True, False])
+    def test_equals_the_peaks_over_every_hour(self, hours, credit):
+        # Reading one day of demand gives the peaks over the whole horizon.
+        net = ring_network("25:3", n_regions=7, n_chords=3)
+        alpha = 0.15
+        isolated = {
+            region.name: alpha * max(region.demand_at(t) for t in range(hours))
+            for region in net.regions
+        }
+        if credit:
+            system_peak = max(sum(region.demand_at(t) for region in net.regions) for t in range(hours))
+            shared = min(alpha * system_peak, sum(isolated.values()))
+        else:
+            shared = sum(isolated.values())
+        req = reserve_requirements(net, alpha, link_headroom_credit=credit, hours=hours)
+        assert req.isolated_mw == isolated
+        assert req.shared_mw == shared
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
