@@ -408,23 +408,25 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     option = command("lcoe", _lcoe)
     option("--profile", default="paper-appendix-A", choices=PROFILES, help="Calibration profile.")
     option("--case", default="all", choices=(*CASES, "all"), help="Submarine cable cost case.")
-    option("--length-km", default=5500.0, type=float, help="Cable length, km.")
-    option("--capacity-mw", default=3000.0, type=float, help="Link rating, MW.")
+    option("--length-km", default=datasets.LONG_LINK["length_km"], type=float, help="Cable length, km.")
+    option("--capacity-mw", default=datasets.LONG_LINK["capacity_mw"], type=float, help="Link rating, MW.")
 
     option = command("project-table", _project_table)
     option("--converter-cost", default=150.0, type=float, help="Assumed cost of one converter terminal, MEUR.")
     option("--projects-csv", help="Project records CSV (default: bundled dataset).")
 
-    option = command("scenario", _scenario)
-    option("--scenario", dest="scenario_spec", metavar="SCENARIO", default="greenland", help="Bundled scenario name or path to a scenario file.")
-    option("--profile", default="appendix-B-reconciled", choices=SCENARIO_PROFILES, help="Calibration profile; custom takes the scenario file's.")
-    option("--case", default="low", choices=CASES, help="Submarine cable cost case.")
+    def case_study(name: str, function):
+        # The options of a report that evaluates the case study (_case_study).
+        option = command(name, function)
+        option("--scenario", dest="scenario_spec", metavar="SCENARIO", default="greenland", help="Bundled scenario name or path to a scenario file.")
+        option("--profile", default="appendix-B-reconciled", choices=SCENARIO_PROFILES, help="Calibration profile; custom takes the scenario file's.")
+        option("--case", default="low", choices=CASES, help="Submarine cable cost case.")
+        return option
+
+    option = case_study("scenario", _scenario)
     option("--connection", default="dual", choices=("single", "dual"), help="Paths evaluated.")
 
-    option = command("trade", _trade)
-    option("--scenario", dest="scenario_spec", metavar="SCENARIO", default="greenland", help="Bundled scenario name or path to a scenario file.")
-    option("--profile", default="appendix-B-reconciled", choices=SCENARIO_PROFILES, help="Calibration profile; custom takes the scenario file's.")
-    option("--case", default="low", choices=CASES, help="Submarine cable cost case.")
+    case_study("trade", _trade)
 
     option = command("norned", _norned)
     option("--revenue-meur", default=datasets.NORNED["revenue_meur"], type=float, help="Observed revenue over the period.")

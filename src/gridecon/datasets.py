@@ -28,6 +28,8 @@ if TYPE_CHECKING:
 
 CABLE_COST_CASES_MEUR_PER_KM = {"low": 1.15, "high": 1.8}
 TERMINAL_COST_MEUR = 300.0
+# The paper's base long link, the inputs of its published link LCOE.
+LONG_LINK = {"profile": "paper-appendix-A", "length_km": 5500.0, "capacity_mw": 3000.0, "case": "low"}
 
 
 def _cable_unit_cost(case: str) -> float:
@@ -36,9 +38,9 @@ def _cable_unit_cost(case: str) -> float:
 
 
 def long_submarine_link(
-    length_km: float = 5500.0,
-    case: str = "low",
-    capacity_mw: float = 3000.0,
+    length_km: float = LONG_LINK["length_km"],
+    case: str = LONG_LINK["case"],
+    capacity_mw: float = LONG_LINK["capacity_mw"],
 ) -> TransmissionLink:
     """Point-to-point submarine cable with two converter terminals, at the duty
     cycle of the ``paper-appendix-A`` profile."""
@@ -135,7 +137,6 @@ def _relative(value: float, tolerance: float, inputs: dict) -> tuple:
 # argument may take and one left out may take any. A key names the quantity
 # and the arguments that choose among the references one report row can show.
 # LCOEs are EUR/kWh, link_lcoe_usd USD/kWh at FX_USD_TO_EUR_2011, energies GWh/yr.
-_LINK = {"profile": "paper-appendix-A", "capacity_mw": 3000.0, "length_km": 5500.0}
 # every profile at the case study's duty cycle; custom reads the bundled file's
 _CASE_STUDY = {"scenario_spec": "greenland", "profile": ("paper-appendix-A", "appendix-B-reconciled", "custom")}
 _SINGLE = {**_CASE_STUDY, "connection": "single"}
@@ -143,12 +144,12 @@ _DUAL = {**_CASE_STUDY, "connection": "dual"}
 NORNED = {"profile": "norned", "revenue_meur": 50.0, "days": 61}  # the first two months of operation
 NORNED_PERIOD_DAYS_SENSITIVITY = 60
 REFERENCES = {
-    ("link_lcoe", 5500.0, "low"): _relative(0.0166, 0.02, {**_LINK, "case": "low"}),
-    ("link_lcoe", 5500.0, "high"): _relative(0.0251, 0.02, {**_LINK, "case": "high"}),
-    ("link_lcoe", 4400.0, "low"): _relative(0.013, 0.02, {**_LINK, "length_km": 4400.0, "case": "low"}),
+    ("link_lcoe", 5500.0, "low"): _relative(0.0166, 0.02, LONG_LINK),
+    ("link_lcoe", 5500.0, "high"): _relative(0.0251, 0.02, {**LONG_LINK, "case": "high"}),
+    ("link_lcoe", 4400.0, "low"): _relative(0.013, 0.02, {**LONG_LINK, "length_km": 4400.0}),
     # the 5500 km values in USD; compare-import prints them as its link costs
-    ("link_lcoe_usd", "low"): _relative(0.023, 0.02, {**_LINK, "case": "low"}),
-    ("link_lcoe_usd", "high"): _relative(0.035, 0.02, {**_LINK, "case": "high"}),
+    ("link_lcoe_usd", "low"): _relative(0.023, 0.02, LONG_LINK),
+    ("link_lcoe_usd", "high"): _relative(0.035, 0.02, {**LONG_LINK, "case": "high"}),
     ("scenario_lcoe", "single", "low"): _relative(0.014, 0.05, {**_SINGLE, "case": "low"}),
     ("scenario_lcoe", "single", "high"): _relative(0.019, 0.05, {**_SINGLE, "case": "high"}),
     ("scenario_lcoe", "dual", "low"): _relative(0.029, 0.05, {**_DUAL, "case": "low"}),

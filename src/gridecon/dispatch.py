@@ -73,15 +73,16 @@ problem never goes stale; a ``dataclasses.replace`` copy is a new network
 and builds its own. This compiled problem is also the block that an LP of
 coupled hours would stack.
 
-``export_csv`` follows ``simulate``'s memo. It renders each distinct hour's
-region rows once, without the hour column, and writes every hour as its
-number in front of those rows; every piece of the text is joined once, at
-the end. The hours are grouped by the identity of their ``HourlyDispatch``
-(``_Hours``), which ``simulate`` shares among the repeats of a demand
-vector, so no hour is hashed. An equal hour that is a separate object is
-only rendered again, to the same text. The totals of a ``DispatchResult``
-use the same grouping, and ``export_csv`` builds it once for its rows and
-its summary.
+A ``DispatchResult`` groups its hours once, on first use, by the identity
+of their ``HourlyDispatch`` (``DispatchResult._hours``), which ``simulate``
+shares among the repeats of a demand vector, so no hour is hashed. Its four
+totals compute their per-hour value once per distinct hour and add the
+hours up in order, as a sum over every hour would, to the same bits.
+``export_csv`` follows the same grouping: it renders each distinct hour's
+region rows once, without the hour column, writes every hour as its number
+in front of those rows, and ends with the result's totals; every piece of
+the text is joined once, at the end. An equal hour that is a separate
+object is only rendered again, to the same text.
 
 The distinct values of all the cells are rounded in one ``"%.6f"`` pass
 and printed in one ``"%g"`` pass; only the integral ones are rewritten as
@@ -189,6 +190,8 @@ class Region:
         for cap, cost in self.generators:
             ok = 0 <= cap < math.inf and 0 <= cost < math.inf
             require(ok, label, "finite and >= 0 in capacity and cost", (cap, cost))
+        offset = self.tz_offset_hours
+        require(isinstance(offset, numbers.Integral), f"{self.name}: tz_offset_hours", "a whole number", offset)
 
     def demand_at(self, hour: int) -> float:
         """Demand at global hour ``hour``; the profile is read in local time."""
@@ -496,69 +499,63 @@ class DispatchResult:
     def n_hours(self) -> int:
         return len(self.hourly)
 
+    @functools.cached_property
+    def _hours(self) -> tuple[list[HourlyDispatch], list[int]]:
+        """The hours grouped by the ``HourlyDispatch`` object they share, built
+        on first use: each object once, in order of first appearance, and each
+        hour's position in that list.
+
+        Hours are grouped by identity, as ``simulate`` shares one object among
+        the repeats of a demand vector, so no hour is hashed; an equal hour
+        that is a separate object is a group of its own. ``hourly`` keeps
+        every object alive, so no ``id`` is reused. A frozen result never
+        changes, so the cache never goes stale.
+        """
+        ids = list(map(id, self.hourly))
+        objects = dict(zip(ids, self.hourly))
+        position = dict(zip(objects, itertools.count()))
+        return list(objects.values()), list(map(position.__getitem__, ids))
+
+    def _total(self, per_hour) -> float:
+        """``sum(map(per_hour, self.hourly))``, calling ``per_hour`` once per
+        distinct hour: the same floats added in the same order."""
+        distinct, index = self._hours
+        values = list(map(per_hour, distinct))
+        return sum(map(values.__getitem__, index))
+
     @property
     def total_cost_eur(self) -> float:
-        return sum(h.cost_eur for h in self.hourly)
+        return self._total(lambda h: h.cost_eur)
 
     @property
     def total_curtailed_mwh(self) -> float:
-        return _Hours(self.hourly).total_curtailed_mwh()
+        return self._total(lambda h: sum(h.curtailed_res_mw))
 
     @property
     def total_unserved_mwh(self) -> float:
-        return _Hours(self.hourly).total_unserved_mwh()
+        return self._total(lambda h: sum(h.unserved_mw))
 
     @property
-    def mean_price_spread_eur_per_mwh(self) -> float:
-        return _Hours(self.hourly).mean_price_spread_eur_per_mwh()
-
-
-class _Hours:
-    """A result's hours grouped by the ``HourlyDispatch`` object they share:
-    ``distinct`` holds each object once, in order of first appearance, and
-    ``index`` each hour's position in ``distinct``.
-
-    Hours are grouped by identity, as ``simulate`` shares one object among
-    the repeats of a demand vector, so no hour is hashed; an equal hour that
-    is a separate object is a group of its own. The hours keep every object
-    alive, so no ``id`` is reused while they are read. Every step over the
-    hours is a C-level ``map`` or ``zip``, and so is every total's: a total
-    computes its per-hour value once per distinct hour and adds the hours up
-    in order with a plain ``sum``, as a sum over every hour would.
-    """
-
-    def __init__(self, hourly: tuple[HourlyDispatch, ...]) -> None:
-        ids = list(map(id, hourly))
-        objects = dict(zip(ids, hourly))
-        position = dict(zip(objects, itertools.count()))
-        self.distinct = list(objects.values())
-        self.index = list(map(position.__getitem__, ids))
-
-    def _sum(self, per_distinct: list[float]) -> float:
-        return sum(map(per_distinct.__getitem__, self.index))
-
-    def total_curtailed_mwh(self) -> float:
-        return self._sum([sum(h.curtailed_res_mw) for h in self.distinct])
-
-    def total_unserved_mwh(self) -> float:
-        return self._sum([sum(h.unserved_mw) for h in self.distinct])
-
     def mean_price_spread_eur_per_mwh(self) -> float:
         import numpy as np
 
         # numpy's max and min of each row, as over every hour: Python's could
         # flip the sign of a zero spread.
-        prices = np.array([h.prices_eur_per_mwh for h in self.distinct])
+        distinct, index = self._hours
+        prices = np.array([h.prices_eur_per_mwh for h in distinct])
         spread = prices.max(axis=1) - prices.min(axis=1)
-        return float(np.mean(spread[self.index]))
+        return float(np.mean(spread[index]))
 
 
 def _first_day(network: DispatchNetwork, hours: int) -> list[tuple[float, ...]]:
-    """The demand vector of each of the first ``min(hours, 24)`` hours.
+    """The demand vector of each of the first ``min(hours, 24)`` hours of a
+    horizon of ``hours``, a whole number from 1 up.
 
     ``Region.demand_at`` reads a 24-hour profile at ``(hour + offset) % 24``,
     so hour ``t`` of any horizon has the demand of hour ``t % 24``.
     """
+    require(1 <= hours < math.inf, "hours", "finite and >= 1", hours)
+    require(isinstance(hours, numbers.Integral), "hours", "a whole number", hours)
     return [tuple(region.demand_at(t) for region in network.regions) for t in range(min(hours, 24))]
 
 
@@ -574,11 +571,9 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
     earliest hour whose demand fails. The rest of the horizon repeats that
     day's results.
     """
-    require(1 <= hours < math.inf, "hours", "finite and >= 1", hours)
-    require(isinstance(hours, numbers.Integral), "hours", "a whole number", hours)
+    day = _first_day(network, hours)
     # No tuple holds more hours than this.
     require(hours <= sys.maxsize, "hours", f"<= {sys.maxsize}", hours)
-    day = _first_day(network, hours)
     distinct = list(dict.fromkeys(day))
 
     def solve(demand: tuple) -> HourlyDispatch:
@@ -674,8 +669,6 @@ def reserve_requirements(
     its first day, whose demand is read once.
     """
     require(0.0 < alpha <= 1.0, "alpha", "in (0, 1]", alpha)
-    require(1 <= hours < math.inf, "hours", "finite and >= 1", hours)
-    require(isinstance(hours, numbers.Integral), "hours", "a whole number", hours)
     day = _first_day(network, hours)
     isolated = {
         region.name: alpha * max(demand) for region, demand in zip(network.regions, zip(*day))
@@ -706,7 +699,7 @@ def export_csv(result: DispatchResult) -> str:
         ]
     )
     # Each distinct hour's rows are rendered once, without the hour column.
-    hours = _Hours(result.hourly)
+    distinct, index = result._hours
     columns = [
         (
             hour.demand_mw,
@@ -716,7 +709,7 @@ def export_csv(result: DispatchResult) -> str:
             hour.unserved_mw,
             hour.prices_eur_per_mwh,
         )
-        for hour in hours.distinct
+        for hour in distinct
     ]
     # Each distinct value is formatted once, all of them in one batch. 0, 0.0
     # and -0.0 are one key, and all three render as "0".
@@ -729,19 +722,14 @@ def export_csv(result: DispatchResult) -> str:
     csv.writer(quoted, lineterminator="\n").writerows((region.name, "") for region in result.network.regions)
     names = [row[: -len(",\n")] for row in quoted]
     rows = [list(map(",".join, zip(names, *(map(text, column) for column in hour)))) for hour in columns]
-    for t, i in enumerate(hours.index):
+    for t, i in enumerate(index):
         prefix = f"{t},"
         out += (prefix, f"\n{prefix}".join(rows[i]), "\n")
     writer.writerow([])
     writer.writerow(["metric", "value"])
     writer.writerow(["hours", result.n_hours])
-    summary = {
-        "total_cost_eur": result.total_cost_eur,
-        "total_curtailed_mwh": hours.total_curtailed_mwh(),
-        "total_unserved_mwh": hours.total_unserved_mwh(),
-        "mean_price_spread_eur_per_mwh": hours.mean_price_spread_eur_per_mwh(),
-    }
-    writer.writerows(zip(summary, _fmt(list(summary.values()))))
+    totals = ("total_cost_eur", "total_curtailed_mwh", "total_unserved_mwh", "mean_price_spread_eur_per_mwh")
+    writer.writerows(zip(totals, _fmt([getattr(result, name) for name in totals])))
     return "".join(out)
 
 

@@ -91,9 +91,7 @@ def require_converter_cost(assumption: float) -> None:
     require(0 <= assumption < math.inf, "converter cost assumption", "finite and >= 0", assumption)
 
 
-def implied_cable_cost_per_km(
-    record: ProjectRecord, converter_cost_assumption_meur: float = 150.0
-) -> CostBand:
+def implied_cable_cost_per_km(record: ProjectRecord, converter_cost_assumption_meur: float) -> CostBand:
     """Cable cost per km after stripping an assumed converter cost.
 
     (total - converters * assumption) / length, applied endpoint-wise when

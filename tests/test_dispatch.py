@@ -269,7 +269,7 @@ class TestSimulate:
 
     def test_rejects_horizon_past_the_largest_tuple(self):
         # No tuple holds more than sys.maxsize hours; the bound is checked
-        # before any demand is built.
+        # before any hour is solved.
         hours = sys.maxsize + 1
         with pytest.raises(ValueError, match=f"^hours must be <= {sys.maxsize}, got {hours}$"):
             simulate(network([region("a", 1, [(1, 1.0)])]), hours)
@@ -561,17 +561,10 @@ class TestExportCsv:
                          hour.curtailed_res_mw[ri], hour.unserved_mw[ri], hour.prices_eur_per_mwh[ri])
                 writer.writerow([t, reg.name, *map(cell_text, cells)])
         # The totals by their per-hour formulas, not DispatchResult's own.
-        hourly = result.hourly
-        prices = np.array([h.prices_eur_per_mwh for h in hourly])
-        totals = {
-            "total_cost_eur": sum(h.cost_eur for h in hourly),
-            "total_curtailed_mwh": sum(sum(h.curtailed_res_mw) for h in hourly),
-            "total_unserved_mwh": sum(sum(h.unserved_mw) for h in hourly),
-            "mean_price_spread_eur_per_mwh": float(np.mean(prices.max(axis=1) - prices.min(axis=1))),
-        }
+        totals = per_hour_totals(result.hourly)
         writer.writerow([])
         writer.writerow(["metric", "value"])
-        writer.writerow(["hours", len(hourly)])
+        writer.writerow(["hours", len(result.hourly)])
         for metric, value in totals.items():
             writer.writerow([metric, cell_text(value)])
         return out.getvalue()
@@ -1158,6 +1151,65 @@ class TestMonotonicityProperties:
                     assert b == pytest.approx(a, abs=1e-6)
 
 
+def per_hour_totals(hourly):
+    """The four totals of a result's hours, each by its formula over every hour."""
+    prices = np.array([h.prices_eur_per_mwh for h in hourly])
+    return {
+        "total_cost_eur": sum(h.cost_eur for h in hourly),
+        "total_curtailed_mwh": sum(sum(h.curtailed_res_mw) for h in hourly),
+        "total_unserved_mwh": sum(sum(h.unserved_mw) for h in hourly),
+        "mean_price_spread_eur_per_mwh": float(np.mean(prices.max(axis=1) - prices.min(axis=1))),
+    }
+
+
+class TestTotals:
+    """Each total works once per distinct hour, yet equals its formula over
+    every hour bit for bit: the same floats, added in the same order."""
+
+    @staticmethod
+    def assert_per_hour(result):
+        expected = per_hour_totals(result.hourly)
+        actual = {name: getattr(result, name) for name in expected}
+        assert actual == expected
+        # == does not tell 0.0 from -0.0; the hex form does.
+        assert {k: v.hex() for k, v in actual.items()} == {k: v.hex() for k, v in expected.items()}
+
+    def test_tiled_year_of_the_demo(self):
+        smoothing = load_bundled_scenario("smoothing").require("network")
+        self.assert_per_hour(simulate(smoothing, 8760))
+
+    def test_equal_hours_that_are_distinct_objects(self):
+        # Costs and curtailment far apart in scale, so that adding them in any
+        # other order, or once per distinct hour times its count, changes the
+        # bits; a zero price spread written with -0.0.
+        net = network([region(name, 1, [(5, 0.0)]) for name in "ab"])
+        first = HourlyDispatch(
+            demand_mw=(1.0, 2.0),
+            generation_mw=((1.0,), (2.0,)),
+            flows_mw=(),
+            unserved_mw=(0.1, 0.2),
+            curtailed_res_mw=(1e16, 1.0),
+            prices_eur_per_mwh=(0.0, -0.0),
+            loss_mw=0.0,
+            cost_eur=1e16,
+        )
+        second = dataclasses.replace(first, unserved_mw=(0.3, 1e-17), curtailed_res_mw=(1.0, 3.0),
+                                     prices_eur_per_mwh=(2.5, 1.0), cost_eur=1.0)
+        copy = dataclasses.replace(first)
+        assert copy == first and copy is not first
+        result = DispatchResult(net, (first, second, copy, second, second, dataclasses.replace(first)))
+        self.assert_per_hour(result)
+        assert len(result._hours[0]) == 4
+
+    def test_hours_are_grouped_once(self):
+        result = simulate(load_bundled_scenario("smoothing").require("network"), 48)
+        result.total_cost_eur
+        grouping = vars(result)["_hours"]
+        export_csv(result)
+        self.assert_per_hour(result)
+        assert vars(result)["_hours"] is grouping
+
+
 class TestCurtailmentMetrics:
     def night_wind_networks(self, link_cap):
         regions = [
@@ -1290,6 +1342,12 @@ class TestReserveRequirements:
         with pytest.raises(ValueError, match="^hours must be a whole number, got 2.5$"):
             reserve_requirements(network([region("a", 1, [(1, 1.0)])]), 0.1, hours=2.5)
 
+    def test_accepts_a_horizon_past_the_largest_tuple(self):
+        # Only simulate holds every hour in a tuple; the peaks of any horizon
+        # are those of its first day.
+        net = ring_network("25:3", n_regions=7, n_chords=3)
+        assert reserve_requirements(net, 0.1, hours=sys.maxsize + 1) == reserve_requirements(net, 0.1, hours=24)
+
 
 class TestSinusoidProfile:
     def test_shape(self):
@@ -1324,6 +1382,8 @@ def test_validation_errors():
         network([region("a", 1, [(1, 1)])], [Interconnector("a", "b", 1, 1.0)])
     with pytest.raises(ValueError):
         min_cost_flow(network([region("a", 1, [(1, 1)])]), (1.0, 2.0))
+    with pytest.raises(ValueError, match="^a: tz_offset_hours must be a whole number, got 0.5$"):
+        Region("a", 0.5, (10.0,) * 24, ((20.0, 1.0),))
 
 
 @pytest.mark.parametrize(
