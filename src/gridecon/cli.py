@@ -112,7 +112,7 @@ def _project_table(converter_cost: float, projects_csv: str | None) -> Report:
     rows = []
     for record in records:
         band = implied_cable_cost_per_km(record, converter_cost)
-        low, high = band.rounded(2)
+        low, high = band.rounded()
         cost_per_km = f"{low:.2f}" if band.is_point else f"{low:.2f}-{high:.2f}"
         total = format_sig(record.total_cost_meur)
         if record.cost_range_frac:

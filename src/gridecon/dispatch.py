@@ -552,7 +552,10 @@ def _first_day(network: DispatchNetwork, hours: int) -> list[tuple[float, ...]]:
     horizon of ``hours``, a whole number from 1 up.
 
     ``Region.demand_at`` reads a 24-hour profile at ``(hour + offset) % 24``,
-    so hour ``t`` of any horizon has the demand of hour ``t % 24``.
+    so hour ``t`` of any horizon has the demand of hour ``t % 24``. The 24
+    vectors are the network's day: every longer horizon repeats them, so the
+    network's peaks, and its reserves (``reserve_requirements``), are
+    properties of that day.
     """
     require(1 <= hours < math.inf, "hours", "finite and >= 1", hours)
     require(isinstance(hours, numbers.Integral), "hours", "a whole number", hours)
@@ -658,23 +661,20 @@ def reserve_requirements(
     network: DispatchNetwork,
     alpha: float,
     link_headroom_credit: bool = True,
-    hours: int = 24,
 ) -> ReserveRequirements:
     """Reserve margins as a fraction of peak demand, isolated vs pooled.
 
     Isolated regions each hold alpha times their own peak. With the
     headroom credit the system holds alpha times the coincident system
     peak, which is never more than the sum of the individual requirements.
-    Demand repeats every 24 hours, so the peaks of the horizon are those of
-    its first day, whose demand is read once.
+    Demand repeats every 24 hours, so the reserve is a property of the
+    network's day, whatever the horizon: a region's peak is that of its
+    profile, and the system peak that of the day's hourly totals.
     """
     require(0.0 < alpha <= 1.0, "alpha", "in (0, 1]", alpha)
-    day = _first_day(network, hours)
-    isolated = {
-        region.name: alpha * max(demand) for region, demand in zip(network.regions, zip(*day))
-    }
+    isolated = {region.name: alpha * max(region.demand_profile_mw) for region in network.regions}
     if link_headroom_credit:
-        system_peak = max(map(sum, day))
+        system_peak = max(map(sum, _first_day(network, 24)))
         shared = min(alpha * system_peak, sum(isolated.values()))
     else:
         shared = sum(isolated.values())

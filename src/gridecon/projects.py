@@ -36,6 +36,9 @@ CSV_COLUMNS = (
     "converter_count",
 )
 
+# CostBand.rounded keeps two decimal places: the project table's cent of MEUR per km.
+_HUNDREDTH = Decimal("0.01")
+
 
 @dataclass(frozen=True)
 class CostBand:
@@ -48,8 +51,9 @@ class CostBand:
     def is_point(self) -> bool:
         return self.low == self.high
 
-    def rounded(self, decimals: int = 2) -> tuple[float, float]:
-        return (_round_half_up(self.low, decimals), _round_half_up(self.high, decimals))
+    def rounded(self) -> tuple[float, float]:
+        """Both ends to two decimal places, halves rounded away from zero."""
+        return (_round_half_up(self.low), _round_half_up(self.high))
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,12 @@ def parse_project_records(text: str) -> list[ProjectRecord]:
     seen: set[str] = set()
     for lineno, row in enumerate(reader, start=2):
         try:
+            # DictReader puts the cells past the header in a list under None,
+            # and gives each column past the row's last cell None.
+            extra, missing = row.pop(None, ()), list(row.values()).count(None)
+            if extra or missing:
+                cells = len(header) + len(extra) - missing
+                raise ValueError(f"expected {len(header)} cells, one per column, got {cells}")
             name = row["name"].strip()
             if not name:
                 raise ValueError("empty name")
@@ -183,6 +193,5 @@ def _number(row: dict, column: str, required: bool = True, whole: bool = False):
     return value
 
 
-def _round_half_up(value: float, decimals: int) -> float:
-    quantum = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+def _round_half_up(value: float) -> float:
+    return float(Decimal(repr(value)).quantize(_HUNDREDTH, rounding=ROUND_HALF_UP))

@@ -12,6 +12,7 @@ corridor can carry inter-market trade (``trade_potential``,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .checks import require
@@ -62,6 +63,10 @@ class ConnectionPath:
     market: str
     tz_offset_hours: int = 0
 
+    def __post_init__(self) -> None:
+        offset = self.tz_offset_hours
+        require(isinstance(offset, numbers.Integral), "tz_offset_hours", "a whole number", offset)
+
 
 @dataclass(frozen=True)
 class ConnectionScenario:
@@ -78,10 +83,13 @@ class ConnectionScenario:
             a, b = self.paths
             if a.market == b.market:
                 raise ValueError(f"two paths must serve distinct markets, got {a.market!r} twice")
-            if a.tz_offset_hours == b.tz_offset_hours:
+            # Offsets 24 h apart read the same local clock (Region.demand_at).
+            a_tz, b_tz = a.tz_offset_hours, b.tz_offset_hours
+            if a_tz % 24 == b_tz % 24:
+                got = f"{a_tz} twice" if a_tz == b_tz else f"{a_tz} and {b_tz}, equal modulo 24"
                 raise ValueError(
                     "two paths must serve markets in different time zones (peak windows "
-                    f"would coincide), got tz_offset_hours {a.tz_offset_hours} twice"
+                    f"would coincide), got tz_offset_hours {got}"
                 )
         for path in self.paths:
             if path.link.capacity_mw < self.source.capacity_mw:
@@ -199,11 +207,8 @@ def trade_potential(scenario: ConnectionScenario) -> TradeResult:
     if len(scenario.paths) != 2:
         raise ValueError("trade requires exactly two paths")
     wind_flow = scenario.source.capacity_mw * scenario.source.capacity_factor
+    # Never negative: a path's capacity covers the source's, and so its output.
     residual = min(path.link.capacity_mw - wind_flow for path in scenario.paths)
-    if residual < 0:
-        raise ValueError(
-            f"negative residual capacity ({residual:.0f} MW): source output exceeds a path rating"
-        )
     sent = residual * HOURS_PER_YEAR / 1000.0
     first, second = scenario.paths
     delivered = (

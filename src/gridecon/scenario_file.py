@@ -165,10 +165,10 @@ def _choice(enum):
     return read
 
 
-def _list(read_item, nonempty: bool = False):
+def _list(read_item):
     def read(value) -> tuple:
-        if not isinstance(value, list) or (nonempty and not value):
-            raise ScenarioFileError(f"expected a {'non-empty ' if nonempty else ''}list, got {value!r}")
+        if not isinstance(value, list):
+            raise ScenarioFileError(f"expected a list, got {value!r}")
         items = []
         for index, item in enumerate(value):
             try:
@@ -218,8 +218,7 @@ _LINK = {
             Segment,
             {"kind": _choice(SegmentKind), "length_km": _number, "unit_cost_meur_per_km": _number},
             ("kind", "length_km", "unit_cost_meur_per_km"),
-        ),
-        nonempty=True,
+        )
     ),
     "terminals": _terminals,
     "capacity_mw": _number,

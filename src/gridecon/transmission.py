@@ -87,6 +87,7 @@ class TransmissionLink:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
+        require(len(self.segments) >= 1, "len(segments)", ">= 1", len(self.segments))
         count, cost = self.terminal_count, self.terminal_unit_cost_meur
         require(0 <= count < math.inf, "terminal_count", "finite and >= 0", count)
         require(0 <= cost < math.inf, "terminal_unit_cost_meur", "finite and >= 0", cost)

@@ -112,7 +112,7 @@ def test_criterion_2_project_table():
         records = load_bundled_projects()
         assert len(records) == 5
         for record in records:
-            assert implied_cable_cost_per_km(record, 150.0).rounded(2) == expected[record.name]
+            assert implied_cable_cost_per_km(record, 150.0).rounded() == expected[record.name]
 
 
 def test_criterion_3_currency_normalization():

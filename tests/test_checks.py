@@ -29,6 +29,7 @@ from gridecon.finance import (
 from gridecon.profiles import get_profile
 from gridecon.projects import ProjectRecord, implied_cable_cost_per_km
 from gridecon.scenario import (
+    ConnectionPath,
     GenerationSource,
     PriceModel,
     import_competitiveness,
@@ -128,6 +129,8 @@ ROWS = [
      "injected_gwh", ">= 0", -1.0),
     ("transmission_lcoe.delivered_gwh", lambda v: transmission_lcoe(link(), FIN, v),
      "delivered_gwh", "> 0", 0.0),
+    ("ConnectionPath.tz_offset_hours", lambda v: ConnectionPath(link(), "m", v),
+     "tz_offset_hours", "a whole number", 0.5),
     ("GenerationSource.capacity_mw", lambda v: GenerationSource(v, 0.5),
      "capacity_mw", "finite and > 0", 0.0),
     ("GenerationSource.capacity_factor", lambda v: GenerationSource(100.0, v),
@@ -188,8 +191,6 @@ ROWS = [
      "hours", "finite and >= 1", 0),
     ("reserve_requirements.alpha", lambda v: reserve_requirements(one_region(), v),
      "alpha", "in (0, 1]", 0.0),
-    ("reserve_requirements.hours", lambda v: reserve_requirements(one_region(), 0.1, hours=v),
-     "hours", "finite and >= 1", 0),
 ]
 
 # Computed energies and costs overflow to +inf on huge but valid inputs, and
@@ -218,6 +219,11 @@ def test_out_of_range_value_is_rejected(build, name, rule, value):
 def test_network_without_regions_is_rejected():
     with pytest.raises(ValueError, match=r"^len\(regions\) must be >= 1, got 0$"):
         DispatchNetwork(regions=())
+
+
+def test_link_without_segments_is_rejected():
+    with pytest.raises(ValueError, match=r"^len\(segments\) must be >= 1, got 0$"):
+        link(segments=())
 
 
 def test_unknown_name_lists_the_table():

@@ -172,6 +172,20 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "Error: row 2: Foo: max_depth_m must be finite and >= 0, got -50.0\n" in result.output
 
+    @pytest.mark.parametrize(
+        "row, cells",
+        # An unterminated quote runs to the end of the file, as one cell.
+        [("Foo,±300,700,100,50,500,,", 8), ("Foo,±300,700,100,50,500,,,2,9999", 10), ('Foo,"±300,700', 2)],
+        ids=["short", "long", "unterminated-quote"],
+    )
+    def test_project_row_of_the_wrong_length_is_two(self, tmp_path, row, cells):
+        """A row is neither padded with missing cells nor cut to the header's length."""
+        path = tmp_path / "projects.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + row + "\n", encoding="utf-8")
+        result = invoke(["project-table", "--projects-csv", str(path)])
+        assert result.exit_code == 2
+        assert f"Error: row 2: expected 9 cells, one per column, got {cells}\n" in result.output
+
     def test_repeated_scenario_key_is_two(self, tmp_path):
         """A second ``network`` key is rejected, not simulated in place of the first."""
         text = bundled_path("smoothing_demo.json").read_text(encoding="utf-8")

@@ -331,7 +331,7 @@ class TestRepeatedHours:
         simulate(net, 8760)
         assert len(calls) <= 24 * len(net.regions)
         calls.clear()
-        reserve_requirements(net, 0.1, hours=8760)
+        reserve_requirements(net, 0.1)
         assert len(calls) <= 24 * len(net.regions)
 
     def test_benchmark_tracer_counts_one_solve_per_distinct_hour(self):
@@ -1265,6 +1265,12 @@ class TestCurtailmentMetrics:
         with pytest.raises(ValueError, match="horizons"):
             curtailment_metrics(result, baseline)
 
+    def test_rejects_different_region_sets(self):
+        result = simulate(self.night_wind_networks(10.0), 4)
+        baseline = simulate(network([region("wind", 2, [(10, 0.0)])]), 4)
+        with pytest.raises(ValueError, match="^results cover different region sets$"):
+            curtailment_metrics(result, baseline)
+
 
 class TestReserveRequirements:
     def test_antiphase_peaks_share_reserves(self):
@@ -1315,38 +1321,29 @@ class TestReserveRequirements:
             req = reserve_requirements(network(regions), alpha=alpha)
             assert req.shared_mw <= req.isolated_total_mw + 1e-9
 
-    @pytest.mark.parametrize("hours", [1, 5, 24, 25, 8760])
+    @pytest.mark.parametrize("hours", [24, 25, 8760])
     @pytest.mark.parametrize("credit", [True, False])
     def test_equals_the_peaks_over_every_hour(self, hours, credit):
-        # Reading one day of demand gives the peaks over the whole horizon.
-        net = ring_network("25:3", n_regions=7, n_chords=3)
+        # The reserve of the network's day is that of every horizon of a day or more.
         alpha = 0.15
-        isolated = {
-            region.name: alpha * max(region.demand_at(t) for t in range(hours))
-            for region in net.regions
-        }
-        if credit:
-            system_peak = max(sum(region.demand_at(t) for region in net.regions) for t in range(hours))
-            shared = min(alpha * system_peak, sum(isolated.values()))
-        else:
-            shared = sum(isolated.values())
-        req = reserve_requirements(net, alpha, link_headroom_credit=credit, hours=hours)
-        assert req.isolated_mw == isolated
-        assert req.shared_mw == shared
+        demo = load_bundled_scenario("smoothing").require("network")
+        for net in (ring_network("25:3", n_regions=7, n_chords=3), demo):
+            isolated = {
+                region.name: alpha * max(region.demand_at(t) for t in range(hours))
+                for region in net.regions
+            }
+            if credit:
+                system_peak = max(sum(region.demand_at(t) for region in net.regions) for t in range(hours))
+                shared = min(alpha * system_peak, sum(isolated.values()))
+            else:
+                shared = sum(isolated.values())
+            req = reserve_requirements(net, alpha, link_headroom_credit=credit)
+            assert req.isolated_mw == isolated
+            assert req.shared_mw == shared
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             reserve_requirements(network([region("a", 1, [(1, 1.0)])]), alpha=0.0)
-
-    def test_rejects_fractional_horizon(self):
-        with pytest.raises(ValueError, match="^hours must be a whole number, got 2.5$"):
-            reserve_requirements(network([region("a", 1, [(1, 1.0)])]), 0.1, hours=2.5)
-
-    def test_accepts_a_horizon_past_the_largest_tuple(self):
-        # Only simulate holds every hour in a tuple; the peaks of any horizon
-        # are those of its first day.
-        net = ring_network("25:3", n_regions=7, n_chords=3)
-        assert reserve_requirements(net, 0.1, hours=sys.maxsize + 1) == reserve_requirements(net, 0.1, hours=24)
 
 
 class TestSinusoidProfile:

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,7 @@ def test_implied_cost_norned():
     band = implied_cable_cost_per_km(record, 150.0)
     assert band.is_point
     assert band.low == pytest.approx(300 / 580)
-    assert band.rounded(2) == (0.52, 0.52)
+    assert band.rounded() == (0.52, 0.52)
 
 
 def test_implied_cost_norger_range():
@@ -44,7 +45,7 @@ def test_implied_cost_norger_range():
     assert not band.is_point
     assert band.low == pytest.approx(680 / 570)
     assert band.high == pytest.approx(1520 / 570)
-    assert band.rounded(2) == (1.19, 2.67)
+    assert band.rounded() == (1.19, 2.67)
 
 
 def test_implied_cost_known_cable_cost_overrides():
@@ -53,7 +54,7 @@ def test_implied_cost_known_cable_cost_overrides():
     )
     band = implied_cable_cost_per_km(record, 150.0)
     assert band.low == pytest.approx(0.6)
-    assert band.rounded(2) == (0.60, 0.60)
+    assert band.rounded() == (0.60, 0.60)
 
 
 def test_implied_cost_rejects_inconsistent_assumption():
@@ -71,7 +72,7 @@ def test_bundled_dataset_reproduces_derived_row():
         "NordBalt": (0.60, 0.60),
     }
     for record in load_bundled_projects():
-        assert implied_cable_cost_per_km(record, 150.0).rounded(2) == expected[record.name]
+        assert implied_cable_cost_per_km(record, 150.0).rounded() == expected[record.name]
 
 
 def test_bundled_file_parses_every_field():
@@ -133,6 +134,26 @@ def test_missing_column_rejected():
 def test_unknown_column_rejected():
     text = HEADER.rstrip() + ",bonus\n"
     with pytest.raises(ValueError, match="unknown columns"):
+        parse_project_records(text)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (",±300,700,100,,500,,,2", "row 2: empty name"),
+        ("Foo,±300,,100,,500,,,2", "row 2: missing value for capacity_mw"),
+    ],
+    ids=["empty-name", "missing-value"],
+)
+def test_malformed_row_is_rejected_with_its_number(row, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        parse_project_records(HEADER + row + "\n")
+
+
+def test_short_row_after_a_valid_row_names_its_own_number():
+    # Rows of the wrong length exit 2 from the CLI: tests/test_cli.py.
+    text = HEADER + "Foo,±300,700,100,,500,,,2\nBar,±300\n"
+    with pytest.raises(ValueError, match="^row 3: expected 9 cells, one per column, got 2$"):
         parse_project_records(text)
 
 
@@ -218,5 +239,5 @@ def test_implied_cost_decreasing_in_converter_assumption(total, length, assumpti
 
 
 def test_cost_band_rounding_is_half_away_from_zero():
-    assert CostBand(0.515, 0.515).rounded(2) == (0.52, 0.52)
-    assert CostBand(1.125, 1.125).rounded(2) == (1.13, 1.13)
+    assert CostBand(0.515, 0.515).rounded() == (0.52, 0.52)
+    assert CostBand(1.125, 1.125).rounded() == (1.13, 1.13)

@@ -95,7 +95,10 @@ class TestEvaluateConnection:
 
     def test_free_paths_have_zero_lcoe(self):
         free_link = TransmissionLink(
-            segments=(), terminal_count=0, terminal_unit_cost_meur=0.0, capacity_mw=3000.0
+            segments=(Segment(SegmentKind.SUBMARINE_CABLE, 100.0, 0.0),),
+            terminal_count=0,
+            terminal_unit_cost_meur=0.0,
+            capacity_mw=3000.0,
         )
         scenario = ConnectionScenario(
             source=WIND_3GW,
@@ -111,6 +114,11 @@ class TestEvaluateConnection:
             "two paths must serve distinct markets, got 'a' twice": (("a", 0), ("a", 12)),
             "two paths must serve markets in different time zones (peak windows "
             "would coincide), got tz_offset_hours 3 twice": (("a", 3), ("b", 3)),
+            # Offsets 24 h apart read the same local clock.
+            "two paths must serve markets in different time zones (peak windows "
+            "would coincide), got tz_offset_hours 0 and 24, equal modulo 24": (("a", 0), ("b", 24)),
+            "two paths must serve markets in different time zones (peak windows "
+            "would coincide), got tz_offset_hours -5 and 19, equal modulo 24": (("a", -5), ("b", 19)),
         }
         for message, paths in rejected.items():
             with pytest.raises(ValueError) as error:
@@ -119,6 +127,10 @@ class TestEvaluateConnection:
                     paths=tuple(ConnectionPath(link, market, tz) for market, tz in paths),
                 )
             assert str(error.value) == message
+        accepted = ConnectionScenario(
+            source=WIND_3GW, paths=(ConnectionPath(link, "a", 0), ConnectionPath(link, "b", 12))
+        )
+        assert [path.tz_offset_hours for path in accepted.paths] == [0, 12]
 
     def test_path_capacity_must_cover_source(self):
         with pytest.raises(ValueError, match="below"):
@@ -144,6 +156,13 @@ class TestRevenue:
         )
         result = revenue(scenario, PRICES)
         assert result.uplift == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+    def test_one_path_sells_at_the_blended_price(self):
+        # (12 h at peak + 12 h at half of it) / 24 h
+        result = revenue(single(), PRICES)
+        delivered = evaluate_connection(single(), FIN_OM).total_delivered_gwh
+        assert result.uplift == 0.0
+        assert result.annual_revenue_eur == pytest.approx(delivered * 1e6 * 0.1 * 0.75, rel=1e-12)
 
     def test_case_study_uplift(self):
         result = revenue(dual(), PRICES)
@@ -192,6 +211,22 @@ class TestTradePotential:
         result = trade_potential(greenland())
         assert result.trade_delivered_gwh == pytest.approx(10635.66, abs=0.01)
         assert result.total_delivered_gwh == pytest.approx(20094.84, abs=0.01)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.floats(min_value=1e-3, max_value=1e7),
+        factor=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        headroom=st.sampled_from([1.0, 1.0 + 2**-52, 1.5, 4.0]),
+    )
+    def test_trade_is_never_negative(self, capacity, factor, headroom):
+        # A path covers the source's capacity, and capacity * factor with the
+        # factor in (0, 1] never exceeds that capacity, so no residual is negative.
+        link = simple_link(capacity_mw=capacity * headroom)
+        scenario = ConnectionScenario(
+            source=GenerationSource(capacity, factor),
+            paths=(ConnectionPath(link, "west", 0), ConnectionPath(link, "east", 12)),
+        )
+        assert trade_potential(scenario).trade_delivered_gwh >= 0.0
 
     def test_full_capacity_factor_leaves_no_residual(self):
         scenario = greenland()

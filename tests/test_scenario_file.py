@@ -288,6 +288,15 @@ REGRESSIONS = [
     (GREENLAND, ("finance", "lifetime_years"), 40.7, "finance.lifetime_years"),
     (GREENLAND, ("scenario", "paths", 1, "tz_offset_hours"), -5.5, "scenario.paths[1].tz_offset_hours"),
     (GREENLAND, ("scenario", "paths", 0, "market"), ["x"], "scenario.paths[0].market"),
+    # Offsets 0 and 24 read the same local clock: the source would chase one peak.
+    (
+        GREENLAND,
+        ("scenario", "paths", 1, "tz_offset_hours"),
+        24,
+        "scenario: two paths must serve markets in different time zones (peak windows "
+        "would coincide), got tz_offset_hours 0 and 24, equal modulo 24",
+    ),
+    (GREENLAND, ("links", "to-quebec", "segments"), [], "links.to-quebec: len(segments) must be >= 1, got 0"),
     (SMOOTHING, ("network", "regions", 1, "tz_offset_hours"), "3", "network.regions[1].tz_offset_hours"),
     (SMOOTHING, ("network", "interconnectors"), {}, "network.interconnectors"),
     (SMOOTHING, ("network", "regions", 0, "name"), 7, "network.regions[0].name"),
@@ -341,6 +350,14 @@ def test_malformed_value_exits_two_naming_its_key(tmp_path, name, key_path, valu
     result = run_on_file(COMMANDS[name][0], data, tmp_path / "scenario.json")
     assert result.exit_code == 2, (result.output, result.exception)
     assert expected in result.output
+
+
+def test_region_without_demand_exits_two(tmp_path):
+    data = bundled_data(SMOOTHING)
+    del data["network"]["regions"][1]["demand_peak_mw"]
+    result = run_on_file("simulate", data, tmp_path / "scenario.json")
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert result.output == "Error: network.regions[1]: needs demand_profile_mw or demand_peak_mw\n"
 
 
 def test_production_that_underflows_to_zero_exits_two(tmp_path):

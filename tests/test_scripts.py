@@ -55,3 +55,12 @@ def test_console_script_check_fails_without_the_command(tmp_path):
     run = run_console_script_check(tmp_path)
     assert run.returncode == 1
     assert "gridecon: command not found" in run.stderr
+
+
+def test_console_script_check_fails_on_any_stderr_output(tmp_path):
+    # Only norned warns; its stdout is still its golden file.
+    prelude = 'if sys.argv[1:] == ["norned"]:\n    print("DeprecationWarning: soon", file=sys.stderr)'
+    run = run_console_script_check(tmp_path, prelude)
+    assert run.returncode == 1
+    assert "stderr:\nDeprecationWarning: soon\n" in run.stderr
+    assert re.search(r"\n1 of \d+ failed: norned.txt\n$", run.stderr)

@@ -72,11 +72,11 @@ class TestLinkCapex:
     def test_long_cable_low_case(self):
         assert link_capex(LONG_LOW) == pytest.approx(6925.0)
 
-    def test_empty_link_is_free(self):
-        empty = TransmissionLink(
-            segments=(), terminal_count=0, terminal_unit_cost_meur=0.0, capacity_mw=0.0
+    def test_free_segments_without_terminals_cost_nothing(self):
+        free = TransmissionLink(
+            segments=(cable(100, 0.0),), terminal_count=0, terminal_unit_cost_meur=0.0, capacity_mw=0.0
         )
-        assert link_capex(empty) == 0.0
+        assert link_capex(free) == 0.0
 
     def test_mixed_route(self):
         # 1679 km of cable at 1.15, 387 km OHL at 0.6, two terminals
@@ -88,11 +88,15 @@ class TestRouteEfficiency:
         line = make_link([cable(6000)], terminals=0)
         assert route_efficiency(line) == pytest.approx(0.82)
 
-    def test_empty_route_is_lossless(self):
-        empty = TransmissionLink(
-            segments=(), terminal_count=0, terminal_unit_cost_meur=0.0, capacity_mw=0.0
+    def test_lossless_line_without_terminals_keeps_everything(self):
+        lossless = TransmissionLink(
+            segments=(cable(100),),
+            terminal_count=0,
+            terminal_unit_cost_meur=0.0,
+            capacity_mw=0.0,
+            loss_model=LossModel(line_loss_per_1000km=0.0),
         )
-        assert route_efficiency(empty) == 1.0
+        assert route_efficiency(lossless) == 1.0
 
     def test_uk_route(self):
         # (1 - 0.03 * 2.066) * (1 - 0.012); reproduces the 4822 GWh delivery below
