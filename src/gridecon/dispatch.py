@@ -45,11 +45,13 @@ Each hour is solved through the HiGHS binding that scipy bundles
 file, without ``scipy.optimize``): dual simplex, presolve off, no output,
 as ``scipy.optimize.linprog`` sets them, without ``linprog``'s check of
 every option on every call and its bound marginals, which nothing here
-reads. ``_run`` is the one place that drives a HiGHS instance: it builds
+reads. ``_run`` is the one place that loads a HiGHS instance: it builds
 the calling thread's instance and sets its options once, loads an LP,
-starts and solves it, checks every binding call's status and requires the
-model to end optimal; anything else raises ``ValueError("dispatch LP
-failed: ...")``. HiGHS reads a bound of 1e20 or more as infinite and
+starts and solves it; ``_least_loss`` only changes the bounds and costs of
+the model loaded and runs it again. Every binding call's status is checked
+and every run must end optimal; anything else raises ``ValueError("dispatch
+LP failed: ...")``. The binding is bound once, by the first instance built.
+HiGHS reads a bound of 1e20 or more as infinite and
 rejects such a model, and a run after a rejected load would solve whatever
 model it held. The balance constraints go to HiGHS as a sparse column
 matrix, one column per arc with at most two entries (leaving one region,
@@ -64,12 +66,12 @@ repetition: a year costs at most 24 solves and no Python step per hour.
 Everything in an hour's LP but its demand is built once per network, by the
 first solve, and cached on the network: the normalized objective, the
 balance matrix (in the binding's own sparse type, which a model copies
-whole), the column bounds, the reference basis (below) and the maps that
-decode a solution (each region's unit count, the zero-cost units and the
-link pairs with their loss shares). An hour copies the upper bounds, writes
-its demand into the shedding bounds and the balance rows, loads the model,
-solves from the reference basis and decodes. A network is frozen, so its
-problem never goes stale; a ``dataclasses.replace`` copy is a new network
+whole), the column bounds, each column's rows and gain, the loss shares
+and the maps that decode a solution (each region's unit count, the
+zero-cost units and the link pairs). An hour copies the upper bounds,
+writes its demand into the shedding bounds and the balance rows, loads the
+model, solves it from the previous hour's basis (below) and decodes. A
+network is frozen, so its problem never goes stale; a ``dataclasses.replace`` copy is a new network
 and builds its own. This compiled problem is also the block that an LP of
 coupled hours would stack.
 
@@ -100,17 +102,31 @@ a matrix entry. So a basis of one hour is a basis of every other, and an
 optimal one stays dual feasible: from it, dual simplex reoptimizes after the
 change of right-hand side in a few pivots, where a cold start pivots all the
 way from the slack basis (Bixby, *Operations Research* 50(1), 2002). Each
-network solves one reference hour cold, in which every region draws the
-mean of its 24-hour profile, keeps its optimal basis, and starts every hour
-from it. The start is that one basis, never the previous hour's. Each
-thread keeps one HiGHS instance, whose options never change, and loading an
-hour's model clears whatever the instance held before the basis is set, so
-an hour's result depends on its network and demand alone: ``simulate``
-equals ``min_cost_flow`` hour by hour, in any order and on any thread. A
-network whose reference hour HiGHS cannot solve (say, a mean demand that it
-reads as infinite) keeps no basis, and its hours start cold. The instance
-is reused because building one takes about as long as HiGHS takes to solve
-an hour of the 2-region demo.
+thread keeps one HiGHS instance, whose options never change, and one chain:
+the problem it last solved an hour of and that hour's optimal basis. An
+hour of the same problem starts from that basis; an hour of another network,
+or the thread's first, starts cold. Loading an hour's model clears whatever
+the instance held, so a demand that HiGHS reads as infinite is still
+rejected at load, and a failed hour leaves the chain as it was. The
+instance is reused because building one takes about as long as HiGHS takes
+to solve an hour of the 2-region demo.
+
+Different starts can end at different optimal vertices wherever the
+optimum is not unique, say where free energy could be curtailed in more
+than one region. So every hour takes one canonical optimum: among the
+cost-optimal dispatches, the one with the least transmission loss, which
+is also the one that generates least (``_least_loss``). A second stage
+fixes each column whose reduced cost is not zero at its bound and
+minimizes the loss over the rest; it runs only when the first stage's
+basis shows that a tied column could cut the loss, about one hour in a
+hundred on the benchmark's rings, and its flows replace the first
+stage's, while the prices, a property of the optimal face, stay those of
+the first stage. Equal vertices reached by different pivots can still
+differ in their last bits, so the guarantee is on the printed text:
+``export_csv`` of ``simulate`` is that of ``min_cost_flow`` hour by hour,
+in any order and on any thread, wherever the least-loss dispatch is
+unique. Where it ties (two free units feeding one region over paths of
+equal efficiency) HiGHS picks one of the tied dispatches.
 
 The distinct hours of a large network are solved concurrently, one thread
 per CPU: HiGHS runs without the GIL, so one hour's solve overlaps the
@@ -118,10 +134,11 @@ Python that builds, decodes and prices another. A network takes this path
 when its LP has at least ``_THREADED_MIN_ARCS`` columns (400, the measured
 crossover); below that HiGHS is too small a share of an hour, threads only
 contend for the GIL, and the hours are solved one after the other on the
-calling thread, without importing ``concurrent.futures``. The compiled
-problem, its reference basis with it, is built on the calling thread before
-the pool starts. Results are the same on both paths, and so is the failing
-hour that an error names.
+calling thread, without importing ``concurrent.futures``. Each thread
+takes one contiguous run of the day's distinct hours, in time order, so
+every hour but a run's first starts from the hour before it. The compiled
+problem is built on the calling thread before the pool starts. Both paths
+print the same text, and name the same failing hour, the earliest.
 
 numpy and the HiGHS extension are imported by the first solve, not by this
 module, so importing gridecon and every report that does not dispatch stay
@@ -147,6 +164,7 @@ from .checks import require
 DEFAULT_UNSERVED_PENALTY = 10000.0  # EUR/MWh, far above any generator
 
 _EPS_FLOW = 1e-7  # a column this close to a bound counts as at that bound
+_EPS_COST = 1e-9  # a reduced cost this close to 0 counts as 0: HiGHS's dual tolerance
 # HiGHS options, set once on each thread's instance. Tight tolerances keep
 # each hour's vertex, and so every golden file, where it is (see the module
 # docstring); presolve costs more than it saves on LPs this small.
@@ -163,8 +181,12 @@ _HIGHS_OPTIONS = {
 # GIL. 400 is the smallest size at which threads beat serial by more than
 # the spread of the runs, in sweeps of 24 h simulates of seeded rings.
 _THREADED_MIN_ARCS = 400
-# Each thread's HiGHS instance, built by its first _run.
+# Each thread's HiGHS instance, built by its first _run, and its chain: the
+# problem it last solved an hour of, with that hour's optimal basis.
 _thread = threading.local()
+# scipy's HiGHS binding, bound by the first instance, not at import (see the
+# module docstring).
+_core = None
 
 
 @dataclass(frozen=True)
@@ -282,8 +304,7 @@ class _Problem:
     as region indices: generators region by region, each interconnector
     forward then backward, then one shedding arc per region. A generator or
     shedding arc enters its region from outside the network, so its tail is
-    None. ``basis`` is the optimal HiGHS basis of the reference hour that
-    every hour starts from, or None.
+    None.
     """
 
     def __init__(self, network: DispatchNetwork) -> None:
@@ -340,14 +361,17 @@ class _Problem:
         # They go to HiGHS as lists, because the binding converts a list of
         # bounds faster than an array (only the costs take an array whole).
         self.lower = [0.0] * len(arcs)
-        # Every hour starts from the optimal basis of a reference hour, in
-        # which each region draws the mean of its profile, solved cold; None
-        # (every hour cold) if HiGHS cannot solve that hour.
-        reference = tuple(sum(r.demand_profile_mw) / 24 for r in network.regions)
-        try:
-            self.basis = _run(self, reference, self.lower, self.upper_at(reference).tolist()).getBasis()
-        except ValueError:
-            self.basis = None
+        # Each column's rows and gain, so that a reduced cost is its cost less
+        # gain x its head's dual plus its tail's dual; a column without a tail
+        # reads the 0 appended after the last row's dual.
+        self.heads = np.array([head for _, head, *_ in arcs])
+        self.tails = np.array([n_regions if tail is None else tail for tail, *_ in arcs])
+        self.gains = np.array([gain for _, _, _, gain, _ in arcs])
+        # The least-loss stage's costs: each link column's loss share, 0 for
+        # every other column.
+        self.link_columns = np.array([j + k for j, _ in self.links for k in (0, 1)], dtype=np.int32)
+        self.loss_share = np.zeros(len(arcs))
+        self.loss_share[self.link_columns] = [lost for _, lost in self.links for _ in (0, 1)]
 
     def upper_at(self, demand: tuple[float, ...]):
         """The column upper bounds of an hour: shedding capped at its demand."""
@@ -357,33 +381,85 @@ class _Problem:
 
 
 def _solve_hour(problem: _Problem, demand: tuple[float, ...]):
-    """The LP column values of one hour, clipped at 0, and each region's price.
+    """The LP column values of one hour's least-loss optimum, clipped at 0,
+    and each region's price.
 
-    The calling thread's HiGHS instance is loaded with the hour's model,
-    which clears whatever it held, and starts from ``problem.basis`` (cold
-    when that is None), so the result depends on the network and the demand
-    alone, never on the hours solved before. The demand goes into the
-    balance rows and caps each region's shedding: capping shedding at local
-    demand rules out degenerate optima that route penalty power over
-    cost-tied efficiency-1 links.
+    The calling thread's HiGHS instance is loaded with the hour's model and
+    starts from the optimal basis of the last hour that the thread solved
+    for the same problem, cold when it last solved another network or
+    nothing; that basis replaces the thread's chain. The demand goes into
+    the balance rows and caps each region's shedding: capping shedding at
+    local demand rules out degenerate optima that route penalty power over
+    cost-tied efficiency-1 links. Among the optima, ``_least_loss`` takes
+    the one with the least transmission loss, so the hour does not depend
+    on where the solve started.
 
     A price is the greatest optimal row dual times the penalty. When exactly
-    one column per region lies strictly inside its bounds, the vertex is
-    nondegenerate and its dual, the one HiGHS returns, is unique; otherwise
-    it comes from the cone LP of ``_cone_duals``.
+    one column per region lies strictly inside its bounds in the first
+    stage's optimum, that vertex is nondegenerate and its dual, the one
+    HiGHS returns, is unique; otherwise it comes from the cone LP of
+    ``_cone_duals``. Prices belong to the optimal face, so the least-loss
+    stage leaves them as they are.
     """
     import numpy as np
 
     upper = problem.upper_at(demand)
-    solution = _run(problem, demand, problem.lower, upper.tolist(), problem.basis).getSolution()
-    x = np.maximum(solution.col_value, 0.0)
-    duals = solution.row_dual
-    at_lower = x <= _EPS_FLOW
-    at_upper = x >= upper - _EPS_FLOW
+    chain = getattr(_thread, "chain", None)
+    basis = chain[1] if chain is not None and chain[0] is problem else None
+    highs = _run(problem, demand, problem.lower, upper.tolist(), basis)
+    _thread.chain = (problem, highs.getBasis())
+    solution = highs.getSolution()
+    value, duals = np.array(solution.col_value), solution.row_dual
+    first = np.maximum(value, 0.0)
+    at_lower = first <= _EPS_FLOW
+    at_upper = first >= upper - _EPS_FLOW
+    x = np.maximum(_least_loss(highs, problem, value, duals, upper), 0.0)
     if np.count_nonzero(at_lower | at_upper) != len(x) - len(demand):
         duals = _cone_duals(problem, at_lower, at_upper)
     penalty = problem.penalty
     return x, [dual * penalty for dual in duals]
+
+
+def _least_loss(highs, problem: _Problem, value, duals, upper):
+    """The column values of the optimum with the least transmission loss,
+    given the first stage's optimal ``value`` and row ``duals`` on ``highs``.
+
+    A nonbasic column whose reduced cost is not 0 (by more than
+    ``_EPS_COST``) stays at its bound at every optimum; with no other
+    nonbasic column the optimum is unique. Otherwise the basis prices the
+    loss shares (``y2`` solves ``B^T y2 = c2_B``), and only when one of the
+    zero-cost nonbasic columns could move away from its bound and cut the
+    loss does a second stage run: every other nonbasic column is fixed at
+    its bound and each link costs its loss share as well. The hour's cost
+    is then constant over the columns left free, so that stage minimizes
+    the loss over the first stage's optima. The stage is left on the
+    instance; the next hour's model replaces it.
+    """
+    import numpy as np
+
+    y = np.append(duals, 0.0)
+    rc = problem.objective - problem.gains * y[problem.heads] + y[problem.tails]
+    tied = np.abs(rc) <= _EPS_COST
+    status, basic = highs.getBasicVariables()
+    _check(status, "the basis")
+    tied[basic[basic >= 0]] = False
+    tied = np.flatnonzero(tied)
+    if not len(tied):
+        return value
+    c2 = problem.loss_share
+    status, y2 = highs.getBasisTransposeSolve(np.where(basic >= 0, c2[np.maximum(basic, 0)], 0.0))
+    _check(status, "the basis")
+    y2 = np.append(y2, 0.0)
+    d2 = c2[tied] - problem.gains[tied] * y2[problem.heads[tied]] + y2[problem.tails[tied]]
+    at = value[tied]
+    if not np.any(((d2 < -_EPS_COST) & (at < upper[tied])) | ((d2 > _EPS_COST) & (at > 0.0))):
+        return value
+    fixed = np.flatnonzero(np.abs(rc) > _EPS_COST).astype(np.int32)
+    bound = np.where(rc[fixed] > 0.0, 0.0, upper[fixed])
+    _check(highs.changeColsBounds(len(fixed), fixed, bound, bound), "the least-loss bounds")
+    links = problem.link_columns
+    _check(highs.changeColsCost(len(links), links, c2[links]), "the least-loss costs")
+    return np.array(_solved(highs).getSolution().col_value)
 
 
 def _cone_duals(problem: _Problem, at_lower, at_upper) -> list[float]:
@@ -409,26 +485,19 @@ def _cone_duals(problem: _Problem, at_lower, at_upper) -> list[float]:
 def _run(problem: _Problem, rows, lower, upper, basis=None):
     """The calling thread's HiGHS instance, loaded with ``problem`` with the
     balance rows equal to ``rows`` and the column bounds ``lower`` and
-    ``upper``, and solved to optimality from ``basis`` (cold when None).
+    ``upper``, and solved to optimality from ``basis``: the optimal basis of
+    the thread's previous hour of ``problem``, or None for a cold start (the
+    thread's first hour of a problem, and every cone LP).
 
     The instance is built, with ``_HIGHS_OPTIONS``, on the thread's first
     call. Every binding call is checked, since HiGHS rejects a model with a
     bound of 1e20 or more (it reads those as infinite) and would then run
     whatever model it held; any failure raises ``ValueError``.
     """
-    from ._highs import core
-
-    error = core.HighsStatus.kError
     highs = getattr(_thread, "highs", None)
     if highs is None:
-        options = core.HighsOptions()
-        for name, value in _HIGHS_OPTIONS.items():
-            setattr(options, name, value)
-        highs = core._Highs()
-        if highs.passOptions(options) == error:
-            raise ValueError("dispatch LP failed: HiGHS rejected the options")
-        _thread.highs = highs
-    lp = core.HighsLp()
+        highs = _thread.highs = _instance()
+    lp = _core.HighsLp()
     lp.num_col_, lp.num_row_ = problem.n_arcs, len(rows)
     lp.a_matrix_ = problem.balance
     lp.col_cost_ = problem.objective
@@ -437,15 +506,40 @@ def _run(problem: _Problem, rows, lower, upper, basis=None):
     lp.row_lower_ = lp.row_upper_ = rows
     # The LP is feasible by construction, so a failure means inputs too large
     # (or too far apart in scale) for the solver: an input error.
-    if highs.passModel(lp) == error:
-        raise ValueError("dispatch LP failed: HiGHS rejected the model")
-    if basis is not None and highs.setBasis(basis) == error:
-        raise ValueError("dispatch LP failed: HiGHS rejected the basis")
+    _check(highs.passModel(lp), "the model")
+    if basis is not None:
+        _check(highs.setBasis(basis), "the basis")
+    return _solved(highs)
+
+
+def _instance():
+    """A new HiGHS instance with ``_HIGHS_OPTIONS``; the first one binds
+    ``_core``, the binding, for every later call."""
+    global _core
+    from ._highs import core
+
+    _core = core
+    options = core.HighsOptions()
+    for name, value in _HIGHS_OPTIONS.items():
+        setattr(options, name, value)
+    highs = core._Highs()
+    _check(highs.passOptions(options), "the options")
+    return highs
+
+
+def _solved(highs):
+    """``highs`` after a run that must end optimal, else ``ValueError``."""
     ran = highs.run()
     status = highs.getModelStatus()
-    if ran == error or status != core.HighsModelStatus.kOptimal:
+    if ran == _core.HighsStatus.kError or status != _core.HighsModelStatus.kOptimal:
         raise ValueError(f"dispatch LP failed: {highs.modelStatusToString(status)}")
     return highs
+
+
+def _check(status, what: str) -> None:
+    """Raise ``ValueError`` when a binding call that set ``what`` failed."""
+    if status == _core.HighsStatus.kError:
+        raise ValueError(f"dispatch LP failed: HiGHS rejected {what}")
 
 
 def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
@@ -567,12 +661,13 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
     so an hour whose demand repeats an earlier hour's shares that hour's result.
 
     Demand repeats every 24 hours (``Region.demand_at``), so only the first
-    day is built and solved, each distinct demand vector once: on one thread
-    per CPU, at most one per vector, when the network's LP has at least
-    ``_THREADED_MIN_ARCS`` columns, else one after the other on the calling
-    thread. Either way the results are the same, and a failure names the
-    earliest hour whose demand fails. The rest of the horizon repeats that
-    day's results.
+    day is built and solved, each distinct demand vector once, in time order:
+    split into one contiguous run per CPU, at most one per vector, each on a
+    thread of its own, when the network's LP has at least
+    ``_THREADED_MIN_ARCS`` columns, else all on the calling thread. Either
+    way the printed results are the same, and a failure names the earliest
+    hour whose demand fails. The rest of the horizon repeats that day's
+    results.
     """
     day = _first_day(network, hours)
     # No tuple holds more hours than this.
@@ -591,8 +686,14 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
     if threads > 1 and network._problem.n_arcs >= _THREADED_MIN_ARCS:
         from concurrent.futures import ThreadPoolExecutor
 
+        # One contiguous run of hours per thread, in time order, so that each
+        # hour starts from the one before it. A run stops at its first failure,
+        # and map raises that of the earliest run: the earliest failing hour.
+        ends = [len(distinct) * k // threads for k in range(threads + 1)]
+        runs = [distinct[a:b] for a, b in itertools.pairwise(ends)]
         with ThreadPoolExecutor(threads) as pool:
-            solved = dict(zip(distinct, pool.map(solve, distinct)))
+            solved_runs = pool.map(lambda run: list(map(solve, run)), runs)
+            solved = dict(zip(distinct, itertools.chain.from_iterable(solved_runs)))
     else:
         solved = dict(zip(distinct, map(solve, distinct)))
     first_day = tuple(map(solved.__getitem__, day))

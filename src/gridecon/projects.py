@@ -143,7 +143,7 @@ def parse_project_records(text: str) -> list[ProjectRecord]:
 
     records: list[ProjectRecord] = []
     seen: set[str] = set()
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         try:
             # DictReader puts the cells past the header in a list under None,
             # and gives each column past the row's last cell None.
@@ -171,7 +171,9 @@ def parse_project_records(text: str) -> list[ProjectRecord]:
                 )
             )
         except ValueError as exc:
-            raise ValueError(f"row {lineno}: {exc}") from None
+            # The file line the record ends on, which a blank line or a quoted
+            # cell spanning lines puts past the record's count.
+            raise ValueError(f"row {reader.line_num}: {exc}") from None
     return records
 
 

@@ -51,6 +51,11 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 REPO = Path(__file__).parents[1]
 
 
+def printed(net, hours):
+    """The export_csv text of ``hours``, hours of ``net`` in that order."""
+    return export_csv(DispatchResult(net, tuple(hours)))
+
+
 def large_ring(seed):
     """A seeded ring whose LP is large enough for simulate's thread pool:
     8 columns per region (3 units, 2 links each way, shedding)."""
@@ -391,12 +396,14 @@ class TestCompiledProblem:
         return built
 
     def test_repeated_solves_build_one_problem(self, builds):
+        # The first solve starts cold, the others from its basis: the same
+        # optimum, in the printed text.
         net = ring_network("10:41", n_regions=10, n_chords=10)
         demand = hourly_demand(net, 13)
-        first, *again = [min_cost_flow(net, demand) for _ in range(3)]
+        first, *again = [printed(net, [min_cost_flow(net, demand)]) for _ in range(3)]
         simulate(net, 24)
         assert builds == [net]
-        assert all(hour == first for hour in again)
+        assert again == [first, first]
 
     def test_replaced_network_gets_its_own_problem(self, builds):
         link = Interconnector("a", "b", 40.0, 0.9)
@@ -450,8 +457,23 @@ class TestConcurrentHours:
         threads = self.record_threads(monkeypatch)
         result = simulate(net, 48)
         assert len(threads) == 24 and threading.get_ident() not in threads
-        for t, hour in enumerate(result.hourly):
-            assert hour == min_cost_flow(net, hourly_demand(net, t))
+        assert export_csv(result) == printed(net, [min_cost_flow(net, hourly_demand(net, t)) for t in range(48)])
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_each_thread_solves_one_run_of_hours_in_time_order(self, cpus, monkeypatch):
+        monkeypatch.setattr(dispatch, "_cpu_count", lambda: cpus)
+        net = large_ring("76:3")
+        hour_of = {hourly_demand(net, t): t for t in range(24)}
+        runs = {}
+
+        def recording(net, demand_mw):
+            runs.setdefault(threading.get_ident(), []).append(hour_of[tuple(demand_mw)])
+            return min_cost_flow(net, demand_mw)
+
+        monkeypatch.setattr(dispatch, "min_cost_flow", recording)
+        simulate(net, 24)
+        size = 24 // cpus
+        assert sorted(runs.values()) == [list(range(k, k + size)) for k in range(0, 24, size)]
 
     def test_earliest_failing_hour_is_named(self, monkeypatch):
         net = large_ring("76:3")
@@ -480,45 +502,107 @@ class TestConcurrentHours:
         assert threads == [threading.get_ident()] * 13
 
 
-class TestReferenceBasis:
-    """Every hour starts from its network's reference basis, on the calling
-    thread's HiGHS instance, so an hour's result depends only on the network
-    and its demand."""
+class TestChainedHours:
+    """Each hour starts from the optimal basis of the last hour its thread
+    solved for the same network, cold after another network or none."""
 
-    def test_hours_do_not_depend_on_what_was_solved_before(self):
-        net, other = large_ring("76:3"), ring_network("10:41", n_regions=10, n_chords=10)
-        expected = simulate(net, 24).hourly
-        for t in reversed(range(24)):
-            min_cost_flow(other, hourly_demand(other, t))
-            assert min_cost_flow(net, hourly_demand(net, t)) == expected[t]
+    @staticmethod
+    def starts(monkeypatch):
+        """The start basis of each hour's first stage, and its iterations."""
+        run, starts = dispatch._run, []
 
-    def test_reference_basis_saves_simplex_iterations(self):
+        def recording(problem, rows, lower, upper, basis=None):
+            highs = run(problem, rows, lower, upper, basis)
+            if lower is problem.lower:  # not a cone LP
+                starts.append((basis, highs.getInfo().simplex_iteration_count))
+            return highs
+
+        monkeypatch.setattr(dispatch, "_run", recording)
+        return starts
+
+    def test_an_hour_starts_from_the_threads_previous_hour_of_its_network(self, monkeypatch):
+        net, other = ring_network("10:41", n_regions=10, n_chords=10), ring_network("20:1", 20, 20)
+        dispatch._thread.chain = None
+        starts = self.starts(monkeypatch)
+        for which, t in ((net, 0), (net, 1), (other, 0), (net, 2), (net, 3)):
+            min_cost_flow(which, hourly_demand(which, t))
+        assert [basis is None for basis, _ in starts] == [True, False, True, True, False]
+        chain_problem, _ = dispatch._thread.chain
+        assert chain_problem is net._problem
+
+    def test_chained_hours_save_simplex_iterations(self, monkeypatch):
         net = ring_network("101:0", 200, 200)
+        starts = self.starts(monkeypatch)
 
-        def solve_day():
-            hours, iterations = [], 0
+        def solve_day(cold):
+            hours = []
             for t in range(24):
+                if cold:
+                    dispatch._thread.chain = None
                 hours.append(min_cost_flow(net, hourly_demand(net, t)))
-                iterations += dispatch._thread.highs.getInfo().simplex_iteration_count
-            return export_csv(DispatchResult(net, tuple(hours))), iterations
+            return printed(net, hours)
 
-        assert net._problem.basis is not None
-        warm_text, warm = solve_day()
-        net._problem.basis = None
-        cold_text, cold = solve_day()
-        assert warm < cold / 2
-        assert warm_text == cold_text
+        dispatch._thread.chain = None
+        chained_text = solve_day(cold=False)
+        chained = sum(iterations for _, iterations in starts)
+        assert [basis is None for basis, _ in starts] == [True] + [False] * 23
+        starts.clear()
+        cold_text = solve_day(cold=True)
+        cold = sum(iterations for _, iterations in starts)
+        assert chained < cold / 2
+        assert chained_text == cold_text
 
-    def test_network_whose_reference_hour_highs_rejects_solves_cold(self):
-        # The reference hour's demand in "a" is the profile's mean, 1e20 MW:
-        # HiGHS reads that as infinite. Hours 0-4 come out as a cold solve
-        # gave them; hour 5 itself fails.
+    def test_threads_keep_chains_of_their_own(self):
+        # More threads than CPUs, switching often, each solving the day of one
+        # network in its own order: each thread chains only its own hours, so
+        # every order prints the day as a serial solve does.
+        net = ring_network("10:58", n_regions=10, n_chords=10)
+        expected = printed(net, [min_cost_flow(net, hourly_demand(net, t)) for t in range(24)])
+        texts, errors = [], []
+
+        def solve_day(order):
+            try:
+                hours = {t: min_cost_flow(net, hourly_demand(net, t)) for t in order}
+                texts.append(printed(net, [hours[t] for t in range(24)]))
+            except Exception as exc:
+                errors.append(repr(exc))
+
+        orders = [list(range(24)), list(reversed(range(24))), list(range(0, 24, 2)) + list(range(1, 24, 2))]
+        threads = [threading.Thread(target=solve_day, args=(orders[k % 3],)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and texts == [expected] * 6
+
+    def test_demand_highs_reads_as_infinite_fails_after_a_chained_hour(self):
+        # Hours 0-4 chain from one another; hour 5's model is rejected at load
+        # instead of running the hour before it again.
+        profile = list(sinusoid_profile(420.0, 0.5, 3))
+        profile[5] = 1e20
+        a = Region("a", 0, tuple(profile), ((150.0, 0.0), (100.0, 40.0)))
+        b = Region("b", 0, sinusoid_profile(200.0, 0.4, 2), ((250.0, 0.0), (100.0, 90.0)))
+        net = DispatchNetwork((a, b), (Interconnector("a", "b", 80.0, 0.9),))
+        with pytest.raises(ValueError, match="^hour 5: dispatch LP failed: HiGHS rejected the model$"):
+            simulate(net, 6)
+        # The rejected hour left the chain at hour 4, which still solves.
+        assert dispatch._thread.chain[0] is net._problem
+        assert printed(net, [min_cost_flow(net, hourly_demand(net, 4))]) == printed(net, simulate(net, 5).hourly[4:])
+
+    def test_demand_highs_rejects_leaves_other_hours_as_pinned(self):
+        # Demand in "a" reaches 2.4e21 MW at hour 5, which HiGHS reads as
+        # infinite: hours 0-4 print as pinned, and hour 5 itself fails.
         profile = list(sinusoid_profile(420.0, 0.5, 3))
         profile[5] = 2.4e21
         a = Region("a", 0, tuple(profile), ((150.0, 0.0), (100.0, 40.0)))
         b = Region("b", 0, sinusoid_profile(200.0, 0.4, 2), ((250.0, 0.0), (100.0, 90.0)))
         net = DispatchNetwork((a, b), (Interconnector("a", "b", 80.0, 0.9),))
-        assert net._problem.basis is None
         assert export_csv(simulate(net, 5)).splitlines()[1:11] == [
             "0,a,389.246,322,250,0,67.2462,10000",
             "0,b,191.962,191.962,271.962,0,0,90",
@@ -533,6 +617,85 @@ class TestReferenceBasis:
         ]
         with pytest.raises(ValueError, match="^hour 5: dispatch LP failed: HiGHS rejected the model$"):
             simulate(net, 6)
+
+
+class TestCanonicalDispatch:
+    """Among the cost-optimal dispatches an hour takes the one with the least
+    transmission loss, so the printed result does not depend on the order of
+    the network's regions and links, on the hours solved before or on the
+    thread."""
+
+    @staticmethod
+    def by_region(result):
+        """Each hour's curtailment and generation, keyed by region name."""
+        return [
+            {reg.name: (curtailed, sum(units))
+             for reg, curtailed, units in zip(result.network.regions, hour.curtailed_res_mw, hour.generation_mw)}
+            for hour in result.hourly
+        ]
+
+    @pytest.mark.parametrize("n_regions", [10, 20, 40])
+    def test_reordered_network_curtails_the_same(self, n_regions):
+        # Before the least-loss stage, 12 of these 60 rings curtailed in other
+        # regions once reordered, by up to 8.7% of the total.
+        for s in range(20):
+            net = ring_network(f"{n_regions}:{s}", n_regions, n_regions)
+            rng = random.Random(s)
+            regions, links = list(net.regions), list(net.interconnectors)
+            rng.shuffle(regions)
+            rng.shuffle(links)
+            shuffled = DispatchNetwork(tuple(regions), tuple(links))
+            expected = self.by_region(simulate(net, 24))
+            for t, hour in enumerate(self.by_region(simulate(shuffled, 24))):
+                for name, values in hour.items():
+                    assert values == pytest.approx(expected[t][name], rel=1e-6, abs=1e-6), (s, t, name)
+
+    @pytest.mark.parametrize("seed, n_regions", [("76:3", 51), ("101:10", 200), ("1:12", 200)])
+    def test_simulate_prints_as_single_hours(self, seed, n_regions, monkeypatch):
+        net = ring_network(seed, n_regions, n_regions)
+        demands = [hourly_demand(net, t) for t in range(24)]
+        forward = printed(net, [min_cost_flow(net, d) for d in demands])
+        backward = printed(net, [min_cost_flow(net, d) for d in reversed(demands)][::-1])
+        assert backward == forward
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(dispatch, "_cpu_count", lambda: cpus)
+            assert export_csv(simulate(net, 24)) == forward, cpus
+
+    def test_least_loss_stage_runs_only_where_the_loss_can_fall(self, monkeypatch):
+        # Ring 101:10 has an hour whose first stage can end at a dispatch that
+        # loses more than the least; the second stage runs there, on no other
+        # hour, and cuts the loss at the same cost.
+        net = ring_network("101:10", 200, 200)
+        stage, stages = dispatch._least_loss, []
+
+        def recording(highs, problem, value, duals, upper):
+            x = stage(highs, problem, value, duals, upper)
+            if x is not value:
+                stages.append((problem.loss_share @ value, problem.loss_share @ x,
+                               problem.objective @ value, problem.objective @ x))
+            return x
+
+        monkeypatch.setattr(dispatch, "_least_loss", recording)
+        monkeypatch.setattr(dispatch, "_cpu_count", lambda: 1)
+        dispatch._thread.chain = None
+        simulate(net, 24)
+        assert 1 <= len(stages) <= 3
+        for loss_before, loss, cost_before, cost in stages:
+            assert loss < loss_before - 1e-6
+            assert cost == pytest.approx(cost_before, rel=1e-12, abs=1e-12)
+
+    def test_tied_least_loss_prints_one_of_the_tied_dispatches(self):
+        # Two free 100 MW units in "a" and "b" can each feed the 50 MW of "c"
+        # over a 90% link: every split costs 0 and loses 5.56 MW, so least loss
+        # does not pick one. HiGHS runs the unit it meets first, here the one
+        # of the region listed first.
+        a, b = region("a", 0, [(100, 0.0)]), region("b", 0, [(100, 0.0)])
+        c = region("c", 50, [])
+        links = (Interconnector("a", "c", 80.0, 0.9), Interconnector("b", "c", 80.0, 0.9))
+        first = export_csv(simulate(network([a, b, c], links), 1)).splitlines()[1:4]
+        assert first == ["0,a,0,0,55.5556,44.4444,0,0", "0,b,0,0,0,100,0,0", "0,c,50,50,0,0,0,0"]
+        swapped = export_csv(simulate(network([b, a, c], links), 1)).splitlines()[1:4]
+        assert swapped == ["0,b,0,0,55.5556,44.4444,0,0", "0,a,0,0,0,100,0,0", "0,c,50,50,0,0,0,0"]
 
 
 def cell_text(value):
@@ -697,13 +860,14 @@ class TestFormatter:
 class TestLargeRingOutput:
     """The export of a 24 h simulate of a 200-region, 200-chord ring (1600 LP
     columns, solved on the thread pool), pinned byte for byte. Ring 101:10
-    has an hour whose optimal curtailment is not unique (ROADMAP item 2)."""
+    has an hour whose cost-optimal curtailment is not unique (hour 9, where
+    r111 and r113 can trade free energy); it prints the least-loss one."""
 
     @pytest.mark.parametrize(
         "seed, digest",
         [
             ("101:0", "0027d09b553c0ddd363f0512ccf6e34058c5cd3d989d127cd8372d408b50f909"),
-            ("101:10", "53fc77db4f4a89878361d87e4abb099e0bbae109392b67c4c80cd74f7ee57bfc"),
+            ("101:10", "ab72f6abf532b10407c7a90182fefb455b2905462682369da8eae8e5a235cb48"),
         ],
     )
     def test_export_digest(self, seed, digest):
@@ -726,7 +890,8 @@ class TestHighsBinding:
         "_core": ["_Highs", "HighsLp", "HighsSparseMatrix", "HighsOptions", "HighsSolution",
                   "HighsBasis", "MatrixFormat", "HighsStatus", "HighsModelStatus"],
         "_Highs": ["passOptions", "passModel", "setBasis", "run", "getModelStatus",
-                   "modelStatusToString", "getSolution", "getBasis", "getOptionValue"],
+                   "modelStatusToString", "getSolution", "getBasis", "getOptionValue",
+                   "getBasicVariables", "getBasisTransposeSolve", "changeColsBounds", "changeColsCost"],
         "HighsLp": ["num_col_", "num_row_", "a_matrix_", "col_cost_", "col_lower_", "col_upper_",
                     "row_lower_", "row_upper_"],
         "HighsSparseMatrix": ["format_", "num_col_", "num_row_", "start_", "index_", "value_"],
@@ -1048,17 +1213,16 @@ class TestPricesAreMarginalCosts:
     def test_cone_lp_failure_names_its_hour(self, monkeypatch):
         # Hours 0 and 1 run the unit inside its bounds, a nondegenerate
         # vertex; hour 2 has no demand, so no column is inside its bounds and
-        # the price takes the cone LP, the one solve that starts cold.
+        # the price takes the cone LP, the one LP with bounds of its own.
         net = network([region("a", [5, 5] + [0] * 22, [(10, 1.0)])])
         run = dispatch._run
-        assert net._problem.basis is not None
 
-        def fail_cold(problem, rows, lower, upper, basis=None):
-            if basis is None:
+        def fail_cone(problem, rows, lower, upper, basis=None):
+            if lower is not problem.lower:
                 raise ValueError("dispatch LP failed: Infeasible")
             return run(problem, rows, lower, upper, basis)
 
-        monkeypatch.setattr(dispatch, "_run", fail_cold)
+        monkeypatch.setattr(dispatch, "_run", fail_cone)
         assert simulate(net, 2).hourly[0].prices_eur_per_mwh == (1.0,)
         with pytest.raises(ValueError, match="^hour 2: dispatch LP failed: Infeasible$"):
             simulate(net, 3)

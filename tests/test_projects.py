@@ -157,6 +157,19 @@ def test_short_row_after_a_valid_row_names_its_own_number():
         parse_project_records(text)
 
 
+@pytest.mark.parametrize(
+    "before",
+    ["Foo,±300,700,100,,500,,,2\n\n", '"Foo\nLink",±300,700,100,,500,,,2\n'],
+    ids=["blank-line", "quoted-cell-spanning-lines"],
+)
+def test_row_number_is_the_file_line(before):
+    # Line 4 holds the bad cell; only three records precede it, the header
+    # included.
+    text = HEADER + before + "Bar,±300,x,100,,500,,,2\n"
+    with pytest.raises(ValueError, match="^row 4: malformed number 'x' in capacity_mw$"):
+        parse_project_records(text)
+
+
 def test_duplicate_names_rejected():
     rows = "Foo,±300,700,100,,500,,,2\n"
     with pytest.raises(ValueError, match="duplicate"):
