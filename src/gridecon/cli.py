@@ -467,7 +467,7 @@ def _run(args: list[str], prog: str) -> int:
             text = render(text, fmt)
     except (ValueError, OSError) as exc:
         return _error(str(exc))
-    except ArithmeticError as exc:
+    except (ArithmeticError, MemoryError) as exc:
         return _error(f"{_failed_step(exc)}: cannot compute with these inputs ({type(exc).__name__}: {exc})")
     sys.stdout.write(text)
     return 0

@@ -643,7 +643,7 @@ class DispatchResult:
 
 def _first_day(network: DispatchNetwork, hours: int) -> list[tuple[float, ...]]:
     """The demand vector of each of the first ``min(hours, 24)`` hours of a
-    horizon of ``hours``, a whole number from 1 up.
+    horizon of ``hours``.
 
     ``Region.demand_at`` reads a 24-hour profile at ``(hour + offset) % 24``,
     so hour ``t`` of any horizon has the demand of hour ``t % 24``. The 24
@@ -651,8 +651,6 @@ def _first_day(network: DispatchNetwork, hours: int) -> list[tuple[float, ...]]:
     network's peaks, and its reserves (``reserve_requirements``), are
     properties of that day.
     """
-    require(1 <= hours < math.inf, "hours", "finite and >= 1", hours)
-    require(isinstance(hours, numbers.Integral), "hours", "a whole number", hours)
     return [tuple(region.demand_at(t) for region in network.regions) for t in range(min(hours, 24))]
 
 
@@ -669,9 +667,11 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
     hour whose demand fails. The rest of the horizon repeats that day's
     results.
     """
-    day = _first_day(network, hours)
+    require(1 <= hours < math.inf, "hours", "finite and >= 1", hours)
+    require(isinstance(hours, numbers.Integral), "hours", "a whole number", hours)
     # No tuple holds more hours than this.
     require(hours <= sys.maxsize, "hours", f"<= {sys.maxsize}", hours)
+    day = _first_day(network, hours)
     distinct = list(dict.fromkeys(day))
 
     def solve(demand: tuple) -> HourlyDispatch:

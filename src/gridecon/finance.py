@@ -11,6 +11,7 @@ basis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,6 +40,7 @@ class FinancialAssumptions:
         rate, years = self.discount_rate, self.lifetime_years
         require(0 <= rate < math.inf, "discount_rate", "finite and >= 0", rate)
         require(1 <= years < math.inf, "lifetime_years", "finite and >= 1", years)
+        require(isinstance(years, numbers.Integral), "lifetime_years", "a whole number", years)
         require(0.0 <= self.om_rate < 1.0, "om_rate", "in [0, 1)", self.om_rate)
 
 

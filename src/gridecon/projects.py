@@ -6,8 +6,11 @@ Records load from CSV with the header
     cost_range_frac,known_cable_cost_meur,converter_count
 
 (one line). Empty cells mean absent, decimal point, no thousands
-separators, UTF-8. Numbers must be finite; converter_count must be a whole
-number. voltage_kv is informational free text ("+/-450",
+separators, UTF-8; a number is written in ASCII, without ``_``. The reader
+only parses: it checks the table's shape (columns, one cell per column,
+unique names) and converts each cell. Every rule on a value (finite, in
+range, a whole converter_count, a non-empty name) is ProjectRecord's.
+voltage_kv is informational free text ("+/-450",
 "450-500"). Budgets published as a symmetric range are stored as a center
 value plus cost_range_frac; cable-only budgets, where known, go in
 known_cable_cost_meur and bypass the converter subtraction.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -70,6 +74,7 @@ class ProjectRecord:
 
     def __post_init__(self) -> None:
         name = self.name
+        require(name != "", "name", "non-empty", repr(name))
         for label, value in (
             ("capacity", self.capacity_mw),
             ("length", self.length_km),
@@ -84,6 +89,7 @@ class ProjectRecord:
                 require(0 <= value < math.inf, f"{name}: {label}", "finite and >= 0", value)
         count = self.converter_count
         require(0 <= count < math.inf, f"{name}: converter_count", "finite and >= 0", count)
+        require(isinstance(count, numbers.Integral), f"{name}: converter_count", "a whole number", count)
 
     def total_cost_band(self) -> CostBand:
         spread = self.total_cost_meur * self.cost_range_frac
@@ -129,8 +135,8 @@ def load_project_records(source: str | Path) -> list[ProjectRecord]:
 
 
 def parse_project_records(text: str) -> list[ProjectRecord]:
-    reader = csv.DictReader(io.StringIO(text))
-    header = tuple(reader.fieldnames or ())
+    reader = csv.reader(io.StringIO(text))
+    header = tuple(next(reader, ()))
     missing = [c for c in CSV_COLUMNS if c not in header]
     if missing:
         raise ValueError(f"missing required columns: {', '.join(missing)}")
@@ -143,17 +149,12 @@ def parse_project_records(text: str) -> list[ProjectRecord]:
 
     records: list[ProjectRecord] = []
     seen: set[str] = set()
-    for row in reader:
+    for cells in filter(None, reader):  # a blank line holds no cells
         try:
-            # DictReader puts the cells past the header in a list under None,
-            # and gives each column past the row's last cell None.
-            extra, missing = row.pop(None, ()), list(row.values()).count(None)
-            if extra or missing:
-                cells = len(header) + len(extra) - missing
-                raise ValueError(f"expected {len(header)} cells, one per column, got {cells}")
+            if len(cells) != len(header):
+                raise ValueError(f"expected {len(header)} cells, one per column, got {len(cells)}")
+            row = dict(zip(header, cells))
             name = row["name"].strip()
-            if not name:
-                raise ValueError("empty name")
             if name in seen:
                 raise ValueError(f"duplicate name {name!r}")
             seen.add(name)
@@ -178,21 +179,21 @@ def parse_project_records(text: str) -> list[ProjectRecord]:
 
 
 def _number(row: dict, column: str, required: bool = True, whole: bool = False):
-    """The cell as a float (an int if ``whole``), or None if empty and not ``required``."""
+    """The cell as a float, or None if empty and not ``required``; if
+    ``whole``, an integral value as an int, for ProjectRecord to judge."""
     raw = row[column].strip()
     if not raw:
         if required:
             raise ValueError(f"missing value for {column}")
         return None
     try:
+        # float() also reads "_" between digits and any Unicode digit.
+        if "_" in raw or not raw.isascii():
+            raise ValueError
         value = float(raw)
     except ValueError:
         raise ValueError(f"malformed number {raw!r} in {column}") from None
-    if whole:
-        if not value.is_integer():
-            raise ValueError(f"expected a whole number in {column}, got {raw!r}")
-        return int(value)
-    return value
+    return int(value) if whole and value.is_integer() else value
 
 
 def _round_half_up(value: float) -> float:

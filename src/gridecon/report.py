@@ -18,9 +18,11 @@ def format_sig(value: float) -> str:
     """Round a finite number to three significant figures, keeping all integer digits."""
     if value == 0:
         return "0"
-    magnitude = math.floor(math.log10(abs(value)))
-    decimals = max(0, 2 - magnitude)
+    decimals = max(0, 2 - math.floor(math.log10(abs(value))))
     rounded = round(value, decimals)
+    # A value that rounds up to the next power of ten gains an integer digit
+    # and so keeps one decimal fewer: 9.9996 prints as 10.0.
+    decimals = max(0, 2 - math.floor(math.log10(abs(rounded))))
     if decimals == 0:
         return str(int(rounded))
     return f"{rounded:.{decimals}f}"

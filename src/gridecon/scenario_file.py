@@ -6,10 +6,11 @@ checks that the sections it needs are present. Unknown keys are rejected
 everywhere so a typo cannot silently fall back to a default, and so is a
 key repeated within one object, whose last copy would otherwise win.
 
-Every value goes through one typed reader (finite number, whole number,
-string, enum choice, list, object). A key the file omits is not
-passed on, so its default is the one the dataclass declares. Range checks
-stay with the dataclasses; their messages are prefixed with the path of
+Every value goes through one typed reader (number, string, enum choice,
+list, object), which only parses: it checks the value's JSON type and
+converts it. A key the file omits is not passed on, so its default is the
+one the dataclass declares. Every rule on a value (finite, in range, a
+whole number) is the dataclass's; its message is prefixed with the path of
 the object that failed.
 """
 
@@ -131,19 +132,17 @@ def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFileError(f"expected a number, got {value!r}")
     try:
-        number = float(value)
+        return float(value)
     except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ScenarioFileError(f"expected a finite number, got {value!r}")
-    return number
+        return math.inf
 
 
-def _integer(value) -> int:
+def _integral(value) -> int | float:
+    """A number for a whole-number field: an integral float as an int, any
+    other number as it is, for the dataclass to judge."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioFileError(f"expected a whole number, got {value!r}")
+    _number(value)
     return value
 
 
@@ -204,7 +203,7 @@ def _record(cls, readers: dict, required: tuple[str, ...] = ()):
 
 
 def _terminals(value) -> dict:
-    readers = {"count": _integer, "unit_cost_meur": _number}
+    readers = {"count": _integral, "unit_cost_meur": _number}
     terminals = _fields(value, readers, tuple(readers))
     return {
         "terminal_count": terminals["count"],
@@ -259,7 +258,7 @@ def _scenario(
 
     path = _record(
         ConnectionPath,
-        {"link": link, "market": _text, "tz_offset_hours": _integer},
+        {"link": link, "market": _text, "tz_offset_hours": _integral},
         ("link", "market"),
     )
     paths = _fields(value, {"paths": _list(path)}, ("paths",))
@@ -276,7 +275,7 @@ def _generator(value) -> tuple[float, float]:
 
 _REGION = {
     "name": _text,
-    "tz_offset_hours": _integer,
+    "tz_offset_hours": _integral,
     "demand_profile_mw": _list(_number),
     "demand_peak_mw": _number,
     "generators": _list(_generator),
@@ -321,7 +320,7 @@ def _network(value) -> DispatchNetwork:
 _SECTIONS = {
     "finance": _record(
         FinancialAssumptions,
-        {"discount_rate": _number, "lifetime_years": _integer, "om_rate": _number},
+        {"discount_rate": _number, "lifetime_years": _integral, "om_rate": _number},
         ("discount_rate", "lifetime_years"),
     ),
     "links": _links,

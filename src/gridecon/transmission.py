@@ -12,6 +12,7 @@ M EUR per GWh equals EUR per kWh, so LCOE values come out in EUR/kWh.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -90,6 +91,7 @@ class TransmissionLink:
         require(len(self.segments) >= 1, "len(segments)", ">= 1", len(self.segments))
         count, cost = self.terminal_count, self.terminal_unit_cost_meur
         require(0 <= count < math.inf, "terminal_count", "finite and >= 0", count)
+        require(isinstance(count, numbers.Integral), "terminal_count", "a whole number", count)
         require(0 <= cost < math.inf, "terminal_unit_cost_meur", "finite and >= 0", cost)
         capacity, availability = self.capacity_mw, self.availability
         require(0 <= capacity < math.inf, "capacity_mw", "finite and >= 0", capacity)

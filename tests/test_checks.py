@@ -1,4 +1,6 @@
-"""Every range-checked field and argument rejects NaN, infinity and an out-of-range value."""
+"""Every range-checked field and argument rejects NaN, infinity and an
+out-of-range value, and every field with a rule on its kind of value (a
+whole number, a non-empty name) rejects a value of the wrong kind."""
 
 import math
 import re
@@ -203,10 +205,25 @@ ACCEPT_INF = {
     "transmission_lcoe.delivered_gwh",
 }
 
+# (id, build(value), field as named in the message, rule, a value of the
+# wrong kind). NaN and infinity meet the field's range rule first, in ROWS.
+KIND_ROWS = [
+    ("FinancialAssumptions.lifetime_years", lambda v: FinancialAssumptions(0.03, v),
+     "lifetime_years", "a whole number", 40.7),
+    ("TransmissionLink.terminal_count", lambda v: link(terminal_count=v),
+     "terminal_count", "a whole number", 1.5),
+    ("ProjectRecord.converter_count", lambda v: project(converter_count=v),
+     "X: converter_count", "a whole number", 2.7),
+    ("ProjectRecord.name", lambda v: project(name=v), "name", "non-empty", ""),
+]
+
 CASES = [
     pytest.param(build, name, rule, value, id=f"{row_id}={value}")
     for row_id, build, name, rule, bad in ROWS
     for value in ((NAN, bad) if row_id in ACCEPT_INF else (NAN, INF, bad))
+] + [
+    pytest.param(build, name, rule, bad, id=f"{row_id}={bad!r}")
+    for row_id, build, name, rule, bad in KIND_ROWS
 ]
 
 

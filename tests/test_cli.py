@@ -148,6 +148,12 @@ class TestExitCodes:
                 ["simulate", "--hours", "1" + "0" * 20],
                 f"hours must be <= {sys.maxsize}, got 1{'0' * 20}",
             ),
+            # Within the rule: the day is solved, then CPython refuses a tuple
+            # of that many hours before allocating it.
+            (
+                ["simulate", "--hours", str(sys.maxsize)],
+                "dispatch.simulate: cannot compute with these inputs (MemoryError: )",
+            ),
         ],
         ids=[
             "negative-converter-cost",
@@ -157,6 +163,7 @@ class TestExitCodes:
             "overflowing-revenue",
             "huge-length",
             "horizon-past-maxsize",
+            "horizon-at-maxsize",
         ],
     )
     def test_rejected_value_is_two(self, args, message):

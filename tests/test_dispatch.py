@@ -944,6 +944,26 @@ class TestHighsBinding:
         assert min_cost_flow(one_region, [0.0]).prices_eur_per_mwh == (1.0,)
         assert len(cones) == 1
 
+    def test_run_that_ends_non_optimal_fails(self, monkeypatch):
+        # A thread's instance takes _HIGHS_OPTIONS on the thread's first
+        # solve, so only a fresh thread sees the iteration limit.
+        options = {**dispatch._HIGHS_OPTIONS, "simplex_iteration_limit": 0}
+        monkeypatch.setattr(dispatch, "_HIGHS_OPTIONS", options)
+        network = load_bundled_scenario("smoothing").require("network")
+        failures = []
+
+        def solve():
+            try:
+                simulate(network, 24)
+            except ValueError as exc:
+                failures.append(str(exc))
+
+        thread = threading.Thread(target=solve)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert failures == ["hour 0: dispatch LP failed: Iteration limit reached"]
+
 
 class TestHighsLoader:
     """dispatch loads scipy's HiGHS extension by its file, without running

@@ -140,10 +140,16 @@ def test_unknown_column_rejected():
 @pytest.mark.parametrize(
     "row, message",
     [
-        (",±300,700,100,,500,,,2", "row 2: empty name"),
+        (",±300,700,100,,500,,,2", "row 2: name must be non-empty, got ''"),
         ("Foo,±300,,100,,500,,,2", "row 2: missing value for capacity_mw"),
+        # float() reads "_" as a digit separator and any Unicode digit as a digit.
+        ("Foo,±300,700,5_80,,500,,,2", "row 2: malformed number '5_80' in length_km"),
+        ("Foo,±300,1_000,100,,500,,,2", "row 2: malformed number '1_000' in capacity_mw"),
+        ("Foo,±300,700,100,,500,,,2_0", "row 2: malformed number '2_0' in converter_count"),
+        ("Foo,±300,700,５８０,,500,,,2", "row 2: malformed number '５８０' in length_km"),
     ],
-    ids=["empty-name", "missing-value"],
+    ids=["empty-name", "missing-value", "underscore-length", "underscore-capacity",
+         "underscore-count", "fullwidth-digits"],
 )
 def test_malformed_row_is_rejected_with_its_number(row, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
@@ -220,7 +226,7 @@ def test_implied_cost_rejects_non_finite_assumption():
     [
         ("Foo,±300,700,100,,nan,,,2", "row 2: Foo: total cost must be finite"),
         ("Foo,±300,700,100,,500,,inf,2", "row 2: Foo: known_cable_cost_meur must be finite"),
-        ("Foo,±300,700,100,,500,,,2.7", "row 2: expected a whole number in converter_count, got '2.7'"),
+        ("Foo,±300,700,100,,500,,,2.7", "row 2: Foo: converter_count must be a whole number, got 2.7"),
     ],
     ids=["total-cost", "known-cable-cost", "converter-count"],
 )

@@ -2,6 +2,8 @@ import math
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridecon.report import Report, format_sig, render
 
@@ -18,10 +20,30 @@ from gridecon.report import Report, format_sig, render
         (0.0, "0"),
         (-17.857, "-17.9"),
         (1.0 / 3.0, "0.333"),
+        # rounding up to the next power of ten keeps three figures
+        (9.9996, "10.0"),
+        (0.99996, "1.00"),
+        (0.0099996, "0.0100"),
+        (99.996, "100"),
     ],
 )
 def test_format_sig_three_figures_keeps_integer_digits(value, expected):
     assert format_sig(value) == expected
+
+
+# Values just below a power of ten, which round up to it, and any others.
+SIG_VALUES = st.one_of(
+    st.builds(lambda k, f: 10.0**k * f, st.integers(-8, 3), st.floats(0.999, 1.0)),
+    st.floats(min_value=-1e4, max_value=1e4).filter(bool),
+)
+
+
+@given(SIG_VALUES)
+def test_format_sig_below_1000_shows_at_most_three_figures(value):
+    text = format_sig(value)
+    if abs(float(text)) < 1000:
+        digits = text.lstrip("-").replace(".", "").lstrip("0")
+        assert len(digits) <= 3, text
 
 
 def make_report(rows):

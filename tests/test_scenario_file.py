@@ -282,11 +282,16 @@ REGRESSIONS = [
         GREENLAND,
         ("links", "to-north-uk", "segments", 1, "length_km"),
         math.nan,
-        "links.to-north-uk.segments[1].length_km",
+        "links.to-north-uk.segments[1]: length_km must be finite and > 0, got nan",
     ),
-    (GREENLAND, ("generation", "capacity_mw"), math.inf, "generation.capacity_mw"),
-    (GREENLAND, ("finance", "lifetime_years"), 40.7, "finance.lifetime_years"),
-    (GREENLAND, ("scenario", "paths", 1, "tz_offset_hours"), -5.5, "scenario.paths[1].tz_offset_hours"),
+    (GREENLAND, ("generation", "capacity_mw"), math.inf, "generation: capacity_mw must be finite and > 0, got inf"),
+    (GREENLAND, ("finance", "lifetime_years"), 40.7, "finance: lifetime_years must be a whole number, got 40.7"),
+    (
+        GREENLAND,
+        ("scenario", "paths", 1, "tz_offset_hours"),
+        -5.5,
+        "scenario.paths[1]: tz_offset_hours must be a whole number, got -5.5",
+    ),
     (GREENLAND, ("scenario", "paths", 0, "market"), ["x"], "scenario.paths[0].market"),
     # Offsets 0 and 24 read the same local clock: the source would chase one peak.
     (
@@ -424,3 +429,24 @@ def test_mutated_bundled_files_exit_zero_or_two(tmp_path_factory, case):
         assert result.exit_code in {0, 2}, (command, result.output, repr(result.exception))
         if result.exit_code == 0:
             assert not NON_FINITE_CELL.search(result.output), result.output
+
+
+# The keys whose dataclass field takes a whole number.
+WHOLE_NUMBER_KEYS = {"lifetime_years", "count", "tz_offset_hours"}
+
+
+@pytest.mark.parametrize("name", [GREENLAND, SMOOTHING])
+def test_every_numeric_leaf_rejects_non_finite_and_fractional_values(name):
+    """The reader only parses; each leaf's dataclass rejects the value, and the
+    error's path leads to the leaf."""
+    original = bundled_data(name)
+    leaves = [p for p in _node_paths(original) if type(_get(original, p)) in (int, float)]
+    for key_path in leaves:
+        bad = [math.nan, math.inf, -math.inf] + [1.5] * (key_path[-1] in WHOLE_NUMBER_KEYS)
+        for value in bad:
+            data = bundled_data(name)
+            _get(data, key_path[:-1])[key_path[-1]] = value
+            with pytest.raises(ScenarioFileError) as raised:
+                parse_scenario_data(data)
+            path = tuple(raised.value.path)
+            assert path == key_path[: len(path)], (key_path, value, str(raised.value))

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import os
 import re
@@ -28,6 +29,23 @@ def test_readme_library_example_runs(capsys):
     example = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
     exec(compile(example, "README.md", "exec"), {})
     assert capsys.readouterr().out.count("\n") == 3
+
+
+def test_readme_synopsis_names_every_option():
+    """Each subcommand's line in the README's "Command line" block names every
+    long option its parser defines, but --help and --format, which the text
+    under the block covers."""
+    from gridecon import cli
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.DOTALL).group(1)
+    synopsis = {line.split()[1]: line for line in block.replace("\\\n", " ").splitlines()}
+    (commands,) = (a for a in cli._parser("gridecon")._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(synopsis) == set(commands.choices)
+    for name, parser in commands.choices.items():
+        defined = {option for action in parser._actions for option in action.option_strings}
+        named = set(re.findall(r"--[\w-]+", synopsis[name]))
+        assert {o for o in defined if o.startswith("--")} - {"--help", "--format"} <= named, name
 
 
 def run_console_script_check(bin_dir: Path, prelude: str | None = None):
