@@ -153,13 +153,12 @@ import csv
 import functools
 import itertools
 import math
-import numbers
 import os
 import sys
 import threading
 from dataclasses import dataclass
 
-from .checks import require
+from .checks import require, require_whole
 
 DEFAULT_UNSERVED_PENALTY = 10000.0  # EUR/MWh, far above any generator
 
@@ -200,20 +199,19 @@ class Region:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "demand_profile_mw", tuple(self.demand_profile_mw))
-        object.__setattr__(
-            self, "generators", tuple((float(c), float(m)) for c, m in self.generators)
-        )
         hours = len(self.demand_profile_mw)
         require(hours == 24, f"{self.name}: len(demand_profile_mw)", "24", hours)
-        label = f"{self.name}: demand_profile_mw"
-        for demand in self.demand_profile_mw:
+        for hour, demand in enumerate(self.demand_profile_mw):
+            label = f"{self.name}: demand_profile_mw[{hour}]"
             require(0 <= demand < math.inf, label, "finite and >= 0", demand)
-        label = f"{self.name}: generators"
-        for cap, cost in self.generators:
+        generators = tuple(self.generators)
+        for i, (cap, cost) in enumerate(generators):
+            label = f"{self.name}: generators[{i}]"
             ok = 0 <= cap < math.inf and 0 <= cost < math.inf
             require(ok, label, "finite and >= 0 in capacity and cost", (cap, cost))
-        offset = self.tz_offset_hours
-        require(isinstance(offset, numbers.Integral), f"{self.name}: tz_offset_hours", "a whole number", offset)
+        # Converted once checked, so a string or a bool is never read as a number.
+        object.__setattr__(self, "generators", tuple((float(c), float(m)) for c, m in generators))
+        require_whole(self.tz_offset_hours, f"{self.name}: tz_offset_hours")
 
     def demand_at(self, hour: int) -> float:
         """Demand at global hour ``hour``; the profile is read in local time."""
@@ -245,8 +243,8 @@ class DispatchNetwork:
         object.__setattr__(self, "regions", tuple(self.regions))
         object.__setattr__(self, "interconnectors", tuple(self.interconnectors))
         require(len(self.regions) >= 1, "len(regions)", ">= 1", len(self.regions))
-        names = [r.name for r in self.regions]
-        if len(set(names)) != len(names):
+        names = {r.name for r in self.regions}
+        if len(names) != len(self.regions):
             raise ValueError("region names must be unique")
         for i, ic in enumerate(self.interconnectors):
             for endpoint in (ic.region_a, ic.region_b):
@@ -668,7 +666,7 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
     results.
     """
     require(1 <= hours < math.inf, "hours", "finite and >= 1", hours)
-    require(isinstance(hours, numbers.Integral), "hours", "a whole number", hours)
+    require_whole(hours, "hours")
     # No tuple holds more hours than this.
     require(hours <= sys.maxsize, "hours", f"<= {sys.maxsize}", hours)
     day = _first_day(network, hours)

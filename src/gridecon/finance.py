@@ -11,11 +11,10 @@ basis.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
-from .checks import require
+from .checks import require, require_whole
 
 
 class Currency(Enum):
@@ -40,7 +39,7 @@ class FinancialAssumptions:
         rate, years = self.discount_rate, self.lifetime_years
         require(0 <= rate < math.inf, "discount_rate", "finite and >= 0", rate)
         require(1 <= years < math.inf, "lifetime_years", "finite and >= 1", years)
-        require(isinstance(years, numbers.Integral), "lifetime_years", "a whole number", years)
+        require_whole(years, "lifetime_years")
         require(0.0 <= self.om_rate < 1.0, "om_rate", "in [0, 1)", self.om_rate)
 
 
@@ -54,6 +53,7 @@ class MoneyAmount:
         require(math.isfinite(self.value), "value", "finite", self.value)
         year = self.price_year
         require(1900 <= year <= 2100, "price_year", "in [1900, 2100]", year)
+        require_whole(year, "price_year")
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,7 @@ def normalize_currency(
     """
     start = amount.price_year
     require(start <= target_year <= 2100, "target_year", f"in [{start}, 2100]", target_year)
+    require_whole(target_year, "target_year")
     years = target_year - amount.price_year
     value = amount.value * ctx.fx_rate * (1.0 + ctx.inflation_rate) ** years
     return MoneyAmount(value=value, currency=ctx.target_currency, price_year=target_year)

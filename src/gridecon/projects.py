@@ -6,8 +6,9 @@ Records load from CSV with the header
     cost_range_frac,known_cable_cost_meur,converter_count
 
 (one line). Empty cells mean absent, decimal point, no thousands
-separators, UTF-8; a number is written in ASCII, without ``_``. The reader
-only parses: it checks the table's shape (columns, one cell per column,
+separators, UTF-8 (a leading byte-order mark, as Excel writes, is
+skipped); a number is written in ASCII, without ``_``. The reader only
+parses: it checks the table's shape (columns, one cell per column,
 unique names) and converts each cell. Every rule on a value (finite, in
 range, a whole converter_count, a non-empty name) is ProjectRecord's.
 voltage_kv is informational free text ("+/-450",
@@ -21,12 +22,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
-from .checks import require
+from .checks import require, require_whole
 
 CSV_COLUMNS = (
     "name",
@@ -74,7 +74,7 @@ class ProjectRecord:
 
     def __post_init__(self) -> None:
         name = self.name
-        require(name != "", "name", "non-empty", repr(name))
+        require(isinstance(name, str) and name != "", "name", "non-empty", repr(name))
         for label, value in (
             ("capacity", self.capacity_mw),
             ("length", self.length_km),
@@ -89,7 +89,7 @@ class ProjectRecord:
                 require(0 <= value < math.inf, f"{name}: {label}", "finite and >= 0", value)
         count = self.converter_count
         require(0 <= count < math.inf, f"{name}: converter_count", "finite and >= 0", count)
-        require(isinstance(count, numbers.Integral), f"{name}: converter_count", "a whole number", count)
+        require_whole(count, f"{name}: converter_count")
 
     def total_cost_band(self) -> CostBand:
         spread = self.total_cost_meur * self.cost_range_frac
@@ -130,7 +130,7 @@ def implied_cable_cost_per_km(record: ProjectRecord, converter_cost_assumption_m
 
 def load_project_records(source: str | Path) -> list[ProjectRecord]:
     """Parse a project CSV; any malformed row fails with its row number."""
-    text = Path(source).read_text(encoding="utf-8")
+    text = Path(source).read_text(encoding="utf-8-sig")
     return parse_project_records(text)
 
 

@@ -12,10 +12,9 @@ corridor can carry inter-market trade (``trade_potential``,
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .checks import require
+from .checks import require, require_whole
 from .finance import FinancialAssumptions, levelized_cost
 from .transmission import (
     HOURS_PER_YEAR,
@@ -64,8 +63,7 @@ class ConnectionPath:
     tz_offset_hours: int = 0
 
     def __post_init__(self) -> None:
-        offset = self.tz_offset_hours
-        require(isinstance(offset, numbers.Integral), "tz_offset_hours", "a whole number", offset)
+        require_whole(self.tz_offset_hours, "tz_offset_hours")
 
 
 @dataclass(frozen=True)

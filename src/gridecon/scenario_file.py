@@ -5,6 +5,7 @@ A file may carry any subset of the sections ``finance``, ``links``,
 checks that the sections it needs are present. Unknown keys are rejected
 everywhere so a typo cannot silently fall back to a default, and so is a
 key repeated within one object, whose last copy would otherwise win.
+The file is UTF-8 JSON; a leading byte-order mark is skipped.
 
 Every value goes through one typed reader (number, string, enum choice,
 list, object), which only parses: it checks the value's JSON type and
@@ -90,7 +91,7 @@ class ScenarioFileContents:
 
 def load_scenario_file(path: str | Path) -> ScenarioFileContents:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(f"invalid JSON: {exc}") from None
     return parse_scenario_data(raw)

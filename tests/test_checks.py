@@ -1,6 +1,7 @@
-"""Every range-checked field and argument rejects NaN, infinity and an
-out-of-range value, and every field with a rule on its kind of value (a
-whole number, a non-empty name) rejects a value of the wrong kind."""
+"""Every range-checked field and argument rejects NaN, infinity, an
+out-of-range value and ``True``, and every field with a rule on its kind of
+value (a whole number, a non-empty name) rejects a value of the wrong kind
+and ``True``: a bool is not a number."""
 
 import math
 import re
@@ -171,11 +172,13 @@ ROWS = [
      lambda v: implied_cable_cost_per_km(project(), v),
      "converter cost assumption", "finite and >= 0", -100.0),
     ("Region.demand_profile_mw", lambda v: Region("a", 0, (1.0,) * 23 + (v,)),
-     "a: demand_profile_mw", "finite and >= 0", -1.0),
-    ("Region.generators.capacity", lambda v: Region("a", 0, FLAT, ((v, 1.0),)),
-     "a: generators", "finite and >= 0 in capacity and cost", -1.0),
+     "a: demand_profile_mw[23]", "finite and >= 0", -1.0),
+    ("Region.generators.capacity", lambda v: Region("a", 0, FLAT, ((1.0, 1.0), (v, 1.0))),
+     "a: generators[1]", "finite and >= 0 in capacity and cost", -1.0),
     ("Region.generators.cost", lambda v: Region("a", 0, FLAT, ((1.0, v),)),
-     "a: generators", "finite and >= 0 in capacity and cost", -1.0),
+     "a: generators[0]", "finite and >= 0 in capacity and cost", -1.0),
+    ("Region.tz_offset_hours", lambda v: Region("a", v),
+     "a: tz_offset_hours", "a whole number", 0.5),
     ("Interconnector.capacity_mw", lambda v: Interconnector("a", "b", v),
      "capacity_mw", "finite and >= 0", -1.0),
     ("Interconnector.efficiency", lambda v: Interconnector("a", "b", 10.0, v),
@@ -214,16 +217,27 @@ KIND_ROWS = [
      "terminal_count", "a whole number", 1.5),
     ("ProjectRecord.converter_count", lambda v: project(converter_count=v),
      "X: converter_count", "a whole number", 2.7),
+    ("MoneyAmount.price_year", lambda v: MoneyAmount(1.0, Currency.EUR, v),
+     "price_year", "a whole number", 2000.5),
+    ("normalize_currency.target_year",
+     lambda v: normalize_currency(
+         MoneyAmount(10.0, Currency.EUR, 2007), ConversionContext(1.0, 0.02, Currency.EUR), v
+     ),
+     "target_year", "a whole number", 2007.5),
     ("ProjectRecord.name", lambda v: project(name=v), "name", "non-empty", ""),
 ]
+
+# A field with a range rule meets True there first, in ROWS.
+RANGED = {row[0] for row in ROWS}
 
 CASES = [
     pytest.param(build, name, rule, value, id=f"{row_id}={value}")
     for row_id, build, name, rule, bad in ROWS
-    for value in ((NAN, bad) if row_id in ACCEPT_INF else (NAN, INF, bad))
+    for value in ((NAN, bad, True) if row_id in ACCEPT_INF else (NAN, INF, bad, True))
 ] + [
-    pytest.param(build, name, rule, bad, id=f"{row_id}={bad!r}")
+    pytest.param(build, name, rule, value, id=f"{row_id}={value!r}")
     for row_id, build, name, rule, bad in KIND_ROWS
+    for value in ((bad,) if row_id in RANGED else (bad, True))
 ]
 
 
@@ -231,6 +245,14 @@ CASES = [
 def test_out_of_range_value_is_rejected(build, name, rule, value):
     with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be {rule}, got ")):
         build(value)
+
+
+def test_region_checks_a_generator_before_reading_it_as_a_number():
+    with pytest.raises(TypeError):
+        Region("a", 0, FLAT, (("3", "2"),))
+    message = "a: generators[0] must be finite and >= 0 in capacity and cost, got (True, False)"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        Region("a", 0, FLAT, ((True, False),))
 
 
 def test_network_without_regions_is_rejected():

@@ -473,6 +473,22 @@ class TestDeterminismAndGoldens:
         expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
         assert result.output == expected
 
+    @pytest.mark.parametrize(
+        "filename, command",
+        [
+            ("hvdc_projects.csv", ["project-table", "--projects-csv"]),
+            ("smoothing_demo.json", ["simulate", "--hours", "24", "--scenario"]),
+        ],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, filename, command):
+        """Excel's "CSV UTF-8" starts the file with a byte-order mark."""
+        path = tmp_path / filename
+        path.write_bytes(b"\xef\xbb\xbf" + bundled_path(filename).read_bytes())
+        plain = invoke(command + [str(bundled_path(filename))])
+        marked = invoke(command + [str(path)])
+        assert plain.exit_code == marked.exit_code == 0, marked.output
+        assert marked.output == plain.output
+
     @pytest.mark.parametrize("name", sorted(HIGH_CASE_INVOCATIONS))
     def test_high_case_golden_outputs(self, name):
         result = invoke(HIGH_CASE_INVOCATIONS[name])

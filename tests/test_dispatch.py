@@ -1557,9 +1557,9 @@ def test_validation_errors():
         Interconnector("a", "a", 10, 1.0)
     with pytest.raises(ValueError):
         Interconnector("a", "b", 10, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^region names must be unique$"):
         network([region("a", 1, [(1, 1)]), region("a", 1, [(1, 1)])])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^interconnectors\[0\] references unknown region 'b'$"):
         network([region("a", 1, [(1, 1)])], [Interconnector("a", "b", 1, 1.0)])
     with pytest.raises(ValueError):
         min_cost_flow(network([region("a", 1, [(1, 1)])]), (1.0, 2.0))
