@@ -75,9 +75,11 @@ network is frozen, so its problem never goes stale; a ``dataclasses.replace`` co
 and builds its own. This compiled problem is also the block that an LP of
 coupled hours would stack.
 
-A ``DispatchResult`` groups its hours once, on first use, by the identity
-of their ``HourlyDispatch`` (``DispatchResult._hours``), which ``simulate``
-shares among the repeats of a demand vector, so no hour is hashed. Its four
+A ``DispatchResult`` holds at least one hour, and each distinct hour holds
+one entry per region in every per-region field; both are checked when the
+result is made. It groups its hours once, by the identity of their
+``HourlyDispatch`` (``DispatchResult._hours``), which ``simulate`` shares
+among the repeats of a demand vector, so no hour is hashed. Its four
 totals compute their per-hour value once per distinct hour and add the
 hours up in order, as a sum over every hour would, to the same bits.
 ``export_csv`` follows the same grouping: it renders each distinct hour's
@@ -86,15 +88,30 @@ in front of those rows, and ends with the result's totals; every piece of
 the text is joined once, at the end. An equal hour that is a separate
 object is only rendered again, to the same text.
 
-The distinct values of all the cells are rounded in one ``"%.6f"`` pass
-and printed in one ``"%g"`` pass; only the integral ones are rewritten as
-integers, one Python step per distinct value, and each row is joined with
-``str.join``. The text is that of rounding and formatting each cell on its
-own: ``round(v, 6)`` and ``"%.6f" % v`` come from the same correctly
-rounded conversion (``_Py_dg_dtoa``, mode 3), so
-``float("%.6f" % v) == round(v, 6)`` for every finite double, and ``"%g"``
-is ``format(v, "g")``. The integral test calls ``int``, so an infinite or
-NaN cell still raises from ``_fmt``.
+The cells are rendered in a few array passes, not in Python steps per
+cell, to the text of rounding and formatting each cell on its own, totals
+included. The distinct hours' six columns are read into one float array,
+followed by the four totals. A served cell is demand less unserved, the
+same subtraction as ``served_mw``. A generation cell stays Python's
+``sum`` of the region's units: from Python 3.12 on ``sum`` compensates its
+rounding and numpy's sum does not, so the two can differ in the last bit.
+One sort finds the distinct values, as ``np.unique`` would, and ``_fmt``
+works once per distinct value ``v``. It rounds ``v`` to six decimals as
+``rint(v * 1e6) / 1e6``. The product is within half an ulp of the exact
+one, so ``rint`` gives the integer nearest the exact product unless a
+half-integer lies that close; a quotient of two integers below 2**53 is
+correctly rounded, so the result is the double nearest the six-decimal
+number, which is ``round(v, 6)``. Only a product within a few ulps of a
+half-integer, past 2**49 or overflowing goes through one ``"%.6f"`` pass
+instead: ``"%.6f" % v`` and ``round(v, 6)`` come from the same correctly
+rounded conversion (D. M. Gay, *Correctly Rounded Binary-Decimal and
+Decimal-Binary Conversions*, 1990; ``_Py_dg_dtoa``, mode 3). One ``"%g"``
+pass prints every rounded value; ``%g`` writes an integer below 1e6 as
+one, -0.0 is made 0.0 before it, and only the integers from 1e6 to 2**53
+are written again, with ``int``. One object-array take gives each cell its
+text, and each row is joined with ``str.join``. A non-finite cell raises
+from ``_fmt`` as ``int`` raises on it; the first in the order hour,
+column, region decides the exception.
 
 The hours of one network differ only in demand, and demand enters the LP
 only as bounds (the balance rows and the shedding caps), never as a cost or
@@ -587,6 +604,20 @@ class DispatchResult:
     network: DispatchNetwork
     hourly: tuple[HourlyDispatch, ...]
 
+    def __post_init__(self) -> None:
+        """Reject a result without hours, or one with an hour that does not
+        hold one entry per region in a per-region field; each distinct hour
+        is checked once."""
+        require(len(self.hourly) >= 1, "len(hourly)", ">= 1", len(self.hourly))
+        n_regions = len(self.network.regions)
+        distinct, index = self._hours
+        for k, hour in enumerate(distinct):
+            for field in ("demand_mw", "unserved_mw", "curtailed_res_mw", "prices_eur_per_mwh", "generation_mw"):
+                size = len(getattr(hour, field))
+                if size != n_regions:
+                    name = f"hour {index.index(k)}: len({field})"
+                    raise ValueError(f"{name} must be {n_regions}, one entry per region, got {size}")
+
     @property
     def n_hours(self) -> int:
         return len(self.hourly)
@@ -782,6 +813,8 @@ def reserve_requirements(
 
 def export_csv(result: DispatchResult) -> str:
     """Hour-by-region rows followed by a summary block, RFC-4180 style."""
+    import numpy as np
+
     # Every piece of the text is joined once, at the end.
     out = _Rows()
     writer = csv.writer(out, lineterminator="\n")
@@ -797,38 +830,41 @@ def export_csv(result: DispatchResult) -> str:
             "price_eur_per_mwh",
         ]
     )
-    # Each distinct hour's rows are rendered once, without the hour column.
+    # Every cell and total is written by one _fmt call, cells first, so the
+    # first non-finite cell decides its exception. A total that numpy would
+    # warn about is not finite, so _fmt raises on it anyway.
+    totals = ("total_cost_eur", "total_curtailed_mwh", "total_unserved_mwh", "mean_price_spread_eur_per_mwh")
+    with np.errstate(all="ignore"):
+        summary = [getattr(result, name) for name in totals]
+    # Each distinct hour's rows are rendered once, without the hour column,
+    # from one float array of its cells, [hour][column][region], followed by
+    # the totals. Demand is read twice; the second copy becomes served.
     distinct, index = result._hours
-    columns = [
-        (
-            hour.demand_mw,
-            hour.served_mw,
-            tuple(map(sum, hour.generation_mw)),
-            hour.curtailed_res_mw,
-            hour.unserved_mw,
-            hour.prices_eur_per_mwh,
-        )
-        for hour in distinct
-    ]
-    # Each distinct value is formatted once, all of them in one batch. 0, 0.0
-    # and -0.0 are one key, and all three render as "0".
-    cells = itertools.chain.from_iterable(itertools.chain.from_iterable(columns))
-    values = list(dict.fromkeys(cells))
-    text = dict(zip(values, _fmt(values))).__getitem__
+    regions = result.network.regions
+    per_hour = (
+        (h.demand_mw, h.demand_mw, map(sum, h.generation_mw), h.curtailed_res_mw, h.unserved_mw, h.prices_eur_per_mwh)
+        for h in distinct
+    )
+    size = len(distinct) * 6 * len(regions)
+    cells_then_totals = itertools.chain(itertools.chain.from_iterable(itertools.chain.from_iterable(per_hour)), summary)
+    values = np.fromiter(cells_then_totals, float, size + len(totals))
+    cells = values[:size].reshape(len(distinct), 6, len(regions))
+    cells[:, 1] -= cells[:, 4]  # demand less unserved, as HourlyDispatch.served_mw
+    texts = _fmt(values)
     # Cells never need quoting. Each name is quoted once, as in any row of
     # two or more fields (csv quotes an empty field only when it is alone).
     quoted = _Rows()
-    csv.writer(quoted, lineterminator="\n").writerows((region.name, "") for region in result.network.regions)
+    csv.writer(quoted, lineterminator="\n").writerows((region.name, "") for region in regions)
     names = [row[: -len(",\n")] for row in quoted]
-    rows = [list(map(",".join, zip(names, *(map(text, column) for column in hour)))) for hour in columns]
+    columns = [texts[k : k + len(regions)] for k in range(0, size, len(regions))]
+    rows = [list(map(",".join, zip(names, *columns[k : k + 6]))) for k in range(0, len(columns), 6)]
     for t, i in enumerate(index):
         prefix = f"{t},"
         out += (prefix, f"\n{prefix}".join(rows[i]), "\n")
     writer.writerow([])
     writer.writerow(["metric", "value"])
     writer.writerow(["hours", result.n_hours])
-    totals = ("total_cost_eur", "total_curtailed_mwh", "total_unserved_mwh", "mean_price_spread_eur_per_mwh")
-    writer.writerows(zip(totals, _fmt([getattr(result, name) for name in totals])))
+    writer.writerows(zip(totals, texts[size:]))
     return "".join(out)
 
 
@@ -838,24 +874,58 @@ class _Rows(list):
     write = list.append
 
 
-def _fmt(values: list[float]) -> list[str]:
-    """Each value's cell text: the value rounded to 6 decimals, written as an
-    integer when it is one (below 2**53) and in ``%g`` form otherwise.
+def _fmt(values) -> list[str]:
+    """Each value's cell text, in the order of ``values`` raveled: the value
+    rounded to 6 decimals, written as an integer when it is one (below
+    2**53) and in ``%g`` form otherwise.
 
-    All the values are rounded by one ``"%.6f"`` and printed by one ``"%g"``
-    operation, not one call per value. ``"%.6f" % v`` and ``round(v, 6)``
-    come from the same correctly rounded decimal conversion, so
-    ``float("%.6f" % v) == round(v, 6)`` for every finite double, and
-    ``"%g" % v`` is ``format(v, "g")``.
+    The work is done once per distinct value, in array passes. A value is
+    rounded as ``rint(v * 1e6) / 1e6`` wherever that equals ``round(v, 6)``,
+    and through one ``"%.6f"`` pass elsewhere; all of them are printed by
+    one ``"%g"`` pass, and only the integers that ``%g`` does not print as
+    such are written again. A non-finite value raises, as ``int`` raises on
+    it: the first one in the order of ``values`` decides the exception.
     """
-    k = len(values)
-    rounded = list(map(float, (("%.6f " * k) % tuple(values)).split()))
-    texts = (("%g " * k) % tuple(rounded)).split()
-    for i, r in enumerate(rounded):
-        # int() raises on inf and nan, so a non-finite value never reaches a
-        # cell. Floats hold every integer exactly only below 2**53; past it,
-        # all the digits of int(r) would claim a precision the value does
-        # not have.
-        if r == int(r) and abs(r) < 2**53:
-            texts[i] = str(int(r))
-    return texts
+    import numpy as np
+
+    values = np.asarray(values, dtype=float).ravel()
+    # The distinct values, ascending, and each value's position among them:
+    # np.unique's steps, without the checks and wrappers that cost more than
+    # the work on a small result.
+    order = values.argsort()
+    ordered = values[order]
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    distinct = ordered[first]
+    # rint(v * 1e6) / 1e6 is round(v, 6) unless a half-integer lies within
+    # half an ulp of v * 1e6 (see the module docstring); the margin here is 4
+    # to 8 ulps. From 2**49 on it is half a unit or more, so every such value
+    # fails the test, as does a non-finite one or a product that overflows
+    # (NaN compares false; inf - inf is NaN).
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = distinct * 1e6
+        whole = np.rint(scaled)
+        far = np.abs(scaled - whole) < 0.5 - np.abs(scaled) * 2.0**-50
+    rounded = whole / 1e6
+    if not far.all():
+        finite = np.isfinite(values)
+        if not finite.all():
+            int(values[~finite][0])  # OverflowError for an infinity, ValueError for NaN
+        # "%.6f" % v is round(v, 6): the same correctly rounded conversion.
+        near = np.flatnonzero(~far)
+        exact = distinct[near].tolist()
+        rounded[near] = list(map(float, (("%.6f " * len(exact)) % tuple(exact)).split()))
+    rounded += 0.0  # -0.0 + 0.0 is 0.0, which %g writes as "0", as int() does
+    r = rounded.tolist()
+    texts = (("%g " * len(r)) % tuple(r)).split()
+    # %g writes an integer below 1e6 as one already, but 1e6 and up in
+    # exponent form. Floats hold every integer exactly only below 2**53; past
+    # it, all the digits of int(r) would claim a precision the value does not
+    # have.
+    for i in np.flatnonzero(np.abs(rounded) >= 1e6).tolist():
+        if abs(r[i]) < 2**53 and r[i] == int(r[i]):
+            texts[i] = str(int(r[i]))
+    return np.array(texts, dtype=object)[inverse].tolist()

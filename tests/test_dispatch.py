@@ -830,11 +830,128 @@ class TestExportCsv:
             export_csv(result)
         assert cli._failed_step(caught.value) == "dispatch._fmt"
 
+    def test_integer_demand_profiles(self):
+        # A scenario file's integer literals reach the profiles as Python
+        # ints, and zero and integral demands give int cells; 10**7 MW is
+        # past the integers that %g writes in full.
+        regions = [
+            region("a", tuple(range(0, 2400, 100)), [(900, 0.0), (600, 40.0)]),
+            region("b", (10**7,) * 12 + (0,) * 12, [(1500, 25.0)], tz=5),
+        ]
+        result = simulate(network(regions, [Interconnector("a", "b", 400, 0.9)]), 24)
+        assert {type(d) for hour in result.hourly for d in hour.demand_mw} == {int}
+        text = export_csv(result)
+        assert text == self.plain(result)
+        assert ",b,10000000," in text
+
+    # Both a NaN and an infinite cell: the first one in the order the cells
+    # are read, hour, then column (demand, served, generation, curtailed,
+    # unserved, price), then region, decides the exception, as int() raises
+    # on it: ValueError for NaN, OverflowError for an infinity.
+    @pytest.mark.parametrize(
+        "first_hour, second_hour, error",
+        [
+            ({"demand_mw": (1.0, math.nan)}, {"prices_eur_per_mwh": (math.inf, 1.0)}, ValueError),
+            ({"prices_eur_per_mwh": (math.inf, 1.0)}, {"demand_mw": (1.0, math.nan)}, OverflowError),
+            ({"curtailed_res_mw": (0.0, -math.inf), "prices_eur_per_mwh": (math.nan, 1.0)}, {}, OverflowError),
+            ({"generation_mw": ((math.nan,), (math.inf,))}, {}, ValueError),
+            ({"generation_mw": ((math.inf,), (math.nan,))}, {}, OverflowError),
+            # Served is demand less unserved: 1 - inf.
+            ({"unserved_mw": (0.0, math.inf), "curtailed_res_mw": (math.nan, 0.0)}, {}, OverflowError),
+        ],
+    )
+    def test_first_non_finite_cell_decides_the_exception(self, first_hour, second_hour, error):
+        net = network([region(name, 1, [(1, 1.0)]) for name in "ab"])
+        hour = HourlyDispatch(
+            demand_mw=(1.0, 1.0),
+            generation_mw=((1.0,), (1.0,)),
+            flows_mw=(),
+            unserved_mw=(0.0, 0.0),
+            curtailed_res_mw=(0.0, 0.0),
+            prices_eur_per_mwh=(1.0, 1.0),
+            loss_mw=0.0,
+            cost_eur=2.0,
+        )
+        hours = (dataclasses.replace(hour, **first_hour), dataclasses.replace(hour, **second_hour))
+        with pytest.raises(error) as caught:
+            export_csv(DispatchResult(net, hours))
+        assert cli._failed_step(caught.value) == "dispatch._fmt"
+
+
+class TestResultShape:
+    """A DispatchResult holds at least one hour, and each hour holds one entry
+    per region in every per-region field, or it is rejected on creation."""
+
+    @staticmethod
+    def hour(values):
+        return HourlyDispatch(
+            demand_mw=(1.0,) * values,
+            generation_mw=((1.0,),) * values,
+            flows_mw=(),
+            unserved_mw=(0.0,) * values,
+            curtailed_res_mw=(2.0,) * values,
+            prices_eur_per_mwh=(0.0,) * values,
+            loss_mw=0.0,
+            cost_eur=0.0,
+        )
+
+    net = network([region(name, 1, [(3, 0.0)]) for name in "abc"])
+
+    def test_no_hours(self):
+        with pytest.raises(ValueError, match=r"^len\(hourly\) must be >= 1, got 0$"):
+            DispatchResult(self.net, ())
+
+    def test_too_few_values(self):
+        with pytest.raises(ValueError, match=r"^hour 0: len\(demand_mw\) must be 3, one entry per region, got 2$"):
+            DispatchResult(self.net, (self.hour(2),))
+
+    def test_too_many_values(self):
+        with pytest.raises(ValueError, match=r"^hour 0: len\(demand_mw\) must be 3, one entry per region, got 4$"):
+            DispatchResult(self.net, (self.hour(4),))
+
+    @pytest.mark.parametrize("field", ["demand_mw", "unserved_mw", "curtailed_res_mw", "prices_eur_per_mwh",
+                                       "generation_mw"])
+    def test_each_field_names_its_first_hour(self, field):
+        good = self.hour(3)
+        bad = dataclasses.replace(good, **{field: getattr(good, field)[:2]})
+        message = rf"^hour 2: len\({field}\) must be 3, one entry per region, got 2$"
+        with pytest.raises(ValueError, match=message):
+            DispatchResult(self.net, (good, good, bad, good, bad))
+
 
 # Zero's sign, the rounding boundary at the sixth decimal, the last integer a
 # float holds exactly, huge values, and a value rounded twice: to 1.234565
 # (stored just below it), then by %g to 1.23456.
 EDGE_VALUES = [-0.0, 5e-7, -5e-7, 4.9999999e-7, -4.9999999e-7, 2.0**53 - 1, 2.0**53, 1e300, -1e300, 1.2345649]
+
+
+def ulps_from(value, steps):
+    """``value`` moved ``steps`` doubles up (or down, if negative)."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+NEAR = st.integers(-4, 4)  # ulps
+ROUNDING_EDGES = st.one_of(
+    # Sixth-decimal half-points (2k+1)/2e6 and their neighbours, up to where
+    # the scaled value passes 2**49.
+    st.builds(lambda k, steps: ulps_from((2 * k + 1) / 2e6, steps), st.integers(-(2**50), 2**50), NEAR),
+    # Exact binary ties: v * 1e6 is a half-integer exactly when v is an odd
+    # multiple of 2**-7.
+    st.builds(lambda k: (2 * k + 1) * 2.0**-7, st.integers(-(2**45), 2**45)),
+    # Around the largest scaled value that rint keeps exact, the end of the
+    # fast path, the integer rewrite's ends, and the top of the float range.
+    st.builds(
+        lambda base, sign, steps: ulps_from(sign * base, steps),
+        st.sampled_from([2**52 / 1e6, 2**49 / 1e6, 1e6, 2.0**53, 1e308]),
+        st.sampled_from([1.0, -1.0]),
+        NEAR,
+    ),
+    st.sampled_from([sys.float_info.max, -sys.float_info.max]),
+    # -0.0 and negatives that round to -0.
+    st.floats(-5e-7, -0.0),
+)
 
 
 class TestFormatter:
@@ -846,6 +963,14 @@ class TestFormatter:
     @example([])
     @example(EDGE_VALUES)
     def test_any_finite_floats(self, values):
+        assert dispatch._fmt(values) == list(map(cell_text, values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ROUNDING_EDGES))
+    @example([2.0**-7, -(2.0**-7), 3 * 2.0**-7, 5e-7, -5e-7, 2.5e-6, 2**52 / 1e6, 2**49 / 1e6, 1e308, -1e308])
+    def test_rounding_edges(self, values):
+        # Where rint(v * 1e6) / 1e6 may not be round(v, 6), and where the
+        # integer rewrite starts and stops.
         assert dispatch._fmt(values) == list(map(cell_text, values))
 
     @pytest.mark.parametrize("value, error", [(math.inf, OverflowError), (-math.inf, OverflowError),
