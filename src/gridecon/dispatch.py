@@ -62,18 +62,30 @@ profile at ``(hour + tz_offset_hours) % 24``, so hour ``t`` has the demand
 of hour ``t % 24``. ``simulate`` therefore builds and solves only the first
 ``min(hours, 24)`` hours and tiles their results over the horizon by tuple
 repetition: a year costs at most 24 solves and no Python step per hour.
+That day is built by rotating each region's profile once by its offset and
+reading the rotated profiles across, hour by hour; it holds the very values
+``demand_at`` reads.
 
 Everything in an hour's LP but its demand is built once per network, by the
 first solve, and cached on the network: the normalized objective, the
 balance matrix (in the binding's own sparse type, which a model copies
-whole), the column bounds, each column's rows and gain, the loss shares
-and the maps that decode a solution (each region's unit count, the
-zero-cost units and the link pairs). An hour copies the upper bounds,
-writes its demand into the shedding bounds and the balance rows, loads the
-model, solves it from the previous hour's basis (below) and decodes. A
-network is frozen, so its problem never goes stale; a ``dataclasses.replace`` copy is a new network
-and builds its own. This compiled problem is also the block that an LP of
-coupled hours would stack.
+whole), the column bounds, each column's rows and gain, the loss shares and
+the maps that decode a solution (each region's units as a slice of the
+columns, the zero-cost units, and where the link columns start). It is
+built in array passes, not arc by arc: one ``np.fromiter`` pass each reads
+the units' (capacity, cost) pairs, the links' endpoints and their (rating,
+efficiency) pairs, and each field is filled a block of columns at a time,
+each link's forward column at even offsets from the first link column and
+its backward column at odd ones. A link column's two balance entries are
+ordered by region, the lower first, so that each column's rows ascend. An
+hour passes HiGHS the cached unit and link capacities followed by its
+demand as the upper bounds, writes its demand into the balance rows, loads
+the model, solves it from the previous hour's basis (below) and decodes it
+from slices of one list of the column values: each region's units, and
+every link's forward and backward columns, taken two apart. A network is
+frozen, so its problem never goes stale; a ``dataclasses.replace`` copy is
+a new network and builds its own. This compiled problem is also the block
+that an LP of coupled hours would stack.
 
 A ``DispatchResult`` holds at least one hour, and each distinct hour holds
 one entry per region in every per-region field; both are checked when the
@@ -151,11 +163,15 @@ Python that builds, decodes and prices another. A network takes this path
 when its LP has at least ``_THREADED_MIN_ARCS`` columns (400, the measured
 crossover); below that HiGHS is too small a share of an hour, threads only
 contend for the GIL, and the hours are solved one after the other on the
-calling thread, without importing ``concurrent.futures``. Each thread
-takes one contiguous run of the day's distinct hours, in time order, so
-every hour but a run's first starts from the hour before it. The compiled
-problem is built on the calling thread before the pool starts. Both paths
-print the same text, and name the same failing hour, the earliest.
+calling thread, without importing ``concurrent.futures``. Each thread takes
+one contiguous run of the day's distinct hours, in time order, so every
+hour but a run's first starts from the hour before it. A run starts only
+once every run has a thread (a ``threading.Barrier``), so a thread that
+finishes its run early never takes another run from the pool's queue; if a
+thread cannot be started, the barrier is broken and the others end instead
+of waiting for it. The compiled problem is built on the calling thread
+before the pool starts. Both paths print the same text, and name the same
+failing hour, the earliest.
 
 numpy and the HiGHS extension are imported by the first solve, not by this
 module, so importing gridecon and every report that does not dispatch stay
@@ -170,6 +186,7 @@ import csv
 import functools
 import itertools
 import math
+import operator
 import os
 import sys
 import threading
@@ -215,6 +232,7 @@ class Region:
     generators: tuple[tuple[float, float], ...] = ()  # (capacity MW, marginal cost EUR/MWh)
 
     def __post_init__(self) -> None:
+        require(isinstance(self.name, str), "name", "a string", repr(self.name))
         object.__setattr__(self, "demand_profile_mw", tuple(self.demand_profile_mw))
         hours = len(self.demand_profile_mw)
         require(hours == 24, f"{self.name}: len(demand_profile_mw)", "24", hours)
@@ -243,6 +261,9 @@ class Interconnector:
     efficiency: float = 1.0
 
     def __post_init__(self) -> None:
+        for field in ("region_a", "region_b"):
+            endpoint = getattr(self, field)
+            require(isinstance(endpoint, str), field, "a string", repr(endpoint))
         if self.region_a == self.region_b:
             raise ValueError(f"interconnector endpoints must differ, got {self.region_a!r}")
         capacity, efficiency = self.capacity_mw, self.efficiency
@@ -317,9 +338,10 @@ class _Problem:
 
     One arc (tail, head, capacity, gain, cost) per LP column, its ends given
     as region indices: generators region by region, each interconnector
-    forward then backward, then one shedding arc per region. A generator or
-    shedding arc enters its region from outside the network, so its tail is
-    None.
+    forward (``region_a`` to ``region_b``) then backward, then one shedding
+    arc per region. A generator or shedding arc enters its region from
+    outside the network, so its tail is ``n_regions``, past the last region.
+    Each field is filled a block of columns at a time.
     """
 
     def __init__(self, network: DispatchNetwork) -> None:
@@ -327,66 +349,90 @@ class _Problem:
 
         from ._highs import core
 
-        n_regions = len(network.regions)
+        regions, interconnectors = network.regions, network.interconnectors
+        n_regions, n_links = len(regions), len(interconnectors)
         penalty = network.unserved_penalty_eur_per_mwh
-        arcs = [
-            (None, ri, cap, 1.0, cost)
-            for ri, region in enumerate(network.regions)
-            for cap, cost in region.generators
-        ]
-        self.unit_counts = [len(region.generators) for region in network.regions]
-        self.free_units = [(j, head, cap) for j, (_, head, cap, _, cost) in enumerate(arcs) if cost == 0.0]
-        index = {region.name: ri for ri, region in enumerate(network.regions)}
-        self.links = []
-        for ic in network.interconnectors:
-            a, b = index[ic.region_a], index[ic.region_b]
-            self.links.append((len(arcs), 1.0 - ic.efficiency))
-            arcs.append((a, b, ic.capacity_mw, ic.efficiency, 0.0))
-            arcs.append((b, a, ic.capacity_mw, ic.efficiency, 0.0))
-        self.first_shed = len(arcs)
-        arcs.extend((None, ri, math.inf, 1.0, penalty) for ri in range(n_regions))
-        self.n_arcs = len(arcs)
-
+        self.unit_counts = [len(region.generators) for region in regions]
+        unit_ends = list(itertools.accumulate(self.unit_counts, initial=0))
+        self.unit_slices = list(itertools.starmap(slice, itertools.pairwise(unit_ends)))
+        self.first_link = first_link = n_units = unit_ends[-1]
+        self.first_shed = first_shed = first_link + 2 * n_links
+        self.n_arcs = n_arcs = first_shed + n_regions
         self.penalty = penalty
-        self.costs = np.array([cost for *_, cost in arcs], dtype=float)
+        links = slice(first_link, first_shed)
+
+        # Each unit's (capacity, cost), each link's (region_a, region_b) and
+        # (rating, efficiency), read in one pass each.
+        flat = itertools.chain.from_iterable
+        units = np.fromiter(flat(flat(r.generators for r in regions)), float, 2 * n_units).reshape(n_units, 2)
+        index = {region.name: ri for ri, region in enumerate(regions)}
+        ends = flat((index[ic.region_a], index[ic.region_b]) for ic in interconnectors)
+        ends = np.fromiter(ends, np.intp, 2 * n_links).reshape(n_links, 2)
+        ratings = flat((ic.capacity_mw, ic.efficiency) for ic in interconnectors)
+        ratings = np.fromiter(ratings, float, 2 * n_links).reshape(n_links, 2)
+        # Each column's rows and gain, so that a reduced cost is its cost less
+        # gain x its head's dual plus its tail's dual; a column without a tail
+        # reads the 0 appended after the last row's dual.
+        numbers = np.arange(n_regions)
+        self.heads = heads = np.empty(n_arcs, dtype=np.intp)
+        heads[:first_link] = np.repeat(numbers, self.unit_counts)
+        heads[links] = ends[:, ::-1].ravel()
+        heads[first_shed:] = numbers
+        self.tails = tails = np.full(n_arcs, n_regions, dtype=np.intp)
+        tails[links] = ends.ravel()
+        self.gains = gains = np.ones(n_arcs)
+        gains[links] = np.repeat(ratings[:, 1], 2)
+        self.capacities = capacities = np.full(n_arcs, math.inf)
+        capacities[:first_link] = units[:, 0]
+        capacities[links] = np.repeat(ratings[:, 0], 2)
+        self.costs = costs = np.zeros(n_arcs)
+        costs[:first_link] = units[:, 1]
+        costs[first_shed:] = penalty
+        free = np.flatnonzero(units[:, 1] == 0.0)
+        self.free_units = list(zip(free.tolist(), heads[free].tolist(), units[free, 0].tolist()))
         # Normalizing the objective by the penalty keeps the chosen vertex
         # invariant when all marginal costs are scaled by a constant. A unit
         # priced above the penalty never runs, since shedding is cheaper; it is
         # capped just above shedding, or its price would push every other cost
         # below HiGHS's dual tolerance. With no such unit the penalty is the
         # largest cost, as every region has a shedding arc.
-        self.objective = np.minimum(self.costs / penalty, 2.0)
+        self.objective = np.minimum(costs / penalty, 2.0)
         # The balance rows, one column per arc: -1 where it leaves a region,
-        # its gain where it arrives; rows ascend within a column (canonical CSC).
-        indptr, indices, data = [0], [], []
-        for tail, head, _, gain, _ in arcs:
-            column = [(head, gain)] if tail is None else sorted(((tail, -1.0), (head, gain)))
-            for row, entry in column:
-                indices.append(row)
-                data.append(entry)
-            indptr.append(len(indices))
+        # its gain where it arrives; rows ascend within a column (canonical
+        # CSC). A link column holds two entries; a unit or shedding column
+        # holds one, its gain of 1.
+        start = np.zeros(n_arcs + 1, dtype=np.intp)
+        np.cumsum(1 + (tails < n_regions), out=start[1:])
+        rows, entries = np.empty(start[-1], dtype=np.intp), np.ones(start[-1])
+        rows[:first_link] = heads[:first_link]
+        rows[-n_regions:] = numbers
+        link_rows = rows[first_link:-n_regions].reshape(-1, 2)
+        link_entries = entries[first_link:-n_regions].reshape(-1, 2)
+        link_tails, link_heads, link_gains = tails[links], heads[links], gains[links]
+        np.minimum(link_tails, link_heads, out=link_rows[:, 0])
+        np.maximum(link_tails, link_heads, out=link_rows[:, 1])
+        tail_first = link_tails < link_heads
+        link_entries[:, 0] = np.where(tail_first, -1.0, link_gains)
+        link_entries[:, 1] = np.where(tail_first, link_gains, -1.0)
         # Built once in HiGHS's own type: an hour's model copies it whole, where
         # the binding would convert every entry again.
         self.balance = balance = core.HighsSparseMatrix()
         balance.format_ = core.MatrixFormat.kColwise
-        balance.num_col_, balance.num_row_ = len(arcs), n_regions
-        balance.start_, balance.index_, balance.value_ = indptr, indices, data
-        self.capacities = np.array([cap for _, _, cap, _, _ in arcs])
+        balance.num_col_, balance.num_row_ = n_arcs, n_regions
+        balance.start_, balance.index_, balance.value_ = start.tolist(), rows.tolist(), entries.tolist()
         # An hour's column bounds: 0 to capacity, shedding capped at its demand.
         # They go to HiGHS as lists, because the binding converts a list of
-        # bounds faster than an array (only the costs take an array whole).
-        self.lower = [0.0] * len(arcs)
-        # Each column's rows and gain, so that a reduced cost is its cost less
-        # gain x its head's dual plus its tail's dual; a column without a tail
-        # reads the 0 appended after the last row's dual.
-        self.heads = np.array([head for _, head, *_ in arcs])
-        self.tails = np.array([n_regions if tail is None else tail for tail, *_ in arcs])
-        self.gains = np.array([gain for _, _, _, gain, _ in arcs])
+        # bounds faster than an array (only the costs take an array whole); an
+        # hour's upper bounds are these capacities followed by its demand.
+        self.lower = [0.0] * n_arcs
+        self.fixed_upper = capacities[:first_shed].tolist()
         # The least-loss stage's costs: each link column's loss share, 0 for
-        # every other column.
-        self.link_columns = np.array([j + k for j, _ in self.links for k in (0, 1)], dtype=np.int32)
-        self.loss_share = np.zeros(len(arcs))
-        self.loss_share[self.link_columns] = [lost for _, lost in self.links for _ in (0, 1)]
+        # every other column. An hour loses each link's share of its flow
+        # either way.
+        self.link_columns = np.arange(first_link, first_shed, dtype=np.int32)
+        self.loss_share = np.zeros(n_arcs)
+        self.loss_share[links] = 1.0 - gains[links]
+        self.link_losses = self.loss_share[first_link:first_shed:2].tolist()
 
     def upper_at(self, demand: tuple[float, ...]):
         """The column upper bounds of an hour: shedding capped at its demand."""
@@ -421,10 +467,10 @@ def _solve_hour(problem: _Problem, demand: tuple[float, ...]):
     upper = problem.upper_at(demand)
     chain = getattr(_thread, "chain", None)
     basis = chain[1] if chain is not None and chain[0] is problem else None
-    highs = _run(problem, demand, problem.lower, upper.tolist(), basis)
+    highs = _run(problem, demand, problem.lower, problem.fixed_upper + list(demand), basis)
     _thread.chain = (problem, highs.getBasis())
     solution = highs.getSolution()
-    value, duals = np.array(solution.col_value), solution.row_dual
+    value, duals = np.array(solution.col_value, dtype=float), solution.row_dual
     first = np.maximum(value, 0.0)
     at_lower = first <= _EPS_FLOW
     at_upper = first >= upper - _EPS_FLOW
@@ -572,29 +618,25 @@ def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
     import numpy as np
 
     problem = network._problem
-    first_shed = problem.first_shed
+    first_link, first_shed = problem.first_link, problem.first_shed
     x, prices = _solve_hour(problem, demand)
     xs = x.tolist()
 
-    generation = []
-    start = 0
-    for count in problem.unit_counts:
-        generation.append(tuple(xs[start : start + count]))
-        start += count
     curtailed = [0.0] * n_regions
     for j, ri, cap in problem.free_units:
         curtailed[ri] += cap - xs[j]
-    flows = tuple(xs[j] - xs[j + 1] for j, _ in problem.links)
-    loss = float(sum((xs[j] + xs[j + 1]) * lost for j, lost in problem.links))
-    unserved = tuple(map(min, xs[first_shed:], demand))
+    forward, backward = xs[first_link:first_shed:2], xs[first_link + 1 : first_shed : 2]
+    loss = sum(map(operator.mul, map(operator.add, forward, backward), problem.link_losses))
     return HourlyDispatch(
         demand_mw=demand,
-        generation_mw=tuple(generation),
-        flows_mw=flows,
-        unserved_mw=unserved,
+        generation_mw=tuple(map(tuple, map(xs.__getitem__, problem.unit_slices))),
+        flows_mw=tuple(map(operator.sub, forward, backward)),
+        # Shedding capped at demand, which HiGHS may pass within its
+        # tolerance: min(s, d), written out as it costs less than a call.
+        unserved_mw=tuple([d if d < s else s for s, d in zip(xs[first_shed:], demand)]),
         curtailed_res_mw=tuple(curtailed),
         prices_eur_per_mwh=tuple(prices),
-        loss_mw=loss,
+        loss_mw=float(loss),
         cost_eur=float(np.dot(problem.costs, x)),
     )
 
@@ -678,9 +720,13 @@ def _first_day(network: DispatchNetwork, hours: int) -> list[tuple[float, ...]]:
     so hour ``t`` of any horizon has the demand of hour ``t % 24``. The 24
     vectors are the network's day: every longer horizon repeats them, so the
     network's peaks, and its reserves (``reserve_requirements``), are
-    properties of that day.
+    properties of that day. The day is each region's profile rotated once by
+    its offset, so hour ``t`` holds the very values ``demand_at(t)`` reads.
     """
-    return [tuple(region.demand_at(t) for region in network.regions) for t in range(min(hours, 24))]
+    profiles = (region.demand_profile_mw for region in network.regions)
+    offsets = (region.tz_offset_hours % 24 for region in network.regions)
+    local_days = [profile[o:] + profile[:o] for profile, o in zip(profiles, offsets)]
+    return list(zip(*local_days))[: min(hours, 24)]
 
 
 def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
@@ -720,8 +766,21 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
         # and map raises that of the earliest run: the earliest failing hour.
         ends = [len(distinct) * k // threads for k in range(threads + 1)]
         runs = [distinct[a:b] for a, b in itertools.pairwise(ends)]
+        # Each run waits until every run has a thread, so no thread that
+        # finished its run takes another; a thread that cannot be started
+        # releases the others.
+        started = threading.Barrier(threads)
+
+        def solve_run(run: list) -> list:
+            started.wait()
+            return list(map(solve, run))
+
         with ThreadPoolExecutor(threads) as pool:
-            solved_runs = pool.map(lambda run: list(map(solve, run)), runs)
+            try:
+                solved_runs = pool.map(solve_run, runs)
+            except BaseException:
+                started.abort()
+                raise
             solved = dict(zip(distinct, itertools.chain.from_iterable(solved_runs)))
     else:
         solved = dict(zip(distinct, map(solve, distinct)))

@@ -8,7 +8,7 @@ import random
 import numpy as np
 from scipy.optimize import linprog
 
-from gridecon.dispatch import DispatchNetwork, Interconnector, Region, sinusoid_profile
+from gridecon.dispatch import DispatchNetwork, HourlyDispatch, Interconnector, Region, sinusoid_profile
 
 PENALTY = 10000.0
 
@@ -177,14 +177,8 @@ def delivery_price_labels(net, columns):
     residual cycle that the optimum does not have.
     """
     eps = 1e-7
-    # One arc (tail, head, capacity, gain, cost) per LP column, in dispatch's
-    # column order; units and shedding come from outside, so their tail is None.
-    arcs = [(None, ri, cap, 1.0, cost) for ri, r in enumerate(net.regions) for cap, cost in r.generators]
-    for ic in net.interconnectors:
-        a, b = region_index(net, ic.region_a), region_index(net, ic.region_b)
-        arcs += [(a, b, ic.capacity_mw, ic.efficiency, 0.0), (b, a, ic.capacity_mw, ic.efficiency, 0.0)]
+    arcs = ArcListProblem(net).arcs
     n = len(net.regions)
-    arcs += [(None, ri, math.inf, 1.0, net.unserved_penalty_eur_per_mwh) for ri in range(n)]
     dist = [math.inf] * n
     residual = [[] for _ in range(n)]
     for (tail, head, cap, gain, cost), flow in zip(arcs, columns):
@@ -240,3 +234,79 @@ def _close_gain_cycle(dist, pred, start, eps):
     assert slope < 1.0 and dist[node] > eps, f"price labels: cycle maps p to {slope} * p"
     dist[node] = 0.0
     return node
+
+
+class ArcListProblem:
+    """The fields of ``dispatch._Problem``, built arc by arc from one arc list:
+    the reference for its array build.
+
+    One arc (tail, head, capacity, gain, cost) per LP column, in dispatch's
+    column order: units region by region, each link forward then backward,
+    one shedding arc per region. A unit or shedding arc comes from outside
+    the network, so its tail is None in ``arcs``; in ``tails`` it is the
+    number of regions. ``start_``, ``index_`` and ``value_`` are the balance
+    matrix's columns, rows ascending within each.
+    """
+
+    def __init__(self, net):
+        n_regions = len(net.regions)
+        penalty = net.unserved_penalty_eur_per_mwh
+        arcs = [(None, ri, cap, 1.0, cost) for ri, r in enumerate(net.regions) for cap, cost in r.generators]
+        self.unit_counts = [len(r.generators) for r in net.regions]
+        self.free_units = [(j, head, cap) for j, (_, head, cap, _, cost) in enumerate(arcs) if cost == 0.0]
+        index = {r.name: ri for ri, r in enumerate(net.regions)}
+        self.links = []
+        for ic in net.interconnectors:
+            a, b = index[ic.region_a], index[ic.region_b]
+            self.links.append((len(arcs), 1.0 - ic.efficiency))
+            arcs.append((a, b, ic.capacity_mw, ic.efficiency, 0.0))
+            arcs.append((b, a, ic.capacity_mw, ic.efficiency, 0.0))
+        self.first_shed = len(arcs)
+        arcs.extend((None, ri, math.inf, 1.0, penalty) for ri in range(n_regions))
+        self.arcs = arcs
+        self.n_arcs = len(arcs)
+        self.penalty = penalty
+        self.costs = np.array([cost for *_, cost in arcs], dtype=float)
+        self.objective = np.minimum(self.costs / penalty, 2.0)
+        self.start_, self.index_, self.value_ = [0], [], []
+        for tail, head, _, gain, _ in arcs:
+            column = [(head, gain)] if tail is None else sorted(((tail, -1.0), (head, gain)))
+            for row, entry in column:
+                self.index_.append(row)
+                self.value_.append(entry)
+            self.start_.append(len(self.index_))
+        self.capacities = np.array([cap for _, _, cap, _, _ in arcs])
+        self.lower = [0.0] * len(arcs)
+        self.heads = np.array([head for _, head, *_ in arcs])
+        self.tails = np.array([n_regions if tail is None else tail for tail, *_ in arcs])
+        self.gains = np.array([gain for _, _, _, gain, _ in arcs])
+        self.link_columns = np.array([j + k for j, _ in self.links for k in (0, 1)], dtype=np.int32)
+        self.loss_share = np.zeros(len(arcs))
+        self.loss_share[self.link_columns] = [lost for _, lost in self.links for _ in (0, 1)]
+
+
+def reference_decode(net, demand, x, prices):
+    """The ``HourlyDispatch`` of an hour of ``net`` with ``demand``, decoded
+    column by column from its LP column values ``x`` (clipped at 0) and its
+    ``prices``: the reference for ``min_cost_flow``'s decode. Unserved is
+    each region's shedding capped at its demand, ``min(x, d)``."""
+    problem = ArcListProblem(net)
+    xs = x.tolist()
+    generation = []
+    start = 0
+    for count in problem.unit_counts:
+        generation.append(tuple(xs[start : start + count]))
+        start += count
+    curtailed = [0.0] * len(net.regions)
+    for j, ri, cap in problem.free_units:
+        curtailed[ri] += cap - xs[j]
+    return HourlyDispatch(
+        demand_mw=tuple(demand),
+        generation_mw=tuple(generation),
+        flows_mw=tuple(xs[j] - xs[j + 1] for j, _ in problem.links),
+        unserved_mw=tuple(map(min, xs[problem.first_shed :], demand)),
+        curtailed_res_mw=tuple(curtailed),
+        prices_eur_per_mwh=tuple(prices),
+        loss_mw=float(sum((xs[j] + xs[j + 1]) * lost for j, lost in problem.links)),
+        cost_eur=float(np.dot(problem.costs, x)),
+    )

@@ -5,12 +5,14 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,7 @@ from gridecon.dispatch import (
 
 from dispatch_oracles import (
     PENALTY,
+    ArcListProblem,
     delivery_price_labels,
     energy_balance_residual,
     enumeration_oracle,
@@ -43,6 +46,7 @@ from dispatch_oracles import (
     lp_oracle,
     network,
     random_network,
+    reference_decode,
     region,
     ring_network,
 )
@@ -339,6 +343,17 @@ class TestRepeatedHours:
         reserve_requirements(net, 0.1)
         assert len(calls) <= 24 * len(net.regions)
 
+    def test_first_day_rotates_each_profile(self):
+        # Offsets from -50 to 50, each region with a profile of its own; the
+        # day holds the very values demand_at reads.
+        regions = [Region(f"r{o}", o, tuple(float((o + 50) * 100 + h) for h in range(24))) for o in range(-50, 51)]
+        net = DispatchNetwork(tuple(regions))
+        for hours in range(1, 31):
+            expected = [tuple(r.demand_at(t) for r in regions) for t in range(min(hours, 24))]
+            day = dispatch._first_day(net, hours)
+            assert day == expected
+            assert all(map(operator.is_, itertools.chain(*day), itertools.chain(*expected)))
+
     def test_benchmark_tracer_counts_one_solve_per_distinct_hour(self):
         # The benchmark's tracer must see the memo: one min_cost_flow span per
         # distinct demand vector, and tracing leaves the output as it is. Run
@@ -378,6 +393,31 @@ class TestRepeatedHours:
         monkeypatch.setattr(dispatch, "_solve_hour", counting)
         simulate(smoothing, 48)
         assert len(demands) == len(set(demands)) == 13
+
+
+@st.composite
+def small_networks(draw):
+    """Networks of up to 5 regions and 6 links: regions without units, free
+    units, units priced above the penalty, efficiency-1, parallel and
+    reversed links, and no links at all."""
+    penalty = draw(st.sampled_from([PENALTY, 50.0]))
+    names = [f"r{i}" for i in range(draw(st.integers(1, 5)))]
+    cost = st.one_of(st.just(0.0), st.floats(0.01, 100.0), st.floats(penalty, 3 * penalty))
+    units = st.lists(st.tuples(st.floats(0.0, 100.0), cost), max_size=3)
+    regions = [Region(name, generators=draw(units)) for name in names]
+    ends = st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True) if len(names) > 1 else st.nothing()
+    efficiency = st.one_of(st.just(1.0), st.floats(0.5, 1.0, exclude_min=True))
+    capacity = st.one_of(st.floats(0.0, 100.0), st.integers(0, 100))
+    links = st.builds(lambda ends, cap, eff: Interconnector(*ends, cap, eff), ends, capacity, efficiency)
+    return network(regions, draw(st.lists(links, max_size=6)), penalty)
+
+
+def float_bits(value):
+    """Each number in ``value`` as its type and ``float.hex``, through any
+    nesting of tuples."""
+    if isinstance(value, tuple):
+        return tuple(map(float_bits, value))
+    return type(value), float(value).hex()
 
 
 class TestCompiledProblem:
@@ -423,6 +463,73 @@ class TestCompiledProblem:
         simulate(net, 24)
         assert builds == [net]
 
+    @settings(max_examples=200, deadline=None)
+    @given(small_networks())
+    @example(network(
+        # A region without units, a free unit, one priced above the penalty,
+        # efficiency-1 links, parallel links and one with reversed endpoints.
+        [region("a", 1, []), region("b", 2, [(5, 0.0), (3, 2 * PENALTY)]), region("c", 0, [(4, 1.0)])],
+        [Interconnector("a", "b", 3, 1.0), Interconnector("b", "a", 2.5, 0.9), Interconnector("a", "b", 1, 0.8),
+         Interconnector("c", "b", 7, 1.0)],
+    ))
+    @example(network([region("a", 1, [(5, 0.0)])]))
+    def test_array_build_equals_the_arc_list_build(self, net):
+        problem, reference = dispatch._Problem(net), ArcListProblem(net)
+        # repr tells each float apart to the bit, -0.0 from 0.0, and an int from a float.
+        for name in ("costs", "objective", "capacities", "heads", "tails", "gains", "link_columns", "loss_share"):
+            assert repr(getattr(problem, name).tolist()) == repr(getattr(reference, name).tolist()), name
+        for name in ("unit_counts", "free_units", "first_shed", "n_arcs", "penalty", "lower"):
+            assert repr(getattr(problem, name)) == repr(getattr(reference, name)), name
+        balance = problem.balance
+        assert (balance.num_col_, balance.num_row_) == (reference.n_arcs, len(net.regions))
+        assert balance.start_ == reference.start_ and balance.index_ == reference.index_
+        assert repr(balance.value_) == repr(list(map(float, reference.value_)))
+        # The decode's views of the same columns.
+        columns = list(range(reference.n_arcs))
+        assert [columns[s] for s in problem.unit_slices] == [
+            columns[j : j + n] for j, n in zip(itertools.accumulate([0, *reference.unit_counts]), reference.unit_counts)
+        ]
+        assert columns[problem.first_link : problem.first_shed : 2] == [j for j, _ in reference.links]
+        assert repr(problem.link_losses) == repr([lost for _, lost in reference.links])
+        assert repr(problem.fixed_upper) == repr(reference.capacities[: reference.first_shed].tolist())
+
+    @pytest.mark.parametrize(
+        "build, past_demand",
+        [
+            pytest.param(lambda: ring_network("32:1", n_regions=12, n_chords=12), 0.0, id="ring-12"),
+            pytest.param(lambda: ring_network("32:2", n_regions=20, n_chords=5), 0.0, id="ring-20"),
+            pytest.param(lambda: large_ring("32:3"), 0.0, id="ring-51"),
+            pytest.param(lambda: load_bundled_scenario("smoothing").require("network"), 0.0, id="demo"),
+            pytest.param(lambda: network(
+                [region("a", tuple(range(0, 2400, 100)), [(900, 0.0), (600, 40.0)]),
+                 region("b", (10**7,) * 12 + (0,) * 12, [(1500, 25.0)], tz=5)],
+                [Interconnector("a", "b", 400, 0.9)],
+            ), 0.0, id="integer-demand"),
+            # Every region sheds a little past its demand, as HiGHS may within
+            # its tolerance: unserved is capped at demand, the cost is not.
+            pytest.param(lambda: ring_network("32:4", n_regions=10, n_chords=5), 1e-6, id="shedding-past-demand"),
+        ],
+    )
+    def test_decode_equals_the_reference_decode(self, build, past_demand, monkeypatch):
+        # Every field of every hour, to the bit, from the same LP columns.
+        net = build()
+        solve, solved = dispatch._solve_hour, []
+
+        def recording(problem, demand):
+            x, prices = solve(problem, demand)
+            if past_demand:
+                x[problem.first_shed :] = np.add(demand, past_demand)
+            solved.append((x.copy(), prices))
+            return x, prices
+
+        monkeypatch.setattr(dispatch, "_solve_hour", recording)
+        for demand in dispatch._first_day(net, 24):
+            hour = min_cost_flow(net, demand)
+            reference = reference_decode(net, demand, *solved.pop())
+            for field in dataclasses.fields(HourlyDispatch):
+                new, old = getattr(hour, field.name), getattr(reference, field.name)
+                assert new == old and float_bits(new) == float_bits(old), field.name
+
     def test_equal_networks_give_equal_results(self):
         one = ring_network("20:1", n_regions=20, n_chords=20)
         other = ring_network("20:1", n_regions=20, n_chords=20)
@@ -459,8 +566,10 @@ class TestConcurrentHours:
         assert len(threads) == 24 and threading.get_ident() not in threads
         assert export_csv(result) == printed(net, [min_cost_flow(net, hourly_demand(net, t)) for t in range(48)])
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_each_thread_solves_one_run_of_hours_in_time_order(self, cpus, monkeypatch):
+    @staticmethod
+    def record_runs(monkeypatch, cpus):
+        """Each thread's hours of a 24 h simulate on ``cpus`` CPUs, in the
+        order it solved them."""
         monkeypatch.setattr(dispatch, "_cpu_count", lambda: cpus)
         net = large_ring("76:3")
         hour_of = {hourly_demand(net, t): t for t in range(24)}
@@ -472,8 +581,49 @@ class TestConcurrentHours:
 
         monkeypatch.setattr(dispatch, "min_cost_flow", recording)
         simulate(net, 24)
+        return sorted(runs.values())
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_each_thread_solves_one_run_of_hours_in_time_order(self, cpus, monkeypatch):
         size = 24 // cpus
-        assert sorted(runs.values()) == [list(range(k, k + size)) for k in range(0, 24, size)]
+        assert self.record_runs(monkeypatch, cpus) == [list(range(k, k + size)) for k in range(0, 24, size)]
+
+    def test_a_thread_that_starts_late_still_gets_a_run(self, monkeypatch):
+        # The third worker starts long after the first has solved its run,
+        # and the first must not take the third run meanwhile.
+        start = threading.Thread.start
+
+        def late_third(thread):
+            if thread.name.startswith("ThreadPoolExecutor") and thread.name.endswith("_2"):
+                time.sleep(0.5)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", late_third)
+        assert self.record_runs(monkeypatch, 3) == [list(range(k, k + 8)) for k in range(0, 24, 8)]
+
+    def test_a_thread_that_cannot_start_fails_without_hanging(self, monkeypatch):
+        # The first worker waits for the others; the second never starts.
+        start = threading.Thread.start
+
+        def failing_second(thread):
+            if thread.name.startswith("ThreadPoolExecutor") and thread.name.endswith("_1"):
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", failing_second)
+        net, failures = large_ring("76:3"), []
+
+        def solve():
+            try:
+                simulate(net, 24)
+            except RuntimeError as exc:
+                failures.append(str(exc))
+
+        caller = threading.Thread(target=solve)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert failures == ["can't start new thread"]
 
     def test_earliest_failing_hour_is_named(self, monkeypatch):
         net = large_ring("76:3")
@@ -1690,6 +1840,22 @@ def test_validation_errors():
         min_cost_flow(network([region("a", 1, [(1, 1)])]), (1.0, 2.0))
     with pytest.raises(ValueError, match="^a: tz_offset_hours must be a whole number, got 0.5$"):
         Region("a", 0.5, (10.0,) * 24, ((20.0, 1.0),))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Region(1), "^name must be a string, got 1$"),
+        (lambda: Interconnector(None, "b", 1.0), "^region_a must be a string, got None$"),
+        (lambda: Interconnector("a", b"b", 1.0), "^region_b must be a string, got b'b'$"),
+    ],
+    ids=["Region.name", "Interconnector.region_a", "Interconnector.region_b"],
+)
+def test_region_names_are_strings(build, message):
+    # A scenario file's names are strings already; a library caller's 1 and
+    # "1" would otherwise both print as 1, and None as an empty name.
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @pytest.mark.parametrize(
