@@ -192,7 +192,7 @@ import sys
 import threading
 from dataclasses import dataclass
 
-from .checks import require, require_whole
+from .checks import require, require_range, require_whole
 
 DEFAULT_UNSERVED_PENALTY = 10000.0  # EUR/MWh, far above any generator
 
@@ -237,13 +237,11 @@ class Region:
         hours = len(self.demand_profile_mw)
         require(hours == 24, f"{self.name}: len(demand_profile_mw)", "24", hours)
         for hour, demand in enumerate(self.demand_profile_mw):
-            label = f"{self.name}: demand_profile_mw[{hour}]"
-            require(0 <= demand < math.inf, label, "finite and >= 0", demand)
+            require_range(demand, f"{self.name}: demand_profile_mw[{hour}]", "[0, inf)")
         generators = tuple(self.generators)
         for i, (cap, cost) in enumerate(generators):
             label = f"{self.name}: generators[{i}]"
-            ok = 0 <= cap < math.inf and 0 <= cost < math.inf
-            require(ok, label, "finite and >= 0 in capacity and cost", (cap, cost))
+            require_range((cap, cost), label, "[0, inf)", each="in capacity and cost")
         # Converted once checked, so a string or a bool is never read as a number.
         object.__setattr__(self, "generators", tuple((float(c), float(m)) for c, m in generators))
         require_whole(self.tz_offset_hours, f"{self.name}: tz_offset_hours")
@@ -266,9 +264,8 @@ class Interconnector:
             require(isinstance(endpoint, str), field, "a string", repr(endpoint))
         if self.region_a == self.region_b:
             raise ValueError(f"interconnector endpoints must differ, got {self.region_a!r}")
-        capacity, efficiency = self.capacity_mw, self.efficiency
-        require(0 <= capacity < math.inf, "capacity_mw", "finite and >= 0", capacity)
-        require(0.0 < efficiency <= 1.0, "efficiency", "in (0, 1]", efficiency)
+        require_range(self.capacity_mw, "capacity_mw", "[0, inf)")
+        require_range(self.efficiency, "efficiency", "(0, 1]")
 
 
 @dataclass(frozen=True)
@@ -280,7 +277,7 @@ class DispatchNetwork:
     def __post_init__(self) -> None:
         object.__setattr__(self, "regions", tuple(self.regions))
         object.__setattr__(self, "interconnectors", tuple(self.interconnectors))
-        require(len(self.regions) >= 1, "len(regions)", ">= 1", len(self.regions))
+        require_range(len(self.regions), "len(regions)", "[1, inf]")
         names = {r.name for r in self.regions}
         if len(names) != len(self.regions):
             raise ValueError("region names must be unique")
@@ -290,8 +287,7 @@ class DispatchNetwork:
                     raise ValueError(
                         f"interconnectors[{i}] references unknown region {endpoint!r}"
                     )
-        penalty = self.unserved_penalty_eur_per_mwh
-        require(0 < penalty < math.inf, "unserved_penalty_eur_per_mwh", "finite and > 0", penalty)
+        require_range(self.unserved_penalty_eur_per_mwh, "unserved_penalty_eur_per_mwh", "(0, inf)")
 
     @functools.cached_property
     def _problem(self) -> _Problem:
@@ -307,8 +303,9 @@ def sinusoid_profile(
     peak_mw: float, trough_fraction: float = 0.5, peak_hour: int = 12
 ) -> tuple[float, ...]:
     """Daily demand curve peaking at peak_hour with trough = fraction * peak."""
-    require(0 <= peak_mw < math.inf, "peak_mw", "finite and >= 0", peak_mw)
-    require(0.0 <= trough_fraction <= 1.0, "trough_fraction", "in [0, 1]", trough_fraction)
+    require_range(peak_mw, "peak_mw", "[0, inf)")
+    require_range(trough_fraction, "trough_fraction", "[0, 1]")
+    require_range(peak_hour, "peak_hour", "(-inf, inf)")
     mid = (1.0 + trough_fraction) / 2.0
     amp = (1.0 - trough_fraction) / 2.0
     return tuple(
@@ -613,8 +610,7 @@ def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
     n_regions = len(network.regions)
     rule = f"{n_regions}, one value per region"
     require(len(demand) == n_regions, "len(demand_mw)", rule, len(demand))
-    ok = all(0 <= d < math.inf for d in demand)
-    require(ok, "demand_mw", "finite and >= 0 in every region", demand)
+    require_range(demand, "demand_mw", "[0, inf)", each="in every region")
     import numpy as np
 
     problem = network._problem
@@ -650,7 +646,7 @@ class DispatchResult:
         """Reject a result without hours, or one with an hour that does not
         hold one entry per region in a per-region field; each distinct hour
         is checked once."""
-        require(len(self.hourly) >= 1, "len(hourly)", ">= 1", len(self.hourly))
+        require_range(len(self.hourly), "len(hourly)", "[1, inf]")
         n_regions = len(self.network.regions)
         distinct, index = self._hours
         for k, hour in enumerate(distinct):
@@ -742,7 +738,7 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
     hour whose demand fails. The rest of the horizon repeats that day's
     results.
     """
-    require(1 <= hours < math.inf, "hours", "finite and >= 1", hours)
+    require_range(hours, "hours", "[1, inf)")
     require_whole(hours, "hours")
     # No tuple holds more hours than this.
     require(hours <= sys.maxsize, "hours", f"<= {sys.maxsize}", hours)
@@ -860,7 +856,7 @@ def reserve_requirements(
     network's day, whatever the horizon: a region's peak is that of its
     profile, and the system peak that of the day's hourly totals.
     """
-    require(0.0 < alpha <= 1.0, "alpha", "in (0, 1]", alpha)
+    require_range(alpha, "alpha", "(0, 1]")
     isolated = {region.name: alpha * max(region.demand_profile_mw) for region in network.regions}
     if link_headroom_credit:
         system_peak = max(map(sum, _first_day(network, 24)))

@@ -10,11 +10,10 @@ basis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .checks import require, require_whole
+from .checks import require_range, require_whole
 
 
 class Currency(Enum):
@@ -36,11 +35,10 @@ class FinancialAssumptions:
     om_rate: float = 0.0  # fraction of capex per year
 
     def __post_init__(self) -> None:
-        rate, years = self.discount_rate, self.lifetime_years
-        require(0 <= rate < math.inf, "discount_rate", "finite and >= 0", rate)
-        require(1 <= years < math.inf, "lifetime_years", "finite and >= 1", years)
-        require_whole(years, "lifetime_years")
-        require(0.0 <= self.om_rate < 1.0, "om_rate", "in [0, 1)", self.om_rate)
+        require_range(self.discount_rate, "discount_rate", "[0, inf)")
+        require_range(self.lifetime_years, "lifetime_years", "[1, inf)")
+        require_whole(self.lifetime_years, "lifetime_years")
+        require_range(self.om_rate, "om_rate", "[0, 1)")
 
 
 @dataclass(frozen=True)
@@ -50,10 +48,9 @@ class MoneyAmount:
     price_year: int
 
     def __post_init__(self) -> None:
-        require(math.isfinite(self.value), "value", "finite", self.value)
-        year = self.price_year
-        require(1900 <= year <= 2100, "price_year", "in [1900, 2100]", year)
-        require_whole(year, "price_year")
+        require_range(self.value, "value", "(-inf, inf)")
+        require_range(self.price_year, "price_year", "[1900, 2100]")
+        require_whole(self.price_year, "price_year")
 
 
 @dataclass(frozen=True)
@@ -69,9 +66,8 @@ class ConversionContext:
     target_currency: Currency
 
     def __post_init__(self) -> None:
-        require(0 < self.fx_rate < math.inf, "fx_rate", "finite and > 0", self.fx_rate)
-        inflation = self.inflation_rate
-        require(-1 < inflation < math.inf, "inflation_rate", "finite and > -1", inflation)
+        require_range(self.fx_rate, "fx_rate", "(0, inf)")
+        require_range(self.inflation_rate, "inflation_rate", "(-1, inf)")
 
 
 def capital_recovery_factor(rate: float, years: int) -> float:
@@ -80,8 +76,8 @@ def capital_recovery_factor(rate: float, years: int) -> float:
     Standard end-of-period formula r(1+r)^N / ((1+r)^N - 1); the zero-rate
     limit is straight-line 1/N so sensitivity sweeps can pass rate 0.
     """
-    require(1 <= years < math.inf, "years", "finite and >= 1", years)
-    require(-1 < rate < math.inf, "rate", "finite and > -1", rate)
+    require_range(years, "years", "[1, inf)")
+    require_range(rate, "rate", "(-1, inf)")
     if rate == 0.0:
         return 1.0 / years
     growth = (1.0 + rate) ** years
@@ -90,14 +86,14 @@ def capital_recovery_factor(rate: float, years: int) -> float:
 
 def annualized_cost(capex: float, fin: FinancialAssumptions) -> float:
     """Annual payment for a capex: capex * (CRF + om_rate), same unit as capex."""
-    require(0 <= capex, "capex", ">= 0", capex)
+    require_range(capex, "capex", "[0, inf]")
     crf = capital_recovery_factor(fin.discount_rate, fin.lifetime_years)
     return capex * (crf + fin.om_rate)
 
 
 def levelized_cost(capex: float, fin: FinancialAssumptions, delivered_gwh: float) -> float:
     """Annualized cost of ``capex`` (MEUR) per delivered kWh, EUR/kWh."""
-    require(0 < delivered_gwh, "delivered_gwh", "> 0", delivered_gwh)
+    require_range(delivered_gwh, "delivered_gwh", "(0, inf]")
     return annualized_cost(capex, fin) / delivered_gwh
 
 
@@ -109,8 +105,7 @@ def normalize_currency(
     value * fx_rate * (1 + inflation_rate)^(target_year - price_year).
     Deflating to an earlier year is not modeled and is rejected.
     """
-    start = amount.price_year
-    require(start <= target_year <= 2100, "target_year", f"in [{start}, 2100]", target_year)
+    require_range(target_year, "target_year", f"[{amount.price_year}, 2100]")
     require_whole(target_year, "target_year")
     years = target_year - amount.price_year
     value = amount.value * ctx.fx_rate * (1.0 + ctx.inflation_rate) ** years

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
-from .checks import require, require_whole
+from .checks import require, require_range, require_whole
 
 CSV_COLUMNS = (
     "name",
@@ -80,16 +79,14 @@ class ProjectRecord:
             ("length", self.length_km),
             ("total cost", self.total_cost_meur),
         ):
-            require(0 < value < math.inf, f"{name}: {label}", "finite and > 0", value)
-        frac = self.cost_range_frac
-        require(0.0 <= frac < 1.0, f"{name}: cost_range_frac", "in [0, 1)", frac)
+            require_range(value, f"{name}: {label}", "(0, inf)")
+        require_range(self.cost_range_frac, f"{name}: cost_range_frac", "[0, 1)")
         for label in ("max_depth_m", "known_cable_cost_meur"):
             value = getattr(self, label)
             if value is not None:
-                require(0 <= value < math.inf, f"{name}: {label}", "finite and >= 0", value)
-        count = self.converter_count
-        require(0 <= count < math.inf, f"{name}: converter_count", "finite and >= 0", count)
-        require_whole(count, f"{name}: converter_count")
+                require_range(value, f"{name}: {label}", "[0, inf)")
+        require_range(self.converter_count, f"{name}: converter_count", "[0, inf)")
+        require_whole(self.converter_count, f"{name}: converter_count")
 
     def total_cost_band(self) -> CostBand:
         spread = self.total_cost_meur * self.cost_range_frac
@@ -98,7 +95,7 @@ class ProjectRecord:
 
 def require_converter_cost(assumption: float) -> None:
     """Reject a converter cost assumption (MEUR) that is negative or not finite."""
-    require(0 <= assumption < math.inf, "converter cost assumption", "finite and >= 0", assumption)
+    require_range(assumption, "converter cost assumption", "[0, inf)")
 
 
 def implied_cable_cost_per_km(record: ProjectRecord, converter_cost_assumption_meur: float) -> CostBand:

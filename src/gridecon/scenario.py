@@ -11,10 +11,9 @@ corridor can carry inter-market trade (``trade_potential``,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .checks import require, require_whole
+from .checks import require, require_range, require_whole
 from .finance import FinancialAssumptions, levelized_cost
 from .transmission import (
     HOURS_PER_YEAR,
@@ -34,11 +33,9 @@ class GenerationSource:
     lcoe_eur_per_kwh: float = 0.0  # generation-only cost
 
     def __post_init__(self) -> None:
-        capacity, factor = self.capacity_mw, self.capacity_factor
-        require(0 < capacity < math.inf, "capacity_mw", "finite and > 0", capacity)
-        require(0.0 < factor <= 1.0, "capacity_factor", "in (0, 1]", factor)
-        lcoe = self.lcoe_eur_per_kwh
-        require(0 <= lcoe < math.inf, "lcoe_eur_per_kwh", "finite and >= 0", lcoe)
+        require_range(self.capacity_mw, "capacity_mw", "(0, inf)")
+        require_range(self.capacity_factor, "capacity_factor", "(0, 1]")
+        require_range(self.lcoe_eur_per_kwh, "lcoe_eur_per_kwh", "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -50,10 +47,9 @@ class PriceModel:
     peak_window_hours: float = 12.0
 
     def __post_init__(self) -> None:
-        peak, ratio, window = self.peak_eur_per_kwh, self.offpeak_ratio, self.peak_window_hours
-        require(0 < peak < math.inf, "peak_eur_per_kwh", "finite and > 0", peak)
-        require(0.0 <= ratio <= 1.0, "offpeak_ratio", "in [0, 1]", ratio)
-        require(0.0 < window <= 24.0, "peak_window_hours", "in (0, 24]", window)
+        require_range(self.peak_eur_per_kwh, "peak_eur_per_kwh", "(0, inf)")
+        require_range(self.offpeak_ratio, "offpeak_ratio", "[0, 1]")
+        require_range(self.peak_window_hours, "peak_window_hours", "(0, 24]")
 
 
 @dataclass(frozen=True)
@@ -63,6 +59,7 @@ class ConnectionPath:
     tz_offset_hours: int = 0
 
     def __post_init__(self) -> None:
+        require(isinstance(self.market, str), "market", "a string", repr(self.market))
         require_whole(self.tz_offset_hours, "tz_offset_hours")
 
 
@@ -238,9 +235,9 @@ def revenue_per_delivered_kwh(
     revenue_eur: float, link: TransmissionLink, period_hours: float
 ) -> float:
     """Revenue divided by the energy the link delivers over the period."""
-    require(0 <= revenue_eur < math.inf, "revenue_eur", "finite and >= 0", revenue_eur)
+    require_range(revenue_eur, "revenue_eur", "[0, inf)")
     delivered_gwh = deliverable_energy(link, period_hours)
-    require(0 < delivered_gwh, "delivered_gwh", "> 0", delivered_gwh)
+    require_range(delivered_gwh, "delivered_gwh", "(0, inf]")
     return revenue_eur / (delivered_gwh * 1e6)
 
 
@@ -252,5 +249,5 @@ def import_competitiveness(
     (local - (remote + link)) / local; positive means importing is cheaper.
     All three inputs must be in the same currency unit.
     """
-    require(0 < local_cost < math.inf, "local_cost", "finite and > 0", local_cost)
+    require_range(local_cost, "local_cost", "(0, inf)")
     return (local_cost - (remote_gen_cost + link_lcoe)) / local_cost

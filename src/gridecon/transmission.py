@@ -11,11 +11,10 @@ M EUR per GWh equals EUR per kWh, so LCOE values come out in EUR/kWh.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .checks import require, require_whole
+from .checks import require_range, require_whole
 from .finance import FinancialAssumptions, levelized_cost
 
 HOURS_PER_YEAR = 8760
@@ -38,9 +37,8 @@ class Segment:
     unit_cost_meur_per_km: float
 
     def __post_init__(self) -> None:
-        length, cost = self.length_km, self.unit_cost_meur_per_km
-        require(0 < length < math.inf, "length_km", "finite and > 0", length)
-        require(0 <= cost < math.inf, "unit_cost_meur_per_km", "finite and >= 0", cost)
+        require_range(self.length_km, "length_km", "(0, inf)")
+        require_range(self.unit_cost_meur_per_km, "unit_cost_meur_per_km", "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -52,9 +50,8 @@ class LossModel:
     composition: LossComposition = LossComposition.LINEAR
 
     def __post_init__(self) -> None:
-        line, terminal = self.line_loss_per_1000km, self.terminal_loss
-        require(0.0 <= line < 1.0, "line_loss_per_1000km", "in [0, 1)", line)
-        require(0.0 <= terminal < 1.0, "terminal_loss", "in [0, 1)", terminal)
+        require_range(self.line_loss_per_1000km, "line_loss_per_1000km", "[0, 1)")
+        require_range(self.terminal_loss, "terminal_loss", "[0, 1)")
 
 
 @dataclass(frozen=True)
@@ -70,9 +67,8 @@ class UtilizationModel:
     reduced_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        hours, fraction = self.reduced_hours, self.reduced_fraction
-        require(0.0 <= hours <= 24.0, "reduced_hours", "in [0, 24]", hours)
-        require(0.0 <= fraction <= 1.0, "reduced_fraction", "in [0, 1]", fraction)
+        require_range(self.reduced_hours, "reduced_hours", "[0, 24]")
+        require_range(self.reduced_fraction, "reduced_fraction", "[0, 1]")
 
 
 @dataclass(frozen=True)
@@ -87,14 +83,12 @@ class TransmissionLink:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
-        require(len(self.segments) >= 1, "len(segments)", ">= 1", len(self.segments))
-        count, cost = self.terminal_count, self.terminal_unit_cost_meur
-        require(0 <= count < math.inf, "terminal_count", "finite and >= 0", count)
-        require_whole(count, "terminal_count")
-        require(0 <= cost < math.inf, "terminal_unit_cost_meur", "finite and >= 0", cost)
-        capacity, availability = self.capacity_mw, self.availability
-        require(0 <= capacity < math.inf, "capacity_mw", "finite and >= 0", capacity)
-        require(0.0 < availability <= 1.0, "availability", "in (0, 1]", availability)
+        require_range(len(self.segments), "len(segments)", "[1, inf]")
+        require_range(self.terminal_count, "terminal_count", "[0, inf)")
+        require_whole(self.terminal_count, "terminal_count")
+        require_range(self.terminal_unit_cost_meur, "terminal_unit_cost_meur", "[0, inf)")
+        require_range(self.capacity_mw, "capacity_mw", "[0, inf)")
+        require_range(self.availability, "availability", "(0, 1]")
         route_efficiency(self)  # force the positive-efficiency invariant eagerly
 
     @property
@@ -146,7 +140,7 @@ def deliverable_energy(link: TransmissionLink, period_hours: float = HOURS_PER_Y
     delivered kWh. For a generator feeding the link see
     delivered_from_injection, which does not apply the ramping utilization.
     """
-    require(0 < period_hours < math.inf, "period_hours", "finite and > 0", period_hours)
+    require_range(period_hours, "period_hours", "(0, inf)")
     return (
         link.capacity_mw
         * period_hours
@@ -159,7 +153,7 @@ def deliverable_energy(link: TransmissionLink, period_hours: float = HOURS_PER_Y
 
 def delivered_from_injection(link: TransmissionLink, injected_gwh: float) -> float:
     """Energy arriving at the far end for a given annual injection, GWh/yr."""
-    require(0 <= injected_gwh, "injected_gwh", ">= 0", injected_gwh)
+    require_range(injected_gwh, "injected_gwh", "[0, inf]")
     physical_max = link.capacity_mw * HOURS_PER_YEAR * link.availability / 1000.0
     if injected_gwh > physical_max * (1.0 + 1e-12):
         raise ValueError(
