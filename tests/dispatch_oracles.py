@@ -236,6 +236,27 @@ def _close_gain_cycle(dist, pred, start, eps):
     return node
 
 
+def crash_statuses(net, demand):
+    """Each LP column's status name in the crash basis of ``demand``, by a
+    walk over each region's own columns (its units and its shedding) in
+    order of normalized objective, then column: each runs at its upper
+    bound until the running total of capacity, shedding's being the demand,
+    covers the region's demand; that column is basic, and the others stay at
+    their lower bound, as every link does."""
+    problem = ArcListProblem(net)
+    status = ["kLower"] * problem.n_arcs
+    for ri, need in enumerate(demand):
+        own = [j for j, (tail, head, *_) in enumerate(problem.arcs) if tail is None and head == ri]
+        total = 0.0
+        for j in sorted(own, key=lambda j: (problem.objective[j], j)):
+            total += need if j >= problem.first_shed else problem.arcs[j][2]
+            if total >= need:
+                status[j] = "kBasic"
+                break
+            status[j] = "kUpper"
+    return status
+
+
 class ArcListProblem:
     """The fields of ``dispatch._Problem``, built arc by arc from one arc list:
     the reference for its array build.

@@ -39,6 +39,7 @@ from gridecon.dispatch import (
 from dispatch_oracles import (
     PENALTY,
     ArcListProblem,
+    crash_statuses,
     delivery_price_labels,
     energy_balance_residual,
     enumeration_oracle,
@@ -541,8 +542,11 @@ class TestCompiledProblem:
 
 class TestConcurrentHours:
     """A network of at least dispatch._THREADED_MIN_ARCS LP columns solves its
-    distinct hours on a thread pool, with the results and errors of the
+    distinct hours in one run per CPU, the first on the calling thread and
+    each other on a thread of its own, with the results and errors of the
     serial loop; a smaller one stays on the calling thread."""
+
+    WORKER = "gridecon-simulate-run-{}"  # the name simulate gives the thread of run k
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -553,17 +557,20 @@ class TestConcurrentHours:
         threads = []
 
         def recording(net, demand_mw):
-            threads.append(threading.get_ident())
+            threads.append((threading.current_thread(), tuple(demand_mw)))
             return min_cost_flow(net, demand_mw)
 
         monkeypatch.setattr(dispatch, "min_cost_flow", recording)
         return threads
 
     def test_hours_equal_single_hour_solves(self, monkeypatch):
+        # The calling thread solves exactly the first run, hours 0-11.
         net = large_ring("76:3")
         threads = self.record_threads(monkeypatch)
         result = simulate(net, 48)
-        assert len(threads) == 24 and threading.get_ident() not in threads
+        caller, day = threading.current_thread(), [hourly_demand(net, t) for t in range(24)]
+        assert len(threads) == 24 and len({thread for thread, _ in threads}) == 2
+        assert [day.index(demand) for thread, demand in threads if thread is caller] == list(range(12))
         assert export_csv(result) == printed(net, [min_cost_flow(net, hourly_demand(net, t)) for t in range(48)])
 
     @staticmethod
@@ -576,7 +583,8 @@ class TestConcurrentHours:
         runs = {}
 
         def recording(net, demand_mw):
-            runs.setdefault(threading.get_ident(), []).append(hour_of[tuple(demand_mw)])
+            # By thread object: a finished thread's ident can be reused.
+            runs.setdefault(threading.current_thread(), []).append(hour_of[tuple(demand_mw)])
             return min_cost_flow(net, demand_mw)
 
         monkeypatch.setattr(dispatch, "min_cost_flow", recording)
@@ -589,24 +597,27 @@ class TestConcurrentHours:
         assert self.record_runs(monkeypatch, cpus) == [list(range(k, k + size)) for k in range(0, 24, size)]
 
     def test_a_thread_that_starts_late_still_gets_a_run(self, monkeypatch):
-        # The third worker starts long after the first has solved its run,
-        # and the first must not take the third run meanwhile.
-        start = threading.Thread.start
+        # The thread of the third run starts long after the second has solved
+        # its run, and no other thread may take the third run meanwhile.
+        start, delayed = threading.Thread.start, []
 
         def late_third(thread):
-            if thread.name.startswith("ThreadPoolExecutor") and thread.name.endswith("_2"):
+            if thread.name == self.WORKER.format(2):
+                delayed.append(thread.name)
                 time.sleep(0.5)
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", late_third)
         assert self.record_runs(monkeypatch, 3) == [list(range(k, k + 8)) for k in range(0, 24, 8)]
+        assert delayed == [self.WORKER.format(2)]
 
     def test_a_thread_that_cannot_start_fails_without_hanging(self, monkeypatch):
-        # The first worker waits for the others; the second never starts.
-        start = threading.Thread.start
+        # The thread of the second run never starts; the call ends with its error.
+        start, refused = threading.Thread.start, []
 
         def failing_second(thread):
-            if thread.name.startswith("ThreadPoolExecutor") and thread.name.endswith("_1"):
+            if thread.name == self.WORKER.format(1):
+                refused.append(thread.name)
                 raise RuntimeError("can't start new thread")
             start(thread)
 
@@ -624,6 +635,7 @@ class TestConcurrentHours:
         caller.join(timeout=60)
         assert not caller.is_alive()
         assert failures == ["can't start new thread"]
+        assert refused == [self.WORKER.format(1)]
 
     def test_earliest_failing_hour_is_named(self, monkeypatch):
         net = large_ring("76:3")
@@ -649,24 +661,86 @@ class TestConcurrentHours:
         smoothing = load_bundled_scenario("smoothing").require("network")
         threads = self.record_threads(monkeypatch)
         simulate(smoothing, 48)
-        assert threads == [threading.get_ident()] * 13
+        assert [thread for thread, _ in threads] == [threading.current_thread()] * 13
+
+    def test_started_threads_are_joined_when_the_first_run_fails(self, monkeypatch):
+        # Hour 0, on the calling thread, fails at once; the thread of the
+        # second run has finished its hours before simulate raises.
+        net = large_ring("76:3")
+        solve, solved = dispatch._solve_hour, []
+        first = hourly_demand(net, 0)
+
+        def fail_first(problem, demand):
+            if demand == first:
+                raise ValueError("dispatch LP failed: injected")
+            result = solve(problem, demand)
+            solved.append(demand)
+            return result
+
+        monkeypatch.setattr(dispatch, "_solve_hour", fail_first)
+        with pytest.raises(ValueError, match="^hour 0: dispatch LP failed: injected$"):
+            simulate(net, 24)
+        assert sorted(solved) == sorted(hourly_demand(net, t) for t in range(12, 24))
+        assert not any(thread.name.startswith("gridecon-simulate-run-") for thread in threading.enumerate())
+
+    def test_threaded_hours_leave_concurrent_futures_unimported(self):
+        # In a fresh process, the demo's hours on two threads: no module of
+        # concurrent.futures loads, and each run's first hour starts from the
+        # crash basis.
+        code = textwrap.dedent(
+            """
+            import json, sys, threading
+            from gridecon import dispatch
+            from gridecon.datasets import load_bundled_scenario
+
+            dispatch._THREADED_MIN_ARCS = 0
+            dispatch._cpu_count = lambda: 2
+            solve, crash, threads, crashes = dispatch.min_cost_flow, dispatch._Problem.crash_basis, set(), []
+
+            def recording(net, demand):
+                threads.add(threading.get_ident())
+                return solve(net, demand)
+
+            def counting(problem, demand):
+                crashes.append(demand)
+                return crash(problem, demand)
+
+            dispatch.min_cost_flow, dispatch._Problem.crash_basis = recording, counting
+            dispatch.simulate(load_bundled_scenario("smoothing").require("network"), 24)
+            print(json.dumps({"futures": sorted(m for m in sys.modules if m.startswith("concurrent")),
+                              "threads": len(threads), "crashes": len(crashes)}))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout) == {"futures": [], "threads": 2, "crashes": 2}
 
 
 class TestChainedHours:
     """Each hour starts from the optimal basis of the last hour its thread
-    solved for the same network, cold after another network or none."""
+    solved for the same network, from the crash basis after another network
+    or none."""
 
     @staticmethod
     def starts(monkeypatch):
-        """The start basis of each hour's first stage, and its iterations."""
-        run, starts = dispatch._run, []
+        """How each hour's first stage starts ("chain" from the thread's
+        previous hour, "crash" from the problem's crash basis), and its
+        iterations."""
+        run, crash, starts, crashes = dispatch._run, dispatch._Problem.crash_basis, [], []
+
+        def crashing(problem, demand):
+            crashes.append(crash(problem, demand))
+            return crashes[-1]
 
         def recording(problem, rows, lower, upper, basis=None):
             highs = run(problem, rows, lower, upper, basis)
             if lower is problem.lower:  # not a cone LP
-                starts.append((basis, highs.getInfo().simplex_iteration_count))
+                start = "crash" if any(basis is b for b in crashes) else "chain" if basis is not None else "slack"
+                starts.append((start, highs.getInfo().simplex_iteration_count))
             return highs
 
+        monkeypatch.setattr(dispatch._Problem, "crash_basis", crashing)
         monkeypatch.setattr(dispatch, "_run", recording)
         return starts
 
@@ -676,7 +750,7 @@ class TestChainedHours:
         starts = self.starts(monkeypatch)
         for which, t in ((net, 0), (net, 1), (other, 0), (net, 2), (net, 3)):
             min_cost_flow(which, hourly_demand(which, t))
-        assert [basis is None for basis, _ in starts] == [True, False, True, True, False]
+        assert [start for start, _ in starts] == ["crash", "chain", "crash", "crash", "chain"]
         chain_problem, _ = dispatch._thread.chain
         assert chain_problem is net._problem
 
@@ -684,23 +758,24 @@ class TestChainedHours:
         net = ring_network("101:0", 200, 200)
         starts = self.starts(monkeypatch)
 
-        def solve_day(cold):
+        def solve_day(unchained):
             hours = []
             for t in range(24):
-                if cold:
+                if unchained:
                     dispatch._thread.chain = None
                 hours.append(min_cost_flow(net, hourly_demand(net, t)))
             return printed(net, hours)
 
         dispatch._thread.chain = None
-        chained_text = solve_day(cold=False)
+        chained_text = solve_day(unchained=False)
         chained = sum(iterations for _, iterations in starts)
-        assert [basis is None for basis, _ in starts] == [True] + [False] * 23
+        assert [start for start, _ in starts] == ["crash"] + ["chain"] * 23
         starts.clear()
-        cold_text = solve_day(cold=True)
-        cold = sum(iterations for _, iterations in starts)
-        assert chained < cold / 2
-        assert chained_text == cold_text
+        crashed_text = solve_day(unchained=True)
+        crashed = sum(iterations for _, iterations in starts)
+        assert [start for start, _ in starts] == ["crash"] * 24
+        assert chained < crashed / 2
+        assert chained_text == crashed_text
 
     def test_threads_keep_chains_of_their_own(self):
         # More threads than CPUs, switching often, each solving the day of one
@@ -767,6 +842,115 @@ class TestChainedHours:
         ]
         with pytest.raises(ValueError, match="^hour 5: dispatch LP failed: HiGHS rejected the model$"):
             simulate(net, 6)
+
+
+def untied_network(rng):
+    """A random network of up to 4 regions whose unit costs, capacities and
+    link efficiencies are drawn from continuous ranges, with no free unit:
+    two dispatches of least cost and least loss tie with probability 0."""
+    names = [f"r{i}" for i in range(rng.randint(1, 4))]
+    regions = [
+        region(name, rng.uniform(0, 12), [(rng.uniform(0, 10), rng.uniform(1, 100)) for _ in range(rng.randint(0, 3))])
+        for name in names
+    ]
+    links = []
+    if len(names) > 1:
+        links = [Interconnector(*rng.sample(names, 2), rng.uniform(0, 8), rng.uniform(0.5, 0.99))
+                 for _ in range(rng.randint(0, 4))]
+    return network(regions, links)
+
+
+class TestCrashBasis:
+    """An hour without a chain starts from the crash basis of its problem:
+    each region served alone in its own merit order."""
+
+    # A region without demand, one without units, tied costs, a unit of no
+    # capacity, one priced above the penalty, a region its units cannot
+    # serve and a unit that covers demand exactly.
+    HAND_BUILT = network(
+        [region("idle", 0, [(5, 3.0), (2, 1.0)]), region("bare", 4, []),
+         region("tied", 6, [(4, 2.0), (3, 2.0), (10, 3 * PENALTY), (0, 0.0)]),
+         region("short", 9, [(2, 5.0)]), region("exact", 5, [(5, 1.0), (3, 2.0)])],
+        [Interconnector("idle", "bare", 3, 0.9), Interconnector("tied", "short", 2, 1.0),
+         Interconnector("exact", "idle", 1, 0.8)],
+    )
+
+    @pytest.mark.parametrize(
+        "build, hours",
+        [
+            pytest.param(lambda: ring_network("34:1", n_regions=12, n_chords=12), range(24), id="ring-12"),
+            pytest.param(lambda: large_ring("34:2"), (0, 7, 12, 19), id="ring-51"),
+            pytest.param(lambda: TestCrashBasis.HAND_BUILT, (0,), id="hand-built"),
+            pytest.param(lambda: load_bundled_scenario("smoothing").require("network"), range(24), id="demo"),
+        ],
+    )
+    def test_one_basic_column_per_region_its_covering_column(self, build, hours):
+        net = build()
+        problem = net._problem
+        for t in hours:
+            demand = hourly_demand(net, t)
+            basis = problem.crash_basis(demand)
+            status = [s.name for s in basis.col_status]
+            assert status == crash_statuses(net, demand), t
+            assert basis.valid and not basis.alien
+            # Exactly one basic column per region, in that region's row; every
+            # link column and every row nonbasic.
+            basic = [j for j, s in enumerate(status) if s == "kBasic"]
+            assert sorted(problem.heads[basic].tolist()) == list(range(len(net.regions)))
+            assert all(problem.tails[j] == len(net.regions) for j in basic)
+            assert set(status[problem.first_link : problem.first_shed]) <= {"kLower"}
+            assert [s.name for s in basis.row_status] == ["kLower"] * len(net.regions)
+
+    def test_hand_built_columns(self):
+        # The statuses of HAND_BUILT spelled out: units region by region,
+        # then the links, then shedding.
+        net = self.HAND_BUILT
+        status = [s.name for s in net._problem.crash_basis(hourly_demand(net, 0)).col_status]
+        U, B, L = "kUpper", "kBasic", "kLower"
+        assert status == [
+            L, B,  # idle: no demand, so its cheapest unit is basic at 0
+            U, B, L, U,  # tied: the free 0 MW unit, then the 2 EUR units by column
+            U,  # short
+            B, L,  # exact: the first unit covers demand at its rating
+            L, L, L, L, L, L,  # the links, both ways
+            L, B, L, B, L,  # shedding: basic where no unit covers demand
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_crash_start_matches_the_oracles_and_the_chained_text(self, seed):
+        rng = random.Random(seed)
+        exact, lossy, untied = random_network(rng, 3, True, 2), random_network(rng), untied_network(rng)
+        for net, oracle, tolerance in ((exact, enumeration_oracle, {"abs": 1e-9}),
+                                       (lossy, lp_oracle, {"rel": 1e-9, "abs": 1e-6}),
+                                       (untied, lp_oracle, {"rel": 1e-9, "abs": 1e-6})):
+            demand = [r.demand_profile_mw[0] for r in net.regions]
+            dispatch._thread.chain = None
+            assert min_cost_flow(net, demand).cost_eur == pytest.approx(oracle(net, demand), **tolerance)
+        # From the optimal basis of another hour, the same text. Only where
+        # the least-loss dispatch is unique: where two tie, the start picks
+        # one (ROADMAP item 7), as in about 1 in 600 draws of the other two.
+        demand = [r.demand_profile_mw[0] for r in untied.regions]
+        dispatch._thread.chain = None
+        crashed = printed(untied, [min_cost_flow(untied, demand)])
+        min_cost_flow(untied, [d / 2 + 1 for d in demand])
+        assert dispatch._thread.chain[0] is untied._problem
+        assert printed(untied, [min_cost_flow(untied, demand)]) == crashed
+
+    def test_crash_start_saves_iterations_on_a_ring(self):
+        # The first stage of hours 0 and 12 of ring 101:0, from the crash
+        # basis and from HiGHS's slack basis; the counts repeat exactly.
+        net = ring_network("101:0", 200, 200)
+        problem = net._problem
+
+        def iterations(demand, basis):
+            upper = problem.fixed_upper + list(demand)
+            return dispatch._run(problem, demand, problem.lower, upper, basis).getInfo().simplex_iteration_count
+
+        hours = [hourly_demand(net, 0), hourly_demand(net, 12)]
+        days = [[(iterations(d, problem.crash_basis(d)), iterations(d, None)) for d in hours] for _ in range(2)]
+        assert days[0] == days[1]
+        assert all(crash < slack for crash, slack in days[0]), days[0]
 
 
 class TestCanonicalDispatch:
@@ -837,15 +1021,20 @@ class TestCanonicalDispatch:
     def test_tied_least_loss_prints_one_of_the_tied_dispatches(self):
         # Two free 100 MW units in "a" and "b" can each feed the 50 MW of "c"
         # over a 90% link: every split costs 0 and loses 5.56 MW, so least loss
-        # does not pick one. HiGHS runs the unit it meets first, here the one
-        # of the region listed first.
+        # does not pick one, and the start basis decides which unit HiGHS
+        # runs. From the crash basis it is a's unit in either region order.
         a, b = region("a", 0, [(100, 0.0)]), region("b", 0, [(100, 0.0)])
         c = region("c", 50, [])
         links = (Interconnector("a", "c", 80.0, 0.9), Interconnector("b", "c", 80.0, 0.9))
-        first = export_csv(simulate(network([a, b, c], links), 1)).splitlines()[1:4]
-        assert first == ["0,a,0,0,55.5556,44.4444,0,0", "0,b,0,0,0,100,0,0", "0,c,50,50,0,0,0,0"]
-        swapped = export_csv(simulate(network([b, a, c], links), 1)).splitlines()[1:4]
-        assert swapped == ["0,b,0,0,55.5556,44.4444,0,0", "0,a,0,0,0,100,0,0", "0,c,50,50,0,0,0,0"]
+        first, swapped = simulate(network([a, b, c], links), 1), simulate(network([b, a, c], links), 1)
+        assert export_csv(first).splitlines()[1:4] == [
+            "0,a,0,0,55.5556,44.4444,0,0", "0,b,0,0,0,100,0,0", "0,c,50,50,0,0,0,0"]
+        assert export_csv(swapped).splitlines()[1:4] == [
+            "0,b,0,0,0,100,0,0", "0,a,0,0,55.5556,44.4444,0,0", "0,c,50,50,0,0,0,0"]
+        # Either printed dispatch costs and loses the same.
+        for one, other in zip(first.hourly, swapped.hourly):
+            assert one.cost_eur == other.cost_eur == 0.0
+            assert one.loss_mw == pytest.approx(other.loss_mw, rel=1e-12) == 50.0 / 0.9 - 50.0
 
 
 def cell_text(value):
@@ -926,6 +1115,25 @@ class TestExportCsv:
         # 24 distinct hours of 20 regions, each repeated 365 times.
         result = simulate(ring_network("25:4", n_regions=20, n_chords=10), 8760)
         assert export_csv(result) == self.plain(result)
+
+    def test_price_spread_comes_from_the_price_cells_to_the_bit(self, monkeypatch):
+        # export_csv takes the mean price spread from the price cells it has
+        # read, never through the result's property, and gets the property's
+        # bits: on 20 seeded rings and the 168 h demo.
+        results = [simulate(ring_network(f"34:{k}", n_regions=20, n_chords=20), 24) for k in range(20)]
+        results.append(simulate(load_bundled_scenario("smoothing").require("network"), 168))
+        expected = [result.mean_price_spread_eur_per_mwh.hex() for result in results]
+        fmt, spreads = dispatch._fmt, []
+
+        def capturing(values):
+            spreads.append(float(values[-1]).hex())
+            return fmt(values)
+
+        monkeypatch.setattr(dispatch, "_fmt", capturing)
+        monkeypatch.setattr(DispatchResult, "mean_price_spread_eur_per_mwh", property(lambda _: pytest.fail("read")))
+        for result in results:
+            export_csv(result)
+        assert spreads == expected
 
     def test_equal_hours_that_are_distinct_objects_and_quoted_names(self):
         # Names that need CSV quoting, and repeats of an hour that are equal
