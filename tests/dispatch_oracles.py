@@ -258,10 +258,10 @@ def crash_statuses(net, demand):
 
 
 class ArcListProblem:
-    """The fields of ``dispatch._Problem``, built arc by arc from one arc list:
+    """The fields of ``_highs._Problem``, built arc by arc from one arc list:
     the reference for its array build.
 
-    One arc (tail, head, capacity, gain, cost) per LP column, in dispatch's
+    One arc (tail, head, capacity, gain, cost) per LP column, in the engine's
     column order: units region by region, each link forward then backward,
     one shedding arc per region. A unit or shedding arc comes from outside
     the network, so its tail is None in ``arcs``; in ``tails`` it is the
@@ -309,7 +309,7 @@ class ArcListProblem:
 def reference_decode(net, demand, x, prices):
     """The ``HourlyDispatch`` of an hour of ``net`` with ``demand``, decoded
     column by column from its LP column values ``x`` (clipped at 0) and its
-    ``prices``: the reference for ``min_cost_flow``'s decode. Unserved is
+    ``prices``: the reference for the decode of ``_highs.dispatch_hour``. Unserved is
     each region's shedding capped at its demand, ``min(x, d)``."""
     problem = ArcListProblem(net)
     xs = x.tolist()

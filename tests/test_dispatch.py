@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridecon import cli, dispatch
+from gridecon import _highs, cli, dispatch
 from gridecon.datasets import load_bundled_scenario
 from gridecon.dispatch import (
     DispatchNetwork,
@@ -384,14 +385,14 @@ class TestRepeatedHours:
         assert totals["calls"]["dispatch.min_cost_flow"] == totals["distinct"] == 13
 
     def test_one_highs_solve_per_distinct_hour(self, smoothing, monkeypatch):
-        solve = dispatch._solve_hour
+        solve = _highs._solve_hour
         demands = []
 
         def counting(problem, demand):
             demands.append(demand)
             return solve(problem, demand)
 
-        monkeypatch.setattr(dispatch, "_solve_hour", counting)
+        monkeypatch.setattr(_highs, "_solve_hour", counting)
         simulate(smoothing, 48)
         assert len(demands) == len(set(demands)) == 13
 
@@ -428,12 +429,12 @@ class TestCompiledProblem:
     def builds(self, monkeypatch):
         built = []
 
-        class Counting(dispatch._Problem):
+        class Counting(_highs._Problem):
             def __init__(self, net):
                 built.append(net)
                 super().__init__(net)
 
-        monkeypatch.setattr(dispatch, "_Problem", Counting)
+        monkeypatch.setattr(_highs, "_Problem", Counting)
         return built
 
     def test_repeated_solves_build_one_problem(self, builds):
@@ -475,7 +476,7 @@ class TestCompiledProblem:
     ))
     @example(network([region("a", 1, [(5, 0.0)])]))
     def test_array_build_equals_the_arc_list_build(self, net):
-        problem, reference = dispatch._Problem(net), ArcListProblem(net)
+        problem, reference = _highs._Problem(net), ArcListProblem(net)
         # repr tells each float apart to the bit, -0.0 from 0.0, and an int from a float.
         for name in ("costs", "objective", "capacities", "heads", "tails", "gains", "link_columns", "loss_share"):
             assert repr(getattr(problem, name).tolist()) == repr(getattr(reference, name).tolist()), name
@@ -514,7 +515,7 @@ class TestCompiledProblem:
     def test_decode_equals_the_reference_decode(self, build, past_demand, monkeypatch):
         # Every field of every hour, to the bit, from the same LP columns.
         net = build()
-        solve, solved = dispatch._solve_hour, []
+        solve, solved = _highs._solve_hour, []
 
         def recording(problem, demand):
             x, prices = solve(problem, demand)
@@ -523,7 +524,7 @@ class TestCompiledProblem:
             solved.append((x.copy(), prices))
             return x, prices
 
-        monkeypatch.setattr(dispatch, "_solve_hour", recording)
+        monkeypatch.setattr(_highs, "_solve_hour", recording)
         for demand in dispatch._first_day(net, 24):
             hour = min_cost_flow(net, demand)
             reference = reference_decode(net, demand, *solved.pop())
@@ -639,7 +640,7 @@ class TestConcurrentHours:
 
     def test_earliest_failing_hour_is_named(self, monkeypatch):
         net = large_ring("76:3")
-        solve = dispatch._solve_hour
+        solve = _highs._solve_hour
         early, late = hourly_demand(net, 5), hourly_demand(net, 17)
         late_failed = threading.Event()
 
@@ -652,7 +653,7 @@ class TestConcurrentHours:
                 return solve(problem, demand)
             raise ValueError("dispatch LP failed: injected")
 
-        monkeypatch.setattr(dispatch, "_solve_hour", fail)
+        monkeypatch.setattr(_highs, "_solve_hour", fail)
         with pytest.raises(ValueError, match="^hour 5: dispatch LP failed: injected$"):
             simulate(net, 24)
         assert late_failed.is_set()
@@ -667,7 +668,7 @@ class TestConcurrentHours:
         # Hour 0, on the calling thread, fails at once; the thread of the
         # second run has finished its hours before simulate raises.
         net = large_ring("76:3")
-        solve, solved = dispatch._solve_hour, []
+        solve, solved = _highs._solve_hour, []
         first = hourly_demand(net, 0)
 
         def fail_first(problem, demand):
@@ -677,7 +678,7 @@ class TestConcurrentHours:
             solved.append(demand)
             return result
 
-        monkeypatch.setattr(dispatch, "_solve_hour", fail_first)
+        monkeypatch.setattr(_highs, "_solve_hour", fail_first)
         with pytest.raises(ValueError, match="^hour 0: dispatch LP failed: injected$"):
             simulate(net, 24)
         assert sorted(solved) == sorted(hourly_demand(net, t) for t in range(12, 24))
@@ -690,12 +691,12 @@ class TestConcurrentHours:
         code = textwrap.dedent(
             """
             import json, sys, threading
-            from gridecon import dispatch
+            from gridecon import _highs, dispatch
             from gridecon.datasets import load_bundled_scenario
 
             dispatch._THREADED_MIN_ARCS = 0
             dispatch._cpu_count = lambda: 2
-            solve, crash, threads, crashes = dispatch.min_cost_flow, dispatch._Problem.crash_basis, set(), []
+            solve, crash, threads, crashes = dispatch.min_cost_flow, _highs._Problem.crash_basis, set(), []
 
             def recording(net, demand):
                 threads.add(threading.get_ident())
@@ -705,7 +706,7 @@ class TestConcurrentHours:
                 crashes.append(demand)
                 return crash(problem, demand)
 
-            dispatch.min_cost_flow, dispatch._Problem.crash_basis = recording, counting
+            dispatch.min_cost_flow, _highs._Problem.crash_basis = recording, counting
             dispatch.simulate(load_bundled_scenario("smoothing").require("network"), 24)
             print(json.dumps({"futures": sorted(m for m in sys.modules if m.startswith("concurrent")),
                               "threads": len(threads), "crashes": len(crashes)}))
@@ -727,7 +728,7 @@ class TestChainedHours:
         """How each hour's first stage starts ("chain" from the thread's
         previous hour, "crash" from the problem's crash basis), and its
         iterations."""
-        run, crash, starts, crashes = dispatch._run, dispatch._Problem.crash_basis, [], []
+        run, crash, starts, crashes = _highs._run, _highs._Problem.crash_basis, [], []
 
         def crashing(problem, demand):
             crashes.append(crash(problem, demand))
@@ -740,18 +741,18 @@ class TestChainedHours:
                 starts.append((start, highs.getInfo().simplex_iteration_count))
             return highs
 
-        monkeypatch.setattr(dispatch._Problem, "crash_basis", crashing)
-        monkeypatch.setattr(dispatch, "_run", recording)
+        monkeypatch.setattr(_highs._Problem, "crash_basis", crashing)
+        monkeypatch.setattr(_highs, "_run", recording)
         return starts
 
     def test_an_hour_starts_from_the_threads_previous_hour_of_its_network(self, monkeypatch):
         net, other = ring_network("10:41", n_regions=10, n_chords=10), ring_network("20:1", 20, 20)
-        dispatch._thread.chain = None
+        _highs._thread.chain = None
         starts = self.starts(monkeypatch)
         for which, t in ((net, 0), (net, 1), (other, 0), (net, 2), (net, 3)):
             min_cost_flow(which, hourly_demand(which, t))
         assert [start for start, _ in starts] == ["crash", "chain", "crash", "crash", "chain"]
-        chain_problem, _ = dispatch._thread.chain
+        chain_problem, _ = _highs._thread.chain
         assert chain_problem is net._problem
 
     def test_chained_hours_save_simplex_iterations(self, monkeypatch):
@@ -762,11 +763,11 @@ class TestChainedHours:
             hours = []
             for t in range(24):
                 if unchained:
-                    dispatch._thread.chain = None
+                    _highs._thread.chain = None
                 hours.append(min_cost_flow(net, hourly_demand(net, t)))
             return printed(net, hours)
 
-        dispatch._thread.chain = None
+        _highs._thread.chain = None
         chained_text = solve_day(unchained=False)
         chained = sum(iterations for _, iterations in starts)
         assert [start for start, _ in starts] == ["crash"] + ["chain"] * 23
@@ -817,7 +818,7 @@ class TestChainedHours:
         with pytest.raises(ValueError, match="^hour 5: dispatch LP failed: HiGHS rejected the model$"):
             simulate(net, 6)
         # The rejected hour left the chain at hour 4, which still solves.
-        assert dispatch._thread.chain[0] is net._problem
+        assert _highs._thread.chain[0] is net._problem
         assert printed(net, [min_cost_flow(net, hourly_demand(net, 4))]) == printed(net, simulate(net, 5).hourly[4:])
 
     def test_demand_highs_rejects_leaves_other_hours_as_pinned(self):
@@ -925,16 +926,16 @@ class TestCrashBasis:
                                        (lossy, lp_oracle, {"rel": 1e-9, "abs": 1e-6}),
                                        (untied, lp_oracle, {"rel": 1e-9, "abs": 1e-6})):
             demand = [r.demand_profile_mw[0] for r in net.regions]
-            dispatch._thread.chain = None
+            _highs._thread.chain = None
             assert min_cost_flow(net, demand).cost_eur == pytest.approx(oracle(net, demand), **tolerance)
         # From the optimal basis of another hour, the same text. Only where
         # the least-loss dispatch is unique: where two tie, the start picks
         # one (ROADMAP item 7), as in about 1 in 600 draws of the other two.
         demand = [r.demand_profile_mw[0] for r in untied.regions]
-        dispatch._thread.chain = None
+        _highs._thread.chain = None
         crashed = printed(untied, [min_cost_flow(untied, demand)])
         min_cost_flow(untied, [d / 2 + 1 for d in demand])
-        assert dispatch._thread.chain[0] is untied._problem
+        assert _highs._thread.chain[0] is untied._problem
         assert printed(untied, [min_cost_flow(untied, demand)]) == crashed
 
     def test_crash_start_saves_iterations_on_a_ring(self):
@@ -945,7 +946,7 @@ class TestCrashBasis:
 
         def iterations(demand, basis):
             upper = problem.fixed_upper + list(demand)
-            return dispatch._run(problem, demand, problem.lower, upper, basis).getInfo().simplex_iteration_count
+            return _highs._run(problem, demand, problem.lower, upper, basis).getInfo().simplex_iteration_count
 
         hours = [hourly_demand(net, 0), hourly_demand(net, 12)]
         days = [[(iterations(d, problem.crash_basis(d)), iterations(d, None)) for d in hours] for _ in range(2)]
@@ -1000,7 +1001,7 @@ class TestCanonicalDispatch:
         # loses more than the least; the second stage runs there, on no other
         # hour, and cuts the loss at the same cost.
         net = ring_network("101:10", 200, 200)
-        stage, stages = dispatch._least_loss, []
+        stage, stages = _highs._least_loss, []
 
         def recording(highs, problem, value, duals, upper):
             x = stage(highs, problem, value, duals, upper)
@@ -1009,9 +1010,9 @@ class TestCanonicalDispatch:
                                problem.objective @ value, problem.objective @ x))
             return x
 
-        monkeypatch.setattr(dispatch, "_least_loss", recording)
+        monkeypatch.setattr(_highs, "_least_loss", recording)
         monkeypatch.setattr(dispatch, "_cpu_count", lambda: 1)
-        dispatch._thread.chain = None
+        _highs._thread.chain = None
         simulate(net, 24)
         assert 1 <= len(stages) <= 3
         for loss_before, loss, cost_before, cost in stages:
@@ -1359,9 +1360,10 @@ class TestLargeRingOutput:
 
 
 class TestHighsBinding:
-    """Every name the dispatch solve uses of scipy's bundled HiGHS binding, a
-    private module, loaded as dispatch loads it: a scipy release that moves
-    the extension file or one of these names fails here by name."""
+    """Every name the dispatch LP engine uses of scipy's bundled HiGHS
+    binding, a private module, loaded as ``gridecon._highs`` loads it: a scipy
+    release that moves the extension file or one of these names fails here
+    by name."""
 
     @pytest.fixture(scope="class")
     def core(self):
@@ -1371,7 +1373,7 @@ class TestHighsBinding:
 
     USED = {
         "_core": ["_Highs", "HighsLp", "HighsSparseMatrix", "HighsOptions", "HighsSolution",
-                  "HighsBasis", "MatrixFormat", "HighsStatus", "HighsModelStatus"],
+                  "HighsBasis", "HighsBasisStatus", "MatrixFormat", "HighsStatus", "HighsModelStatus"],
         "_Highs": ["passOptions", "passModel", "setBasis", "run", "getModelStatus",
                    "modelStatusToString", "getSolution", "getBasis", "getOptionValue",
                    "getBasicVariables", "getBasisTransposeSolve", "changeColsBounds", "changeColsCost"],
@@ -1379,6 +1381,8 @@ class TestHighsBinding:
                     "row_lower_", "row_upper_"],
         "HighsSparseMatrix": ["format_", "num_col_", "num_row_", "start_", "index_", "value_"],
         "HighsSolution": ["col_value", "row_dual"],
+        "HighsBasis": ["valid", "alien", "col_status", "row_status"],
+        "HighsBasisStatus": ["kLower", "kBasic", "kUpper"],
         "MatrixFormat": ["kColwise"],
         "HighsStatus": ["kError"],
         "HighsModelStatus": ["kOptimal"],
@@ -1389,24 +1393,33 @@ class TestHighsBinding:
         scope = core if owner == "_core" else getattr(core, owner)
         assert [name for name in self.USED[owner] if not hasattr(scope, name)] == []
 
+    def test_lists_every_name_the_engine_reads_off_the_binding(self):
+        tree = ast.parse(Path(_highs.__file__).read_text(encoding="utf-8"))
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "core"
+        }
+        assert read - set(self.USED["_core"]) == set()
+
     def test_options_take_their_values(self, core):
         options = core.HighsOptions()
-        for name, value in dispatch._HIGHS_OPTIONS.items():
+        for name, value in _highs._HIGHS_OPTIONS.items():
             setattr(options, name, value)
             assert getattr(options, name) == value
 
     def test_each_threads_instance_keeps_the_options(self, core, monkeypatch):
         # Checked on the instance of the thread that solved each hour: after
         # serial and threaded hours, a model HiGHS rejects and a cone LP.
-        solve, cone = dispatch._solve_hour, dispatch._cone_duals
+        solve, cone = _highs._solve_hour, _highs._cone_duals
         threads, cones = set(), []
 
         def checking(problem, demand):
             try:
                 return solve(problem, demand)
             finally:
-                highs = dispatch._thread.highs
-                for name, value in dispatch._HIGHS_OPTIONS.items():
+                highs = _highs._thread.highs
+                for name, value in _highs._HIGHS_OPTIONS.items():
                     assert highs.getOptionValue(name) == (core.HighsStatus.kOk, value), name
                 threads.add(threading.get_ident())
 
@@ -1414,8 +1427,8 @@ class TestHighsBinding:
             cones.append(args)
             return cone(*args)
 
-        monkeypatch.setattr(dispatch, "_solve_hour", checking)
-        monkeypatch.setattr(dispatch, "_cone_duals", counting_cone)
+        monkeypatch.setattr(_highs, "_solve_hour", checking)
+        monkeypatch.setattr(_highs, "_cone_duals", counting_cone)
         monkeypatch.setattr(dispatch, "_cpu_count", lambda: 2)
         simulate(load_bundled_scenario("smoothing").require("network"), 24)
         simulate(large_ring("76:3"), 24)
@@ -1430,8 +1443,8 @@ class TestHighsBinding:
     def test_run_that_ends_non_optimal_fails(self, monkeypatch):
         # A thread's instance takes _HIGHS_OPTIONS on the thread's first
         # solve, so only a fresh thread sees the iteration limit.
-        options = {**dispatch._HIGHS_OPTIONS, "simplex_iteration_limit": 0}
-        monkeypatch.setattr(dispatch, "_HIGHS_OPTIONS", options)
+        options = {**_highs._HIGHS_OPTIONS, "simplex_iteration_limit": 0}
+        monkeypatch.setattr(_highs, "_HIGHS_OPTIONS", options)
         network = load_bundled_scenario("smoothing").require("network")
         failures = []
 
@@ -1449,9 +1462,10 @@ class TestHighsBinding:
 
 
 class TestHighsLoader:
-    """dispatch loads scipy's HiGHS extension by its file, without running
-    scipy.optimize's package init. Each case runs in a fresh interpreter,
-    since the import system's state is what it checks."""
+    """gridecon._highs loads scipy's HiGHS extension by its file, without
+    running scipy.optimize's package init, and only the first solve imports
+    it. Each case runs in a fresh interpreter, since the import system's
+    state is what it checks."""
 
     PRELUDE = """
         import json, sys, threading
@@ -1493,12 +1507,11 @@ class TestHighsLoader:
             import scipy.optimize
 
             loaded = sys.modules[NAME]
-            from gridecon import dispatch
-            from gridecon._highs import core
+            from gridecon import _highs, dispatch
 
             dispatch.simulate(demo(), 24)
-            print(json.dumps({"same": core is loaded,
-                              "instance": type(dispatch._thread.highs) is loaded._Highs}))
+            print(json.dumps({"same": _highs.core is loaded,
+                              "instance": type(_highs._thread.highs) is loaded._Highs}))
             """
         )
         assert seen == {"same": True, "instance": True}
@@ -1558,6 +1571,78 @@ class TestHighsLoader:
             """
         )
         assert seen == {"alive": False, "errors": [], "created": 1}
+
+    def test_building_a_network_loads_neither_numpy_nor_the_engine(self):
+        seen = self.run(
+            """
+            net = demo()
+            print(json.dumps({"network": type(net).__name__,
+                              "loaded": [m for m in ("numpy", "gridecon._highs", NAME) if m in sys.modules]}))
+            """
+        )
+        assert seen == {"network": "DispatchNetwork", "loaded": []}
+
+
+class TestEngineBoundary:
+    """``gridecon._highs`` is the one module under ``src/gridecon/`` that
+    touches scipy's HiGHS binding, and no other module imports numpy, scipy
+    or the engine when it is imported itself: a report, or a network that is
+    built and not solved, loads none of them."""
+
+    OTHERS = sorted(path for path in Path(_highs.__file__).parent.glob("*.py") if path.name != "_highs.py")
+
+    @staticmethod
+    def identifiers(tree):
+        """Each identifier of ``tree`` with its line: names, attributes,
+        arguments, definitions and every part of an imported name."""
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.arg):
+                names = [node.arg]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.alias):
+                names = [*node.name.split("."), node.asname]
+            elif isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".")
+            else:
+                continue
+            yield from ((node.lineno, name) for name in names if name)
+
+    @staticmethod
+    def import_time_imports(tree):
+        """Each import that runs when its module is imported (any import
+        outside a function body), with its line and the names it imports."""
+        pending = [tree]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield node.lineno, [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+            pending.extend(ast.iter_child_nodes(node))
+
+    def test_no_other_module_names_the_binding(self):
+        named = [
+            f"{path.name}:{line} {name}"
+            for path in self.OTHERS
+            for line, name in self.identifiers(ast.parse(path.read_text(encoding="utf-8")))
+            if name in ("core", "_core", "_highspy") or name.startswith("Highs")
+        ]
+        assert named == []
+
+    def test_no_other_module_imports_numpy_scipy_or_the_engine_at_import(self):
+        imported = [
+            f"{path.name}:{line} {name}"
+            for path in self.OTHERS
+            for line, names in self.import_time_imports(ast.parse(path.read_text(encoding="utf-8")))
+            for name in names
+            if name.split(".")[0] in ("numpy", "scipy") or "_highs" in name.split(".")
+        ]
+        assert imported == []
 
 
 class TestEnergyBalance:
@@ -1643,7 +1728,7 @@ class TestPricesMatchLabelOracle:
         return net, demands
 
     def test_prices_equal_delivery_labels(self, monkeypatch):
-        solve, cone = dispatch._solve_hour, dispatch._cone_duals
+        solve, cone = _highs._solve_hour, _highs._cone_duals
         columns, cone_solves = [], []
 
         def recording_solve(problem, demand):
@@ -1655,8 +1740,8 @@ class TestPricesMatchLabelOracle:
             cone_solves.append(len(columns))  # the hour it prices
             return cone(*args)
 
-        monkeypatch.setattr(dispatch, "_solve_hour", recording_solve)
-        monkeypatch.setattr(dispatch, "_cone_duals", recording_cone)
+        monkeypatch.setattr(_highs, "_solve_hour", recording_solve)
+        monkeypatch.setattr(_highs, "_cone_duals", recording_cone)
         rng = random.Random(2100)
         settings = [
             {},
@@ -1699,7 +1784,7 @@ class TestPricesAreMarginalCosts:
 
     def test_simulate_names_the_hour_that_fails(self, monkeypatch):
         # The second distinct demand fails; it first appears in hour 2.
-        solve = dispatch._solve_hour
+        solve = _highs._solve_hour
         solves = []
 
         def fail(problem, demand):
@@ -1708,7 +1793,7 @@ class TestPricesAreMarginalCosts:
                 raise ValueError("dispatch LP failed: injected")
             return solve(problem, demand)
 
-        monkeypatch.setattr(dispatch, "_solve_hour", fail)
+        monkeypatch.setattr(_highs, "_solve_hour", fail)
         net = network([region("a", [5, 5] + [6] * 22, [(10, 1.0)])])
         with pytest.raises(ValueError, match="^hour 2: dispatch LP failed: injected$"):
             simulate(net, 24)
@@ -1718,14 +1803,14 @@ class TestPricesAreMarginalCosts:
         # vertex; hour 2 has no demand, so no column is inside its bounds and
         # the price takes the cone LP, the one LP with bounds of its own.
         net = network([region("a", [5, 5] + [0] * 22, [(10, 1.0)])])
-        run = dispatch._run
+        run = _highs._run
 
         def fail_cone(problem, rows, lower, upper, basis=None):
             if lower is not problem.lower:
                 raise ValueError("dispatch LP failed: Infeasible")
             return run(problem, rows, lower, upper, basis)
 
-        monkeypatch.setattr(dispatch, "_run", fail_cone)
+        monkeypatch.setattr(_highs, "_run", fail_cone)
         assert simulate(net, 2).hourly[0].prices_eur_per_mwh == (1.0,)
         with pytest.raises(ValueError, match="^hour 2: dispatch LP failed: Infeasible$"):
             simulate(net, 3)
