@@ -1,8 +1,9 @@
 """The dispatch LP engine, the one module that drives scipy's HiGHS binding.
 
-It loads the binding (``core``), builds a network's hourly LP once
-(``_Problem``), and solves and decodes one hour of it (``dispatch_hour``):
-the hour's least-loss optimum and each region's price.
+It loads the binding (``core``), keeps one HiGHS instance per thread
+(``_thread``), builds a network's hourly LP once (``_Problem``), and solves
+and decodes one hour of it (``_Problem.dispatch_hour``): the hour's
+least-loss optimum and each region's price.
 """
 
 import importlib.machinery
@@ -70,11 +71,33 @@ _HIGHS_OPTIONS = {
     "simplex_strategy": 1,  # dual simplex
     "output_flag": False,
 }
-# Each thread's HiGHS instance, built by its first _run and kept, since
-# building one takes about as long as solving an hour of the 2-region demo;
-# and its chain: the problem it last solved an hour of, with that hour's
-# optimal basis.
-_thread = threading.local()
+
+
+def _check(status, what: str) -> None:
+    """Raise ``ValueError`` when a binding call that set ``what`` failed."""
+    if status == core.HighsStatus.kError:
+        raise ValueError(f"dispatch LP failed: HiGHS rejected {what}")
+
+
+class _Thread(threading.local):
+    """Each thread's solver state, set up on the thread's first use (the
+    importing thread's at import): its HiGHS instance with
+    ``_HIGHS_OPTIONS``, kept from call to call since building one takes
+    about as long as solving an hour of the 2-region demo; and its chain,
+    the problem it last solved an hour of with that hour's optimal basis,
+    or None.
+    """
+
+    def __init__(self) -> None:
+        options = core.HighsOptions()
+        for name, value in _HIGHS_OPTIONS.items():
+            setattr(options, name, value)
+        self.highs = core._Highs()
+        _check(self.highs.passOptions(options), "the options")
+        self.chain = None
+
+
+_thread = _Thread()
 
 
 class _Problem:
@@ -141,29 +164,24 @@ class _Problem:
         # below HiGHS's dual tolerance. With no such unit the penalty is the
         # largest cost, as every region has a shedding arc.
         self.objective = np.minimum(costs / penalty, 2.0)
-        # The balance rows, one column per arc: -1 where it leaves a region,
-        # its gain where it arrives; rows ascend within a column (canonical
-        # CSC). A link column holds two entries; a unit or shedding column
-        # holds one, its gain of 1.
+        # The balance rows, one column per arc: its gain in its head's row
+        # and -1 in its tail's, if it leaves a region; entries in column
+        # order, rows ascending within a column (canonical CSC). The keys are
+        # two ascending runs, which a stable sort merges in one pass.
+        leaves = tails < n_regions
+        tailed = np.flatnonzero(leaves)
+        columns = np.concatenate((np.arange(n_arcs), tailed))
+        rows = np.concatenate((heads, tails[tailed]))
+        entries = np.concatenate((gains, np.full(len(tailed), -1.0)))
+        order = np.argsort(columns * (n_regions + 1) + rows, kind="stable")
         start = np.zeros(n_arcs + 1, dtype=np.intp)
-        np.cumsum(1 + (tails < n_regions), out=start[1:])
-        rows, entries = np.empty(start[-1], dtype=np.intp), np.ones(start[-1])
-        rows[:first_link] = heads[:first_link]
-        rows[-n_regions:] = numbers
-        link_rows = rows[first_link:-n_regions].reshape(-1, 2)
-        link_entries = entries[first_link:-n_regions].reshape(-1, 2)
-        link_tails, link_heads, link_gains = tails[links], heads[links], gains[links]
-        np.minimum(link_tails, link_heads, out=link_rows[:, 0])
-        np.maximum(link_tails, link_heads, out=link_rows[:, 1])
-        tail_first = link_tails < link_heads
-        link_entries[:, 0] = np.where(tail_first, -1.0, link_gains)
-        link_entries[:, 1] = np.where(tail_first, link_gains, -1.0)
+        np.cumsum(1 + leaves, out=start[1:])
         # Built once in HiGHS's own type: an hour's model copies it whole, where
         # the binding would convert every entry again.
         self.balance = balance = core.HighsSparseMatrix()
         balance.format_ = core.MatrixFormat.kColwise
         balance.num_col_, balance.num_row_ = n_arcs, n_regions
-        balance.start_, balance.index_, balance.value_ = start.tolist(), rows.tolist(), entries.tolist()
+        balance.start_, balance.index_, balance.value_ = start.tolist(), rows[order].tolist(), entries[order].tolist()
         # An hour's column bounds: 0 to capacity, shedding capped at its demand.
         # They go to HiGHS as lists, because the binding converts a list of
         # bounds faster than an array (only the costs take an array whole); an
@@ -232,34 +250,34 @@ class _Problem:
         basis.row_status = self.crash_rows
         return basis
 
+    def dispatch_hour(self, demand: tuple[float, ...]) -> dict:
+        """One hour of this problem at ``demand``, solved by ``_solve_hour``:
+        the fields of its ``HourlyDispatch`` but ``demand_mw``, by name.
 
-def dispatch_hour(problem: _Problem, demand: tuple[float, ...]) -> dict:
-    """One hour of ``problem`` at ``demand``, solved by ``_solve_hour``: the
-    fields of its ``HourlyDispatch`` but ``demand_mw``, by name.
+        The LP column values are decoded from slices of one list: each
+        region's units, and every link's forward and backward columns, taken
+        two apart.
+        """
+        first_link, first_shed = self.first_link, self.first_shed
+        x, prices = _solve_hour(self, demand)
+        xs = x.tolist()
 
-    The LP column values are decoded from slices of one list: each region's
-    units, and every link's forward and backward columns, taken two apart.
-    """
-    first_link, first_shed = problem.first_link, problem.first_shed
-    x, prices = _solve_hour(problem, demand)
-    xs = x.tolist()
-
-    curtailed = [0.0] * len(demand)
-    for j, ri, cap in problem.free_units:
-        curtailed[ri] += cap - xs[j]
-    forward, backward = xs[first_link:first_shed:2], xs[first_link + 1 : first_shed : 2]
-    loss = sum(map(operator.mul, map(operator.add, forward, backward), problem.link_losses))
-    return dict(
-        generation_mw=tuple(map(tuple, map(xs.__getitem__, problem.unit_slices))),
-        flows_mw=tuple(map(operator.sub, forward, backward)),
-        # Shedding capped at demand, which HiGHS may pass within its
-        # tolerance: min(s, d), written out as it costs less than a call.
-        unserved_mw=tuple([d if d < s else s for s, d in zip(xs[first_shed:], demand)]),
-        curtailed_res_mw=tuple(curtailed),
-        prices_eur_per_mwh=tuple(prices),
-        loss_mw=float(loss),
-        cost_eur=float(np.dot(problem.costs, x)),
-    )
+        curtailed = [0.0] * len(demand)
+        for j, ri, cap in self.free_units:
+            curtailed[ri] += cap - xs[j]
+        forward, backward = xs[first_link:first_shed:2], xs[first_link + 1 : first_shed : 2]
+        loss = sum(map(operator.mul, map(operator.add, forward, backward), self.link_losses))
+        return dict(
+            generation_mw=tuple(map(tuple, map(xs.__getitem__, self.unit_slices))),
+            flows_mw=tuple(map(operator.sub, forward, backward)),
+            # Shedding capped at demand, which HiGHS may pass within its
+            # tolerance: min(s, d), written out as it costs less than a call.
+            unserved_mw=tuple([d if d < s else s for s, d in zip(xs[first_shed:], demand)]),
+            curtailed_res_mw=tuple(curtailed),
+            prices_eur_per_mwh=tuple(prices),
+            loss_mw=float(loss),
+            cost_eur=float(np.dot(self.costs, x)),
+        )
 
 
 def _solve_hour(problem: _Problem, demand: tuple[float, ...]):
@@ -294,7 +312,7 @@ def _solve_hour(problem: _Problem, demand: tuple[float, ...]):
     optimal face, so the least-loss stage leaves them as they are.
     """
     upper = problem.upper_at(demand)
-    chain = getattr(_thread, "chain", None)
+    chain = _thread.chain
     basis = chain[1] if chain is not None and chain[0] is problem else problem.crash_basis(demand)
     highs = _run(problem, demand, problem.lower, problem.fixed_upper + list(demand), basis)
     _thread.chain = (problem, highs.getBasis())
@@ -380,15 +398,12 @@ def _run(problem: _Problem, rows, lower, upper, basis=None):
     None for a cold start (every cone LP).
 
     This is the one place that loads a model; ``_least_loss`` only changes
-    the bounds and costs of the model loaded and runs it again. The instance
-    is built, with ``_HIGHS_OPTIONS``, on the thread's first call. Every
+    the bounds and costs of the model loaded and runs it again. Every
     binding call is checked, since HiGHS rejects a model with a bound of
     1e20 or more (it reads those as infinite) and would then run whatever
     model it held; any failure raises ``ValueError``.
     """
-    highs = getattr(_thread, "highs", None)
-    if highs is None:
-        highs = _thread.highs = _instance()
+    highs = _thread.highs
     lp = core.HighsLp()
     lp.num_col_, lp.num_row_ = problem.n_arcs, len(rows)
     lp.a_matrix_ = problem.balance
@@ -404,16 +419,6 @@ def _run(problem: _Problem, rows, lower, upper, basis=None):
     return _solved(highs)
 
 
-def _instance():
-    """A new HiGHS instance with ``_HIGHS_OPTIONS``."""
-    options = core.HighsOptions()
-    for name, value in _HIGHS_OPTIONS.items():
-        setattr(options, name, value)
-    highs = core._Highs()
-    _check(highs.passOptions(options), "the options")
-    return highs
-
-
 def _solved(highs):
     """``highs`` after a run that must end optimal, else ``ValueError``."""
     ran = highs.run()
@@ -422,8 +427,3 @@ def _solved(highs):
         raise ValueError(f"dispatch LP failed: {highs.modelStatusToString(status)}")
     return highs
 
-
-def _check(status, what: str) -> None:
-    """Raise ``ValueError`` when a binding call that set ``what`` failed."""
-    if status == core.HighsStatus.kError:
-        raise ValueError(f"dispatch LP failed: HiGHS rejected {what}")

@@ -8,11 +8,13 @@ or values too large to compute with).
 
 A process runs one subcommand, and its wall time is mostly import time, so
 this module imports only what building the parser needs (the names it
-offers as choices and defaults); each subcommand imports its evaluators
-itself. ``lcoe``, ``norned``, ``compare-import`` and ``normalize`` never load
-the scenario-file reader, the project table or dispatch, and only
-``simulate`` loads dispatch (and, on its first solve, numpy and scipy's
-HiGHS extension, without the half-second import of ``scipy.optimize``).
+offers as choices and defaults). That loads ``finance`` and
+``transmission``, so their evaluators are imported here too; each
+subcommand imports the rest itself, the report renderer included.
+``lcoe``, ``norned``, ``compare-import`` and ``normalize`` never load the
+scenario-file reader, the project table or dispatch, and only ``simulate``
+loads dispatch (and, on its first solve, numpy and scipy's HiGHS
+extension, without the half-second import of ``scipy.optimize``).
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import datasets
-from .finance import Currency
+from .finance import ConversionContext, Currency, MoneyAmount, normalize_currency
 from .profiles import PROFILES, get_profile
+from .transmission import deliverable_energy, link_capex, transmission_lcoe
 
 if TYPE_CHECKING:
     from .report import Report
@@ -67,7 +70,6 @@ def _failed_step(exc: BaseException) -> str:
 def _lcoe(profile: str, case: str, length_km: float, capacity_mw: float) -> Report:
     """Levelized cost per delivered kWh of a long point-to-point cable."""
     from .report import Report
-    from .transmission import deliverable_energy, link_capex, transmission_lcoe
 
     prof = get_profile(profile)
     fin = prof.finance()
@@ -219,7 +221,6 @@ def _trade(scenario_spec: str, profile: str, case: str) -> Report:
     """Residual trade capacity of a dual connection and the trade-inclusive LCOE."""
     from .report import Report
     from .scenario import trade_inclusive_lcoe, trade_potential
-    from .transmission import deliverable_energy
 
     args = {"scenario_spec": scenario_spec, "profile": profile, "case": case}
     published = functools.partial(datasets.published, **args)
@@ -250,7 +251,6 @@ def _norned(revenue_meur: float, days: int, profile: str) -> Report:
     """Revenue per delivered kWh of the NorNed interconnector's first months."""
     from .report import Report
     from .scenario import revenue_per_delivered_kwh
-    from .transmission import deliverable_energy
 
     prof = get_profile(profile)
     link = prof.apply_to_link(datasets.norned_link())
@@ -330,7 +330,6 @@ def _normalize(
     inflation: float,
 ) -> Report:
     """Convert a monetary amount across currencies and price years."""
-    from .finance import ConversionContext, MoneyAmount, normalize_currency
     from .report import Report
 
     amount = MoneyAmount(value=value, currency=Currency(currency), price_year=price_year)

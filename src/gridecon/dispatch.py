@@ -155,9 +155,7 @@ def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
     rule = f"{n_regions}, one value per region"
     require(len(demand) == n_regions, "len(demand_mw)", rule, len(demand))
     require_range(demand, "demand_mw", "[0, inf)", each="in every region")
-    from ._highs import dispatch_hour
-
-    return HourlyDispatch(demand_mw=demand, **dispatch_hour(network._problem, demand))
+    return HourlyDispatch(demand_mw=demand, **network._problem.dispatch_hour(demand))
 
 
 @dataclass(frozen=True)
@@ -299,7 +297,7 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
     # hour starts from the one before it. A run stops at its first failure.
     ends = [len(distinct) * k // threads for k in range(threads + 1)]
     runs = [distinct[a:b] for a, b in itertools.pairwise(ends)]
-    outcomes = [None] * threads  # each run's hours, or a later run's failure
+    outcomes = [None] * threads  # each run's hours, or its failure
 
     def solve_run(k: int) -> None:
         try:
@@ -317,7 +315,7 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
             worker = threading.Thread(target=solve_run, args=(k,), name=f"gridecon-simulate-run-{k}")
             worker.start()
             workers.append(worker)
-        outcomes[0] = list(map(solve, runs[0]))
+        solve_run(0)
     finally:
         for worker in workers:
             worker.join()

@@ -309,8 +309,9 @@ class ArcListProblem:
 def reference_decode(net, demand, x, prices):
     """The ``HourlyDispatch`` of an hour of ``net`` with ``demand``, decoded
     column by column from its LP column values ``x`` (clipped at 0) and its
-    ``prices``: the reference for the decode of ``_highs.dispatch_hour``. Unserved is
-    each region's shedding capped at its demand, ``min(x, d)``."""
+    ``prices``: the reference for the decode of
+    ``_highs._Problem.dispatch_hour``. Unserved is each region's shedding
+    capped at its demand, ``min(x, d)``."""
     problem = ArcListProblem(net)
     xs = x.tolist()
     generation = []

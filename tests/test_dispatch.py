@@ -658,6 +658,24 @@ class TestConcurrentHours:
             simulate(net, 24)
         assert late_failed.is_set()
 
+    def test_a_failure_in_a_started_threads_run_is_raised(self, monkeypatch):
+        # Only hour 17 fails, on the thread of the second run; the calling
+        # thread's run solves, and simulate raises once that thread is joined.
+        net = large_ring("76:3")
+        solve, failing, failed_on = _highs._solve_hour, hourly_demand(net, 17), []
+
+        def fail_late(problem, demand):
+            if demand == failing:
+                failed_on.append(threading.current_thread().name)
+                raise ValueError("dispatch LP failed: injected")
+            return solve(problem, demand)
+
+        monkeypatch.setattr(_highs, "_solve_hour", fail_late)
+        with pytest.raises(ValueError, match="^hour 17: dispatch LP failed: injected$"):
+            simulate(net, 24)
+        assert failed_on == [self.WORKER.format(1)]
+        assert not any(thread.name.startswith("gridecon-simulate-run-") for thread in threading.enumerate())
+
     def test_small_network_solves_on_the_calling_thread(self, monkeypatch):
         smoothing = load_bundled_scenario("smoothing").require("network")
         threads = self.record_threads(monkeypatch)
@@ -1439,6 +1457,27 @@ class TestHighsBinding:
         assert cones == []
         assert min_cost_flow(one_region, [0.0]).prices_eur_per_mwh == (1.0,)
         assert len(cones) == 1
+
+    def test_each_thread_keeps_one_instance(self):
+        # The calling thread's instance serves every call it makes; a second
+        # thread solves on an instance of its own.
+        highs = _highs._thread.highs
+        one_region = network([region("a", 5, [(10, 1.0)])])
+        simulate(load_bundled_scenario("smoothing").require("network"), 24)
+        simulate(ring_network("10:41", n_regions=10, n_chords=10), 24)
+        min_cost_flow(one_region, [5.0])
+        assert _highs._thread.highs is highs
+        seen = []
+
+        def solve():
+            min_cost_flow(one_region, [5.0])
+            seen.append(_highs._thread.highs)
+
+        thread = threading.Thread(target=solve)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(seen) == 1 and seen[0] is not highs and type(seen[0]) is type(highs)
 
     def test_run_that_ends_non_optimal_fails(self, monkeypatch):
         # A thread's instance takes _HIGHS_OPTIONS on the thread's first
