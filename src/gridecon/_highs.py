@@ -2,8 +2,13 @@
 
 It loads the binding (``core``), keeps one HiGHS instance per thread
 (``_thread``), builds a network's hourly LP once (``_Problem``), and solves
-and decodes one hour of it (``_Problem.dispatch_hour``): the hour's
-least-loss optimum and each region's price.
+one hour of it (``_solve_hour``): the hour's least-loss optimum, as LP
+column values, and each region's price. ``min_cost_flow`` decodes an hour
+into its fields at once (``_Problem.dispatch_hour``); ``simulate`` keeps
+the column values of its distinct hours as rows of an array, reads from
+them the quantities its result's totals and export need
+(``_Problem.tabulate``), and decodes each hour the same way
+(``_Problem.decode``) only when the result's ``hourly`` is first read.
 """
 
 import importlib.machinery
@@ -157,6 +162,8 @@ class _Problem:
         costs[first_shed:] = penalty
         free = np.flatnonzero(units[:, 1] == 0.0)
         self.free_units = list(zip(free.tolist(), heads[free].tolist(), units[free, 0].tolist()))
+        # The same as arrays, for all of a day's hours at once.
+        self.free_columns, self.free_heads, self.free_capacities = free, heads[free], units[free, 0]
         # Normalizing the objective by the penalty keeps the chosen vertex
         # invariant when all marginal costs are scaled by a constant. A unit
         # priced above the penalty never runs, since shedding is cheaper; it is
@@ -251,15 +258,19 @@ class _Problem:
         return basis
 
     def dispatch_hour(self, demand: tuple[float, ...]) -> dict:
-        """One hour of this problem at ``demand``, solved by ``_solve_hour``:
-        the fields of its ``HourlyDispatch`` but ``demand_mw``, by name.
+        """One hour of this problem at ``demand``, solved by ``_solve_hour``
+        and decoded by ``decode``."""
+        return self.decode(demand, *_solve_hour(self, demand))
 
-        The LP column values are decoded from slices of one list: each
-        region's units, and every link's forward and backward columns, taken
-        two apart.
+    def decode(self, demand: tuple[float, ...], x, prices: list[float]) -> dict:
+        """The fields of the ``HourlyDispatch`` of an hour at ``demand``, but
+        ``demand_mw``, by name, from its LP column values ``x`` and its
+        ``prices``, as ``_solve_hour`` returns them.
+
+        The column values are decoded from slices of one list: each region's
+        units, and every link's forward and backward columns, taken two apart.
         """
         first_link, first_shed = self.first_link, self.first_shed
-        x, prices = _solve_hour(self, demand)
         xs = x.tolist()
 
         curtailed = [0.0] * len(demand)
@@ -270,14 +281,44 @@ class _Problem:
         return dict(
             generation_mw=tuple(map(tuple, map(xs.__getitem__, self.unit_slices))),
             flows_mw=tuple(map(operator.sub, forward, backward)),
-            # Shedding capped at demand, which HiGHS may pass within its
-            # tolerance: min(s, d), written out as it costs less than a call.
-            unserved_mw=tuple([d if d < s else s for s, d in zip(xs[first_shed:], demand)]),
+            unserved_mw=tuple(_unserved(xs[first_shed:], demand)),
             curtailed_res_mw=tuple(curtailed),
             prices_eur_per_mwh=tuple(prices),
             loss_mw=float(loss),
             cost_eur=float(np.dot(self.costs, x)),
         )
+
+    def tabulate(self, demands: list[tuple[float, ...]], values):
+        """The quantities that a result's totals and export read of the hours
+        at ``demands``, one row of LP column values ``values`` per hour: each
+        region's generation, curtailment and unserved demand, one row per
+        hour, and each hour's cost, curtailment and unserved demand.
+
+        Every number has the bits that ``decode`` gives it, or that Python's
+        ``sum`` gives over the decoded tuple: a generation cell and the two
+        per-hour sums are that ``sum`` (from Python 3.12 on it compensates its
+        rounding and numpy's does not, so the two can differ in the last
+        bit), a curtailment cell adds ``cap - x`` to 0.0 unit by unit in
+        ``free_units`` order, and a cost is one ``np.dot`` per row.
+        """
+        rows = values.tolist()
+        slices = self.unit_slices
+        generation = [list(map(sum, map(xs.__getitem__, slices))) for xs in rows]
+        curtailed = np.zeros((len(rows), len(slices)))
+        # ufunc.at adds the free units one by one, in order, so a region's
+        # curtailment adds up as in decode.
+        np.add.at(curtailed, (slice(None), self.free_heads), self.free_capacities - values[:, self.free_columns])
+        first_shed = self.first_shed
+        unserved = [_unserved(xs[first_shed:], d) for xs, d in zip(rows, demands)]
+        sums = [[float(np.dot(self.costs, x)) for x in values], list(map(sum, curtailed.tolist())), list(map(sum, unserved))]
+        return np.array(generation, dtype=float), curtailed, np.array(unserved, dtype=float), np.array(sums)
+
+
+def _unserved(shed: list[float], demand: tuple[float, ...]) -> list:
+    """Each region's unserved demand: its shedding capped at its demand,
+    which HiGHS may pass within its tolerance. ``min(s, d)``, written out as
+    it costs less than a call."""
+    return [d if d < s else s for s, d in zip(shed, demand)]
 
 
 def _solve_hour(problem: _Problem, demand: tuple[float, ...]):
@@ -321,16 +362,18 @@ def _solve_hour(problem: _Problem, demand: tuple[float, ...]):
     first = np.maximum(value, 0.0)
     at_lower = first <= _EPS_FLOW
     at_upper = first >= upper - _EPS_FLOW
-    x = np.maximum(_least_loss(highs, problem, value, duals, upper), 0.0)
+    x = np.maximum(_least_loss(highs, problem, value, np.array(solution.col_dual), upper), 0.0)
     if np.count_nonzero(at_lower | at_upper) != len(x) - len(demand):
         duals = _cone_duals(problem, at_lower, at_upper)
     penalty = problem.penalty
     return x, [dual * penalty for dual in duals]
 
 
-def _least_loss(highs, problem: _Problem, value, duals, upper):
+def _least_loss(highs, problem: _Problem, value, rc, upper):
     """The column values of the optimum with the least transmission loss,
-    given the first stage's optimal ``value`` and row ``duals`` on ``highs``.
+    given the first stage's optimal ``value`` and reduced costs ``rc`` (the
+    column duals HiGHS reports, exactly 0 on every basic column) on
+    ``highs``.
 
     Different starts can end at different optimal vertices wherever the
     optimum is not unique, say where free energy could be curtailed in more
@@ -347,8 +390,6 @@ def _least_loss(highs, problem: _Problem, value, duals, upper):
     minimizes the loss over the first stage's optima. The stage is left on
     the instance; the next hour's model replaces it.
     """
-    y = np.append(duals, 0.0)
-    rc = problem.objective - problem.gains * y[problem.heads] + y[problem.tails]
     tied = np.abs(rc) <= _EPS_COST
     status, basic = highs.getBasicVariables()
     _check(status, "the basis")

@@ -2,7 +2,11 @@
 
 The network model, each hour's least-cost dispatch (``min_cost_flow``) and
 a horizon's (``simulate``), the smoothing metrics and the CSV export. The
-hourly LP is built and solved by ``gridecon._highs``.
+hourly LP is built and solved by ``gridecon._highs``. A horizon's result
+(``DispatchResult``) holds each distinct hour once, as rows of per-region
+arrays that its totals and ``export_csv`` read; ``simulate`` fills them
+from the LP columns it solved, and decodes an ``HourlyDispatch`` per
+distinct hour only when ``hourly`` is first read.
 """
 
 from __future__ import annotations
@@ -158,71 +162,97 @@ def min_cost_flow(network: DispatchNetwork, demand_mw) -> HourlyDispatch:
     return HourlyDispatch(demand_mw=demand, **network._problem.dispatch_hour(demand))
 
 
-@dataclass(frozen=True)
 class DispatchResult:
-    network: DispatchNetwork
-    hourly: tuple[HourlyDispatch, ...]
+    """The dispatch of a horizon of ``network``: ``hourly``, one
+    ``HourlyDispatch`` per hour, and its totals.
 
-    def __post_init__(self) -> None:
-        """Reject a result without hours, or one with an hour that does not
-        hold one entry per region in a per-region field; each distinct hour
-        is checked once."""
-        require_range(len(self.hourly), "len(hourly)", "[1, inf]")
-        n_regions = len(self.network.regions)
-        distinct, index = self._hours
-        for k, hour in enumerate(distinct):
+    A result holds each distinct hour once, as one row of per-region arrays
+    of the quantities that ``export_csv`` writes (demand, generation,
+    curtailment, unserved demand and price), with each hour's cost,
+    curtailment and unserved demand, and the row of every hour. The totals
+    and ``export_csv`` read only these arrays. There are two ways to build
+    one: ``DispatchResult(network, hourly)`` takes hand-built hours, one row
+    each, and rejects a result without hours or with an hour that does not
+    hold one entry per region in a per-region field; ``simulate`` builds one
+    from the LP columns it solved, and its ``hourly`` is decoded on first
+    access, each distinct hour once by the decode of ``min_cost_flow``, and
+    shared by every hour that repeats it.
+    """
+
+    def __init__(self, network: DispatchNetwork, hourly) -> None:
+        import numpy as np
+
+        hourly = tuple(hourly)
+        require_range(len(hourly), "len(hourly)", "[1, inf]")
+        n_regions = len(network.regions)
+        for t, hour in enumerate(hourly):
             for field in ("demand_mw", "unserved_mw", "curtailed_res_mw", "prices_eur_per_mwh", "generation_mw"):
                 size = len(getattr(hour, field))
                 if size != n_regions:
-                    name = f"hour {index.index(k)}: len({field})"
-                    raise ValueError(f"{name} must be {n_regions}, one entry per region, got {size}")
+                    raise ValueError(f"hour {t}: len({field}) must be {n_regions}, one entry per region, got {size}")
+        self.network, self.hourly = network, hourly
+        self._index = np.arange(len(hourly))
+
+        def rows(per_hour):
+            return np.array(list(map(per_hour, hourly)), dtype=float)
+
+        self._demand = rows(lambda h: h.demand_mw)
+        self._generation = rows(lambda h: list(map(sum, h.generation_mw)))
+        self._curtailed = rows(lambda h: h.curtailed_res_mw)
+        self._unserved = rows(lambda h: h.unserved_mw)
+        self._prices = rows(lambda h: h.prices_eur_per_mwh)
+        self._sums = rows(lambda h: (h.cost_eur, sum(h.curtailed_res_mw), sum(h.unserved_mw))).T
+
+    @classmethod
+    def _solved(cls, network: DispatchNetwork, demands: list, values, prices, index) -> DispatchResult:
+        """The result of the hours ``index`` of ``network``, each the row of
+        its distinct hour: that hour's demand vector in ``demands``, its LP
+        column values in ``values`` and its prices in ``prices``, as
+        ``gridecon._highs._solve_hour`` gave them."""
+        import numpy as np
+
+        result = cls.__new__(cls)
+        result.network, result._index, result._prices = network, index, prices
+        result._demand = np.array(demands, dtype=float)
+        result._generation, result._curtailed, result._unserved, result._sums = network._problem.tabulate(demands, values)
+        result._columns = demands, values
+        return result
+
+    @functools.cached_property
+    def hourly(self) -> tuple[HourlyDispatch, ...]:
+        """Each hour's dispatch, decoded on first access from the LP columns
+        of a result that ``simulate`` built (a hand-built result holds its
+        hours from the start). A frozen network's problem never changes, so
+        the cache never goes stale."""
+        demands, values = self._columns
+        decode = self.network._problem.decode
+        decoded = [
+            HourlyDispatch(demand_mw=demand, **decode(demand, x, prices))
+            for demand, x, prices in zip(demands, values, self._prices.tolist())
+        ]
+        return tuple(map(decoded.__getitem__, self._index.tolist()))
 
     @property
     def n_hours(self) -> int:
-        return len(self.hourly)
+        return len(self._index)
 
-    @functools.cached_property
-    def _hours(self) -> tuple[list[HourlyDispatch], list[int]]:
-        """The hours grouped by the ``HourlyDispatch`` object they share, built
-        on first use: each object once, in order of first appearance, and each
-        hour's position in that list.
-
-        Hours are grouped by identity, as ``simulate`` shares one object among
-        the repeats of a demand vector, so no hour is hashed; an equal hour
-        that is a separate object is a group of its own. ``hourly`` keeps
-        every object alive, so no ``id`` is reused. A frozen result never
-        changes, so the cache never goes stale.
-        """
-        ids = list(map(id, self.hourly))
-        objects = dict(zip(ids, self.hourly))
-        position = dict(zip(objects, itertools.count()))
-        return list(objects.values()), list(map(position.__getitem__, ids))
-
-    def _total(self, per_hour) -> float:
-        """``sum(map(per_hour, self.hourly))``, calling ``per_hour`` once per
-        distinct hour: the same floats added in the same order."""
-        distinct, index = self._hours
-        values = list(map(per_hour, distinct))
-        return sum(map(values.__getitem__, index))
-
+    # Each total adds each hour's value in time order: the floats, and the
+    # order, of a sum over ``hourly``.
     @property
     def total_cost_eur(self) -> float:
-        return self._total(lambda h: h.cost_eur)
+        return sum(self._sums[0, self._index].tolist())
 
     @property
     def total_curtailed_mwh(self) -> float:
-        return self._total(lambda h: sum(h.curtailed_res_mw))
+        return sum(self._sums[1, self._index].tolist())
 
     @property
     def total_unserved_mwh(self) -> float:
-        return self._total(lambda h: sum(h.unserved_mw))
+        return sum(self._sums[2, self._index].tolist())
 
     @property
     def mean_price_spread_eur_per_mwh(self) -> float:
-        import numpy as np
-
-        distinct, index = self._hours
-        return _mean_spread(np.array([h.prices_eur_per_mwh for h in distinct]), index)
+        return _mean_spread(self._prices, self._index)
 
 
 def _mean_spread(prices, index) -> float:
@@ -260,16 +290,19 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
     so an hour whose demand repeats an earlier hour's shares that hour's result.
 
     Demand repeats every 24 hours (``Region.demand_at``), so only the first
-    day is built and solved, each distinct demand vector once, and the rest
-    of the horizon repeats that day's results by tuple repetition: a year
+    day is built and solved, each distinct demand vector once, by the
+    engine's per-hour solve (``gridecon._highs._solve_hour``); profiles are
+    checked when their regions are built, so no demand is checked again.
+    Each distinct hour's LP column values and prices become one row of two
+    arrays, and every hour of the horizon is the index of its row, so a year
     costs at most 24 solves and no Python step per hour.
 
     The distinct hours are split into one contiguous run per thread, in time
     order, so that every hour but a run's first starts from the hour before
     it. There is one thread per CPU, at most one per distinct hour, when the
     network's LP has at least ``_THREADED_MIN_ARCS`` columns: HiGHS runs
-    without the GIL, so one hour's solve overlaps the Python that builds,
-    decodes and prices another. Otherwise the one run is solved on the
+    without the GIL, so one hour's solve overlaps the Python that builds
+    and prices another. Otherwise the one run is solved on the
     calling thread, which solves the first run in either case. Wherever an
     hour's least-loss dispatch is unique, the printed text is that of
     ``min_cost_flow`` hour by hour, in any order and on any thread; where it
@@ -279,20 +312,25 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
     """
     require_range(hours, "hours", "[1, inf)")
     require_whole(hours, "hours")
-    # No tuple holds more hours than this.
+    # No index array or tuple holds more hours than this.
     require(hours <= sys.maxsize, "hours", f"<= {sys.maxsize}", hours)
+    import numpy as np
+
+    from . import _highs
+
     day = _first_day(network, hours)
     distinct = list(dict.fromkeys(day))
+    # The problem is built here, before any thread reads it: functools.cached_property
+    # has no lock from Python 3.12 on.
+    problem, solve_hour = network._problem, _highs._solve_hour
 
-    def solve(demand: tuple) -> HourlyDispatch:
+    def solve(demand: tuple):
         try:
-            return min_cost_flow(network, demand)
+            return solve_hour(problem, demand)
         except ValueError as exc:
             raise ValueError(f"hour {day.index(demand)}: {exc}") from exc
 
-    # The problem is built here, before any thread reads it: functools.cached_property
-    # has no lock from Python 3.12 on.
-    threads = min(_cpu_count(), len(distinct)) if network._problem.n_arcs >= _THREADED_MIN_ARCS else 1
+    threads = min(_cpu_count(), len(distinct)) if problem.n_arcs >= _THREADED_MIN_ARCS else 1
     # One contiguous run of hours per thread, in time order, so that each
     # hour starts from the one before it. A run stops at its first failure.
     ends = [len(distinct) * k // threads for k in range(threads + 1)]
@@ -323,10 +361,11 @@ def simulate(network: DispatchNetwork, hours: int) -> DispatchResult:
     for outcome in outcomes:
         if isinstance(outcome, BaseException):
             raise outcome
-    solved = dict(zip(distinct, itertools.chain.from_iterable(outcomes)))
-    first_day = tuple(map(solved.__getitem__, day))
-    days, rest = divmod(hours, 24)
-    return DispatchResult(network=network, hourly=first_day * days + first_day[:rest])
+    values, prices = zip(*itertools.chain.from_iterable(outcomes))
+    row = dict(zip(distinct, itertools.count()))
+    # Hour t has the demand, and so the row, of hour t % 24.
+    index = np.resize(list(map(row.__getitem__, day)), hours)
+    return DispatchResult._solved(network, distinct, np.array(values), np.array(prices), index)
 
 
 def _cpu_count() -> int:
@@ -430,35 +469,20 @@ def export_csv(result: DispatchResult) -> str:
         ]
     )
     # Every cell and total is written by one _fmt call, cells first, so the
-    # first non-finite cell decides its exception. A total that numpy would
-    # warn about is not finite, so _fmt raises on it anyway.
+    # first non-finite cell decides its exception: numpy's passes over such
+    # a value run with its warnings off. The cells are one float array of
+    # the distinct hours, [hour][column][region], and each distinct hour's
+    # rows are rendered once, without the hour column. Served is demand less
+    # unserved, as HourlyDispatch.served_mw.
+    demand, unserved, index = result._demand, result._unserved, result._index
     totals = ("total_cost_eur", "total_curtailed_mwh", "total_unserved_mwh", "mean_price_spread_eur_per_mwh")
-    # Each distinct hour's rows are rendered once, without the hour column,
-    # from one float array of its cells, [hour][column][region], followed by
-    # the totals; an equal hour that is a separate object is rendered again,
-    # to the same text. Demand is read twice; the second copy becomes served.
-    # A generation cell stays Python's sum of the region's units: from Python
-    # 3.12 on it compensates its rounding and numpy's sum does not, so the
-    # two can differ in the last bit.
-    distinct, index = result._hours
-    regions = result.network.regions
-    per_hour = (
-        (h.demand_mw, h.demand_mw, map(sum, h.generation_mw), h.curtailed_res_mw, h.unserved_mw, h.prices_eur_per_mwh)
-        for h in distinct
-    )
-    size = len(distinct) * 6 * len(regions)
-    # The mean price spread's place is filled below.
-    summary = [result.total_cost_eur, result.total_curtailed_mwh, result.total_unserved_mwh, 0.0]
-    cells_then_totals = itertools.chain(itertools.chain.from_iterable(itertools.chain.from_iterable(per_hour)), summary)
-    values = np.fromiter(cells_then_totals, float, size + len(totals))
-    cells = values[:size].reshape(len(distinct), 6, len(regions))
-    # The mean price spread from the price cells already read, in the passes
-    # of DispatchResult.mean_price_spread_eur_per_mwh on a contiguous array
-    # like the one it builds, so to the same bits.
     with np.errstate(all="ignore"):
-        values[-1] = _mean_spread(cells[:, 5].copy(), index)
-    cells[:, 1] -= cells[:, 4]  # demand less unserved, as HourlyDispatch.served_mw
-    texts = _fmt(values)
+        cells = np.stack((demand, demand - unserved, result._generation, result._curtailed, unserved, result._prices), 1)
+        summary = [result.total_cost_eur, result.total_curtailed_mwh, result.total_unserved_mwh,
+                   _mean_spread(result._prices, index)]
+    size = cells.size
+    texts = _fmt(np.concatenate((cells.ravel(), summary)))
+    regions = result.network.regions
     # Cells never need quoting. Each name is quoted once, as in any row of
     # two or more fields (csv quotes an empty field only when it is alone).
     quoted = _Rows()
@@ -466,7 +490,7 @@ def export_csv(result: DispatchResult) -> str:
     names = [row[: -len(",\n")] for row in quoted]
     columns = [texts[k : k + len(regions)] for k in range(0, size, len(regions))]
     rows = [list(map(",".join, zip(names, *columns[k : k + 6]))) for k in range(0, len(columns), 6)]
-    for t, i in enumerate(index):
+    for t, i in enumerate(index.tolist()):
         prefix = f"{t},"
         out += (prefix, f"\n{prefix}".join(rows[i]), "\n")
     writer.writerow([])

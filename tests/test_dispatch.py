@@ -294,13 +294,13 @@ class TestRepeatedHours:
         return load_bundled_scenario("smoothing").require("network")
 
     def test_each_distinct_hour_is_solved_once(self, smoothing, monkeypatch):
-        demands = []
+        solve, demands = _highs._solve_hour, []
 
-        def counting(net, demand_mw):
-            demands.append(tuple(demand_mw))
-            return min_cost_flow(net, demand_mw)
+        def counting(problem, demand):
+            demands.append(tuple(demand))
+            return solve(problem, demand)
 
-        monkeypatch.setattr(dispatch, "min_cost_flow", counting)
+        monkeypatch.setattr(_highs, "_solve_hour", counting)
         result = simulate(smoothing, 168)
         assert len(demands) == len(set(demands)) == 13
         for t, hour in enumerate(result.hourly):
@@ -357,14 +357,15 @@ class TestRepeatedHours:
             assert all(map(operator.is_, itertools.chain(*day), itertools.chain(*expected)))
 
     def test_benchmark_tracer_counts_one_solve_per_distinct_hour(self):
-        # The benchmark's tracer must see the memo: one min_cost_flow span per
-        # distinct demand vector, and tracing leaves the output as it is. Run
-        # in a child: the tracer rewires gridecon's modules.
+        # Under the benchmark's tracer the memo holds: one engine solve per
+        # distinct demand vector, none through min_cost_flow, and tracing
+        # leaves the output as it is. Run in a child: the tracer rewires
+        # gridecon's modules.
         code = textwrap.dedent(
             """
             import json
             import gridecon.dispatch as dispatch
-            from gridecon import datasets
+            from gridecon import _highs, datasets
             from tracer import Tracer
 
             network = datasets.load_bundled_scenario("smoothing").require("network")
@@ -372,9 +373,17 @@ class TestRepeatedHours:
             plain = dispatch.export_csv(dispatch.simulate(network, 48))
             tracer = Tracer()
             tracer.install()
+            solve, solves = _highs._solve_hour, []
+
+            def counting(problem, demand):
+                solves.append(demand)
+                return solve(problem, demand)
+
+            _highs._solve_hour = counting
             traced = dispatch.export_csv(dispatch.simulate(network, 48))
             tracer.end_op()
-            print(json.dumps({"same": plain == traced, "distinct": len(distinct), **tracer.totals()}))
+            print(json.dumps({"same": plain == traced, "distinct": len(distinct), "solves": len(solves),
+                              **tracer.totals()}))
             """
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(REPO / "src"), str(REPO / "bench"))))
@@ -382,7 +391,8 @@ class TestRepeatedHours:
         assert child.returncode == 0, child.stderr
         totals = json.loads(child.stdout)
         assert totals["same"]
-        assert totals["calls"]["dispatch.min_cost_flow"] == totals["distinct"] == 13
+        assert totals["solves"] == totals["distinct"] == 13
+        assert "dispatch.min_cost_flow" not in totals["calls"]
 
     def test_one_highs_solve_per_distinct_hour(self, smoothing, monkeypatch):
         solve = _highs._solve_hour
@@ -532,6 +542,32 @@ class TestCompiledProblem:
                 new, old = getattr(hour, field.name), getattr(reference, field.name)
                 assert new == old and float_bits(new) == float_bits(old), field.name
 
+    def test_tabulate_gives_the_bits_of_decode(self):
+        # What a simulate result's totals and export read of its hours, to
+        # the bit, against the fields decode gives the same columns. Region
+        # a's three free units add up to other bits in any other order, and
+        # shedding runs past demand in some hours.
+        net = network(
+            [region("a", 3, [(1e16, 0.0), (1.0, 0.0), (1.0, 0.0)]),
+             region("b", 2, [(1.0, 0.0), (1e16, 0.0), (5.0, 3.0)]), region("c", 1, [])],
+            [Interconnector("a", "b", 4.0, 0.9), Interconnector("c", "b", 1.0, 0.8)],
+        )
+        problem, rng = net._problem, random.Random(38)
+        demands = [(3.0, 2.0, 1.0), (0, 7, 0.25), (1e-9, 0.0, 2.5), (0.5, 1, 3)]
+        values = np.array([[rng.choice([0.0, 0.25, 1.0, 3e-17, 1e16, 2.5]) for _ in range(problem.n_arcs)]
+                           for _ in demands])
+        values[0, :3] = 0.0
+        idle = [1e16, 1.0, 1.0]  # region a's idle capacity in hour 0
+        assert ((0.0 + idle[0]) + idle[1]) + idle[2] != ((0.0 + idle[2]) + idle[1]) + idle[0]
+        generation, curtailed, unserved, sums = problem.tabulate(demands, values)
+        for k, demand in enumerate(demands):
+            hour = HourlyDispatch(demand_mw=demand, **problem.decode(demand, values[k], [0.0] * 3))
+            expected = [list(map(sum, hour.generation_mw)), hour.curtailed_res_mw, hour.unserved_mw,
+                        (hour.cost_eur, sum(hour.curtailed_res_mw), sum(hour.unserved_mw))]
+            got = [generation[k], curtailed[k], unserved[k], sums[:, k]]
+            for name, new, old in zip(("generation", "curtailed", "unserved", "sums"), got, expected):
+                assert [v.hex() for v in new.tolist()] == [float(v).hex() for v in old], (k, name)
+
     def test_equal_networks_give_equal_results(self):
         one = ring_network("20:1", n_regions=20, n_chords=20)
         other = ring_network("20:1", n_regions=20, n_chords=20)
@@ -555,13 +591,13 @@ class TestConcurrentHours:
 
     @staticmethod
     def record_threads(monkeypatch):
-        threads = []
+        solve, threads = _highs._solve_hour, []
 
-        def recording(net, demand_mw):
-            threads.append((threading.current_thread(), tuple(demand_mw)))
-            return min_cost_flow(net, demand_mw)
+        def recording(problem, demand):
+            threads.append((threading.current_thread(), tuple(demand)))
+            return solve(problem, demand)
 
-        monkeypatch.setattr(dispatch, "min_cost_flow", recording)
+        monkeypatch.setattr(_highs, "_solve_hour", recording)
         return threads
 
     def test_hours_equal_single_hour_solves(self, monkeypatch):
@@ -581,14 +617,14 @@ class TestConcurrentHours:
         monkeypatch.setattr(dispatch, "_cpu_count", lambda: cpus)
         net = large_ring("76:3")
         hour_of = {hourly_demand(net, t): t for t in range(24)}
-        runs = {}
+        solve, runs = _highs._solve_hour, {}
 
-        def recording(net, demand_mw):
+        def recording(problem, demand):
             # By thread object: a finished thread's ident can be reused.
-            runs.setdefault(threading.current_thread(), []).append(hour_of[tuple(demand_mw)])
-            return min_cost_flow(net, demand_mw)
+            runs.setdefault(threading.current_thread(), []).append(hour_of[tuple(demand)])
+            return solve(problem, demand)
 
-        monkeypatch.setattr(dispatch, "min_cost_flow", recording)
+        monkeypatch.setattr(_highs, "_solve_hour", recording)
         simulate(net, 24)
         return sorted(runs.values())
 
@@ -714,17 +750,17 @@ class TestConcurrentHours:
 
             dispatch._THREADED_MIN_ARCS = 0
             dispatch._cpu_count = lambda: 2
-            solve, crash, threads, crashes = dispatch.min_cost_flow, _highs._Problem.crash_basis, set(), []
+            solve, crash, threads, crashes = _highs._solve_hour, _highs._Problem.crash_basis, set(), []
 
-            def recording(net, demand):
+            def recording(problem, demand):
                 threads.add(threading.get_ident())
-                return solve(net, demand)
+                return solve(problem, demand)
 
             def counting(problem, demand):
                 crashes.append(demand)
                 return crash(problem, demand)
 
-            dispatch.min_cost_flow, _highs._Problem.crash_basis = recording, counting
+            _highs._solve_hour, _highs._Problem.crash_basis = recording, counting
             dispatch.simulate(load_bundled_scenario("smoothing").require("network"), 24)
             print(json.dumps({"futures": sorted(m for m in sys.modules if m.startswith("concurrent")),
                               "threads": len(threads), "crashes": len(crashes)}))
@@ -972,6 +1008,36 @@ class TestCrashBasis:
         assert all(crash < slack for crash, slack in days[0]), days[0]
 
 
+class TestReducedCosts:
+    """The least-loss stage reads each column's reduced cost off HiGHS's
+    column duals: the normalized cost less the column's balance entries
+    times the row duals, and exactly 0 on every basic column."""
+
+    def test_column_duals_are_the_recomputed_reduced_costs(self, monkeypatch):
+        stage, seen = _highs._least_loss, []
+
+        def checking(highs, problem, value, rc, upper):
+            y = np.append(highs.getSolution().row_dual, 0.0)
+            recomputed = problem.objective - problem.gains * y[problem.heads] + y[problem.tails]
+            _, basic = highs.getBasicVariables()
+            seen.append((float(np.max(np.abs(rc - recomputed))), rc[basic[basic >= 0]].tolist()))
+            return stage(highs, problem, value, rc, upper)
+
+        monkeypatch.setattr(_highs, "_least_loss", checking)
+        monkeypatch.setattr(dispatch, "_cpu_count", lambda: 2)
+        for net in [ring_network(f"38:{k}", n_regions=20, n_chords=20) for k in range(5)] + [
+            large_ring("38:5"), load_bundled_scenario("smoothing").require("network")
+        ]:
+            simulate(net, 24)
+        rng = random.Random(38)
+        for _ in range(200):
+            net = random_network(rng, max_regions=6, max_links=10)
+            min_cost_flow(net, [r.demand_profile_mw[0] for r in net.regions])
+        assert len(seen) == 6 * 24 + 13 + 200
+        assert max(difference for difference, _ in seen) <= 1e-15
+        assert all(value == 0.0 for _, basic in seen for value in basic)
+
+
 class TestCanonicalDispatch:
     """Among the cost-optimal dispatches an hour takes the one with the least
     transmission loss, so the printed result does not depend on the order of
@@ -1021,8 +1087,8 @@ class TestCanonicalDispatch:
         net = ring_network("101:10", 200, 200)
         stage, stages = _highs._least_loss, []
 
-        def recording(highs, problem, value, duals, upper):
-            x = stage(highs, problem, value, duals, upper)
+        def recording(highs, problem, value, rc, upper):
+            x = stage(highs, problem, value, rc, upper)
             if x is not value:
                 stages.append((problem.loss_share @ value, problem.loss_share @ x,
                                problem.objective @ value, problem.objective @ x))
@@ -1363,7 +1429,8 @@ class TestLargeRingOutput:
     """The export of a 24 h simulate of a 200-region, 200-chord ring (1600 LP
     columns, solved on the thread pool), pinned byte for byte. Ring 101:10
     has an hour whose cost-optimal curtailment is not unique (hour 9, where
-    r111 and r113 can trade free energy); it prints the least-loss one."""
+    r111 and r113 can trade free energy); it prints the least-loss one. So
+    are twenty more rings, in one digest, and the demo's week."""
 
     @pytest.mark.parametrize(
         "seed, digest",
@@ -1375,6 +1442,21 @@ class TestLargeRingOutput:
     def test_export_digest(self, seed, digest):
         text = export_csv(simulate(ring_network(seed, 200, 200), 24))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_twenty_rings_digest(self):
+        # One sha256 over the exports of rings 38:0 to 38:19, in that order.
+        digest = hashlib.sha256()
+        for k in range(20):
+            digest.update(export_csv(simulate(ring_network(f"38:{k}", 200, 200), 24)).encode())
+        assert digest.hexdigest() == "c9a6c4c27a5b408c494d9b853a38e8576ae62b1b01cbd7804eb503f7b9f78a5a"
+
+    def test_periodic_week_digest(self):
+        # The week of the bundled demo that the benchmark's dispatch-periodic
+        # workload exports, with the digest it pins.
+        text = export_csv(simulate(load_bundled_scenario("smoothing").require("network"), 168))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "02814964943335857a4ea99a5aab9e726c01ae561131cd76abf0215270fee90e"
+        )
 
 
 class TestHighsBinding:
@@ -1398,7 +1480,7 @@ class TestHighsBinding:
         "HighsLp": ["num_col_", "num_row_", "a_matrix_", "col_cost_", "col_lower_", "col_upper_",
                     "row_lower_", "row_upper_"],
         "HighsSparseMatrix": ["format_", "num_col_", "num_row_", "start_", "index_", "value_"],
-        "HighsSolution": ["col_value", "row_dual"],
+        "HighsSolution": ["col_value", "col_dual", "row_dual"],
         "HighsBasis": ["valid", "alien", "col_status", "row_status"],
         "HighsBasisStatus": ["kLower", "kBasic", "kUpper"],
         "MatrixFormat": ["kColwise"],
@@ -1990,15 +2072,63 @@ class TestTotals:
         assert copy == first and copy is not first
         result = DispatchResult(net, (first, second, copy, second, second, dataclasses.replace(first)))
         self.assert_per_hour(result)
-        assert len(result._hours[0]) == 4
 
-    def test_hours_are_grouped_once(self):
+    def test_totals_and_export_decode_no_hour(self):
+        # simulate's result decodes its hours on first access to hourly, and
+        # the totals and the export never ask for them.
         result = simulate(load_bundled_scenario("smoothing").require("network"), 48)
-        result.total_cost_eur
-        grouping = vars(result)["_hours"]
-        export_csv(result)
+        names = ("total_cost_eur", "total_curtailed_mwh", "total_unserved_mwh", "mean_price_spread_eur_per_mwh")
+        totals = {name: getattr(result, name).hex() for name in names}
+        text = export_csv(result)
+        assert "hourly" not in vars(result)
+        hourly = result.hourly
         self.assert_per_hour(result)
-        assert vars(result)["_hours"] is grouping
+        assert result.hourly is hourly and export_csv(result) == text
+        assert totals == {name: getattr(result, name).hex() for name in names}
+
+
+def day_network(rng):
+    """An ``untied_network`` with a day of demand of its own in every region,
+    plus a region with no free unit and one with two, each linked to the
+    first region."""
+    base = untied_network(rng)
+
+    def day():
+        return sinusoid_profile(rng.uniform(1, 12), rng.uniform(0.2, 0.9), rng.randrange(24))
+
+    regions = [dataclasses.replace(r, demand_profile_mw=day(), tz_offset_hours=rng.randint(-11, 12))
+               for r in base.regions]
+    regions.append(Region("priced", rng.randint(-11, 12), day(), ((rng.uniform(0, 10), rng.uniform(1, 100)),)))
+    regions.append(Region("free", rng.randint(-11, 12), day(), ((rng.uniform(0, 10), 0.0), (rng.uniform(0, 10), 0.0))))
+    links = [Interconnector(regions[0].name, name, rng.uniform(0, 8), rng.uniform(0.5, 0.99)) for name in ("priced", "free")]
+    return network(regions, base.interconnectors + tuple(links))
+
+
+class TestTwoConstructors:
+    """A result that simulate builds from its LP columns and one built by
+    hand from min_cost_flow's hours of the same solves print the same text
+    and give the same totals, to the bit."""
+
+    TOTALS = ("total_cost_eur", "total_curtailed_mwh", "total_unserved_mwh", "mean_price_spread_eur_per_mwh")
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_simulate_equals_the_hand_built_result(self, seed):
+        net = day_network(random.Random(seed))
+        for hours in (1, 23, 25, 49, 8760):
+            # Each copy has a problem of its own, so that its first hour
+            # starts from the crash basis, and min_cost_flow solves the
+            # distinct hours in simulate's order: the same solves.
+            simulated = simulate(dataclasses.replace(net), hours)
+            fresh = dataclasses.replace(net)
+            solved = {d: min_cost_flow(fresh, d) for d in dict.fromkeys(dispatch._first_day(fresh, hours))}
+            hourly = tuple(solved[hourly_demand(fresh, t % 24)] for t in range(hours))
+            built = DispatchResult(fresh, hourly)
+            assert export_csv(simulated) == export_csv(built), hours
+            for name in self.TOTALS:
+                assert getattr(simulated, name).hex() == getattr(built, name).hex(), (hours, name)
+            assert all(hour is simulated.hourly[t % 24] for t, hour in enumerate(simulated.hourly))
+            assert simulated.hourly == hourly
 
 
 class TestCurtailmentMetrics:
